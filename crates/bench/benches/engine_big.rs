@@ -10,6 +10,15 @@
 //! vars; the row threshold is pinned low so scaled-down runs (see below)
 //! still take the parallel path at `t8`.
 //!
+//! Three more entries measure the live path over the same tier, made
+//! chunked by a run of appends first: `data/append_big` (one 500-row
+//! plain-string append, as the wire delivers it, into the chunked
+//! `covid_big`), `engine/ivm_build_big` (the chunk-at-a-time state build
+//! of a filter + group + aggregate over it) and `engine/ivm_delta_big`
+//! (clone the state, absorb one append's delta, finalize — what a read
+//! after an append costs). Per-layer evidence for the O(delta) live path;
+//! the end-to-end claim rests on the standing benchmark's `live_append`.
+//!
 //! This lives in its own bench binary (not `engine.rs`) because the
 //! vendored criterion shim applies its CLI filter inside `bench_function`
 //! — table construction in an unrelated bench binary would still pay the
@@ -18,11 +27,11 @@
 //! the full [`BIG_ROWS`].
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pi2_data::Catalog;
-use pi2_engine::{execute, ExecContext};
+use pi2_data::{Catalog, DataType, Table, Value};
+use pi2_engine::{execute, ExecContext, IvmState};
 use pi2_sql::ast::Query;
 use pi2_sql::parse_query;
-use pi2_workloads::big::{big_catalog, BIG_ROWS};
+use pi2_workloads::big::{big_catalog, SplitMix64, BIG_ROWS};
 
 fn tier_rows() -> usize {
     std::env::var("PI2_BIG_BENCH_ROWS")
@@ -79,5 +88,67 @@ fn bench_big(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_big);
+/// Append number `k`: 500 seeded rows in `covid_big`'s distribution, as
+/// plain strings (the wire's `"values"` form).
+fn covid_delta(k: u64) -> Table {
+    let mut rng = SplitMix64::new(0xA99E_0D00 ^ k);
+    let rows = (0..500)
+        .map(|_| {
+            let cases = rng.below(60_000) as i64;
+            vec![
+                Value::Str(["CA", "NY", "TX", "WA"][rng.below(4) as usize].to_string()),
+                Value::Str(format!("county_{:03}", rng.below(240))),
+                Value::Date(18_809 - rng.below(200) as i64),
+                Value::Int(cases),
+                Value::Int(cases / 50 + rng.below(20) as i64),
+            ]
+        })
+        .collect();
+    Table::from_rows(
+        vec![
+            ("state", DataType::Str),
+            ("county", DataType::Str),
+            ("date", DataType::Date),
+            ("cases", DataType::Int),
+            ("deaths", DataType::Int),
+        ],
+        rows,
+    )
+    .unwrap()
+}
+
+fn bench_live(c: &mut Criterion) {
+    // A tier that has been appended to: the base chunk plus coalesced
+    // tails.
+    let mut live = big_catalog(tier_rows());
+    for k in 0..16 {
+        live = live.append_rows("covid_big", covid_delta(k)).unwrap();
+    }
+    let delta = covid_delta(16);
+    c.bench_function("data/append_big", |b| {
+        b.iter(|| std::hint::black_box(live.append_rows("covid_big", delta.clone()).unwrap()))
+    });
+
+    let query =
+        parse_query("SELECT state, sum(cases) FROM covid_big WHERE deaths > 600 GROUP BY state")
+            .unwrap();
+    let ctx = ExecContext::new(&live);
+    c.bench_function("engine/ivm_build_big", |b| {
+        b.iter(|| std::hint::black_box(IvmState::build(&query, &ctx).unwrap()))
+    });
+
+    let state = IvmState::build(&query, &ctx).unwrap();
+    let next = live.append_rows("covid_big", delta).unwrap();
+    let appended = &next.delta().unwrap().tables["covid_big"].rows;
+    let ctx = ExecContext::new(&next);
+    c.bench_function("engine/ivm_delta_big", |b| {
+        b.iter(|| {
+            let mut state = state.clone();
+            state.absorb(&query, appended, &ctx).unwrap();
+            std::hint::black_box(state.finalize(&query, &ctx).unwrap())
+        })
+    });
+}
+
+criterion_group!(benches, bench_big, bench_live);
 criterion_main!(benches);

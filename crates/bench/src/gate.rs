@@ -7,13 +7,15 @@
 //! whenever a PR moves the numbers, plus an optional `"runners"` section
 //! of per-runner-label overrides — see [`parse_baseline_json_for`]) and
 //! fails when any **gated** bench — `mcts/*`, `engine/exec_*`,
-//! `data/kernels_*`, `service/session_throughput/*`,
+//! `engine/ivm_*`, `data/kernels_*`, `data/append_big`,
+//! `service/session_throughput/*`,
 //! `service/server_throughput/*`, `service/ws_push_fanout/*`,
 //! `service/append_dispatch/*` — regresses
 //! by more than the threshold
 //! (default 25%). Ungated benches are reported but never fail the job
 //! (per-log end-to-end numbers are tracked through the emitted snapshot
-//! instead). Runner-sensitive tiers (`engine/exec_big_*`, `data/kernels_*`)
+//! instead). Runner-sensitive tiers (`engine/exec_big_*`, `engine/ivm_*`,
+//! `data/append_big`, `data/kernels_*`)
 //! only warn when no per-runner baseline entry backs them — their numbers
 //! don't transfer across machines (see [`check`]).
 //!
@@ -25,11 +27,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Bench-name prefixes whose regressions fail the gate.
-pub const GATED_PREFIXES: [&str; 8] = [
+pub const GATED_PREFIXES: [&str; 10] = [
     "mcts/",
     "engine/exec_",
     "engine/exec_big_",
+    "engine/ivm_",
     "data/kernels_",
+    "data/append_big",
     "service/session_throughput/",
     "service/server_throughput/",
     "service/ws_push_fanout/",
@@ -37,12 +41,18 @@ pub const GATED_PREFIXES: [&str; 8] = [
 ];
 
 /// Bench-name prefixes whose absolute numbers depend on the runner's core
-/// count and SIMD level (the big parallel tier and the kernel microbenches).
+/// count and SIMD level (the big parallel tier, the live-path benches over
+/// it, and the kernel microbenches).
 /// Comparing these against another machine's flat baseline is meaningless
 /// — a single-core container's `t8` being flat is oversubscription, not a
 /// regression — so without a per-runner baseline entry they warn instead
 /// of failing the gate (see [`check`]).
-pub const RUNNER_SENSITIVE_PREFIXES: [&str; 2] = ["engine/exec_big_", "data/kernels_"];
+pub const RUNNER_SENSITIVE_PREFIXES: [&str; 4] = [
+    "engine/exec_big_",
+    "engine/ivm_",
+    "data/kernels_",
+    "data/append_big",
+];
 
 /// Default regression threshold: fail when `fresh > committed * 1.25`.
 pub const DEFAULT_THRESHOLD: f64 = 1.25;
@@ -606,6 +616,13 @@ mod tests {
         assert!(runner_sensitive("engine/exec_big_filter/t8"));
         assert!(runner_sensitive("data/kernels_filter/avx2"));
         assert!(is_gated("data/kernels_agg/t1"), "kernels benches are gated");
+        for live in [
+            "data/append_big",
+            "engine/ivm_delta_big",
+            "engine/ivm_build_big",
+        ] {
+            assert!(is_gated(live) && runner_sensitive(live), "{live}");
+        }
         assert!(!runner_sensitive("mcts/explore_30iters"));
         assert!(!runner_sensitive("engine/exec_filter/vectorized/8"));
     }

@@ -143,11 +143,20 @@ impl Catalog {
     /// Append `delta` rows to table `name`, returning the *next* catalogue
     /// version. The receiver is untouched (readers keep scanning their
     /// snapshot); the new version shares all existing chunk storage by
-    /// `Arc`, merges column statistics incrementally, and folds the delta's
-    /// content into the fingerprint in O(appended rows). The fold is
-    /// content-based — two catalogues that apply identical appends converge
-    /// to identical fingerprints, which keeps a fleet's shared caches
-    /// coherent.
+    /// `Arc`.
+    ///
+    /// Everything here costs O(appended rows) plus O(chunks + distinct
+    /// values retained in the statistics), whatever the table's size: the
+    /// delta is stored like the table stores its columns
+    /// ([`Table::conform`]), its statistics are computed on its own and
+    /// merged, the base's row and non-null counts come from per-chunk
+    /// metadata, and only the delta's content is folded into the
+    /// fingerprint. The table's consolidated flat view is never built
+    /// here; see [`Table`]'s storage notes for which *queries* still build
+    /// it, once per catalogue version. The fingerprint fold is
+    /// content-based — two catalogues that apply identical appends
+    /// converge to identical fingerprints, which keeps a fleet's shared
+    /// caches coherent.
     pub fn append_rows(&self, name: &str, delta: Table) -> Result<Catalog, DataError> {
         let meta = self.require_table(name)?;
         if delta.num_columns() != meta.table.num_columns() {
@@ -156,12 +165,13 @@ impl Catalog {
                 found: delta.num_columns(),
             });
         }
+        let delta = meta.table.conform(&delta);
         let base_rows = meta.table.num_rows();
         let appended = meta
             .table
             .append_table(&delta, crate::table::chunk_rows())?;
-        // Per-column stats: one O(delta) pass over the appended rows, then
-        // an O(distinct) merge — never a rescan of the base table.
+        // Per-column stats: one pass over the appended rows, then an
+        // O(distinct) merge.
         let delta_stats: Vec<ColumnStats> = (0..delta.num_columns())
             .map(|i| ColumnStats::compute(&delta, i))
             .collect();
@@ -442,6 +452,42 @@ mod tests {
         let p = c.column_stats("T", "p").unwrap();
         assert!(p.unique, "primary key stays unique through the merge");
         assert_eq!(p.distinct_count, 4);
+    }
+
+    #[test]
+    fn appends_read_chunk_metadata_not_the_flat_view() {
+        // A dictionary-encoded base, plain-string deltas (the wire form):
+        // no catalogue version ever consolidates its table, deltas are
+        // recorded dictionary-encoded, and the merged statistics still
+        // see every row.
+        let labels = ["x", "y", "z"];
+        let base = Table::from_columns(
+            crate::Schema::new(vec![crate::Column::new("k", DataType::Str)]),
+            vec![crate::ColumnData::strs_dict(
+                (0..9_000).map(|i| labels[i % 3].to_string()).collect(),
+            )],
+        )
+        .unwrap();
+        let mut c = Catalog::new();
+        c.add_table("L", base, vec![]);
+        let mut versions = vec![c];
+        for k in ["y", "w", "x"] {
+            let delta = Table::from_rows(
+                vec![("k", DataType::Str)],
+                vec![vec![Value::Str(k.into())], vec![Value::Null]],
+            )
+            .unwrap();
+            let next = versions.last().unwrap().append_rows("L", delta).unwrap();
+            let recorded = &next.delta().unwrap().tables["l"].rows;
+            assert!(recorded.col(0).dict_parts().is_some());
+            versions.push(next);
+        }
+        for v in &versions[1..] {
+            assert!(!v.table("L").unwrap().table.has_flat_view());
+        }
+        let last = versions.last().unwrap();
+        assert_eq!(last.table("L").unwrap().table.non_null_count(0), 9_003);
+        assert_eq!(last.column_stats("L", "k").unwrap().distinct_count, 4);
     }
 
     #[test]

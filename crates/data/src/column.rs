@@ -106,6 +106,30 @@ impl NullMask {
         out
     }
 
+    /// Append every slot of `other`, whole words at a time: each word of
+    /// `other` is OR-ed in shifted by this mask's bit offset (and its
+    /// spill-over into the next word), never rebuilt bit by bit. An
+    /// all-valid `other` only grows the word vector.
+    pub fn extend_from(&mut self, other: &NullMask) {
+        let (base, shift) = (self.len / 64, self.len % 64);
+        self.len += other.len;
+        self.words.resize(self.len.div_ceil(64), 0);
+        if other.nulls == 0 {
+            return;
+        }
+        self.nulls += other.nulls;
+        // Both masks keep their tail bits zero, so whatever spills past
+        // the last word is zero too.
+        for (w, &word) in other.words.iter().enumerate() {
+            self.words[base + w] |= word << shift;
+            if shift != 0 {
+                if let Some(next) = self.words.get_mut(base + w + 1) {
+                    *next |= word >> (64 - shift);
+                }
+            }
+        }
+    }
+
     /// The packed bitmap words (bit set ⇒ NULL; the tail word's unused
     /// high bits are zero). Word-level kernels read these directly.
     pub fn words(&self) -> &[u64] {
@@ -298,6 +322,36 @@ pub fn f64_ord_key(f: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
+/// The sorted, duplicate-free non-null strings of a `Utf8` column's parts.
+fn sorted_distinct<'a>(values: &'a [String], nulls: &NullMask) -> Vec<&'a str> {
+    let mut dict: Vec<&str> = values
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !nulls.is_null(*i))
+        .map(|(_, v)| v.as_str())
+        .collect();
+    dict.sort_unstable();
+    dict.dedup();
+    dict
+}
+
+/// One code per row against a sorted dictionary (placeholder 0 at null
+/// slots), or `None` when some non-null value is absent from it.
+fn codes_in<S: AsRef<str>>(values: &[String], nulls: &NullMask, dict: &[S]) -> Option<Vec<u32>> {
+    values
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            if nulls.is_null(i) {
+                return Some(0);
+            }
+            dict.binary_search_by(|d| d.as_ref().cmp(v.as_str()))
+                .ok()
+                .map(|c| c as u32)
+        })
+        .collect()
+}
+
 impl ColumnData {
     /// An empty column of the given storage type.
     pub fn new_typed(dtype: DataType) -> ColumnData {
@@ -378,34 +432,46 @@ impl ColumnData {
         let ColumnData::Utf8 { values, nulls } = self else {
             return self;
         };
-        let mut dict: Vec<&str> = values
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !nulls.is_null(*i))
-            .map(|(_, v)| v.as_str())
-            .collect();
-        dict.sort_unstable();
-        dict.dedup();
+        let dict = sorted_distinct(&values, &nulls);
         if dict.len() * 2 > values.len() {
             return ColumnData::Utf8 { values, nulls };
         }
-        let codes: Vec<u32> = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                if nulls.is_null(i) {
-                    0
-                } else {
-                    dict.binary_search(&v.as_str()).expect("value in dict") as u32
-                }
-            })
-            .collect();
+        let codes = codes_in(&values, &nulls, &dict).expect("dict holds every value");
         let dict: Vec<String> = dict.into_iter().map(str::to_string).collect();
         ColumnData::Dict {
             codes,
             dict: Arc::new(dict),
             nulls,
         }
+    }
+
+    /// A `Utf8` column dictionary-encoded the way an appended chunk joins
+    /// a dictionary-encoded column: against `dict` itself (the `Arc` is
+    /// shared, so concatenation stays a verbatim code copy) when it holds
+    /// every value, otherwise against the chunk's own sorted dictionary —
+    /// never the union, which would make the cost depend on the size of
+    /// the column appended to. No cardinality cutoff: the column is
+    /// already dictionary-encoded. `None` for any non-`Utf8` column.
+    pub fn dict_encode_like(&self, dict: &Arc<Vec<String>>) -> Option<ColumnData> {
+        let ColumnData::Utf8 { values, nulls } = self else {
+            return None;
+        };
+        let (codes, dict) = match codes_in(values, nulls, dict) {
+            Some(codes) => (codes, Arc::clone(dict)),
+            None => {
+                let own = sorted_distinct(values, nulls);
+                let codes = codes_in(values, nulls, &own).expect("dict holds every value");
+                (
+                    codes,
+                    Arc::new(own.into_iter().map(str::to_string).collect()),
+                )
+            }
+        };
+        Some(ColumnData::Dict {
+            codes,
+            dict,
+            nulls: nulls.clone(),
+        })
     }
 
     /// Build a dictionary column from wire parts: `codes[i] = None` marks a
@@ -478,12 +544,14 @@ impl ColumnData {
     /// Concatenate several parts of one logical column into a single
     /// column (the scan-side materialization of a chunked live table).
     ///
-    /// Same-variant typed parts extend their storage directly. All-`Dict`
-    /// parts merge into the sorted union of their dictionaries with a
-    /// per-part code remap (so appends against a dictionary column keep
-    /// the sorted-dictionary invariant); a `Dict`/`Utf8` mixture decodes
-    /// to `Utf8`. Anything else falls back to
-    /// [`ColumnData::from_values`] over the materialized cells.
+    /// Same-variant typed parts extend their storage directly and their
+    /// null bitmaps word-wise ([`NullMask::extend_from`]). All-`Dict` parts
+    /// merge into the sorted union of their dictionaries with a per-part
+    /// code remap (so appends against a dictionary column keep the
+    /// sorted-dictionary invariant). Anything else — a `Dict`/`Utf8`
+    /// mixture included, which [`crate::Table::append_table`] never
+    /// produces — falls back to [`ColumnData::from_values`] over the
+    /// materialized cells.
     pub fn concat(parts: &[&ColumnData]) -> ColumnData {
         match parts {
             [] => return ColumnData::Mixed(Vec::new()),
@@ -494,78 +562,33 @@ impl ColumnData {
         if parts.iter().all(|p| matches!(p, ColumnData::Dict { .. })) {
             return Self::concat_dicts(parts, total);
         }
-        if parts
-            .iter()
-            .all(|p| matches!(p, ColumnData::Dict { .. } | ColumnData::Utf8 { .. }))
-        {
-            // A Dict/Utf8 mixture decodes to plain strings.
-            let mut values: Vec<String> = Vec::with_capacity(total);
-            let mut nulls = NullMask::new();
-            for p in parts {
-                match p {
-                    ColumnData::Utf8 {
-                        values: v,
-                        nulls: n,
-                    } => {
-                        values.extend_from_slice(v);
-                        for i in 0..v.len() {
-                            nulls.push(n.is_null(i));
-                        }
-                    }
-                    ColumnData::Dict {
-                        codes,
-                        dict,
-                        nulls: n,
-                    } => {
-                        for (i, &c) in codes.iter().enumerate() {
-                            let null = n.is_null(i);
-                            values.push(if null {
-                                String::new()
-                            } else {
-                                dict[c as usize].clone()
-                            });
-                            nulls.push(null);
-                        }
-                    }
-                    _ => unreachable!("only Dict/Utf8 parts reach here"),
-                }
-            }
-            return ColumnData::Utf8 { values, nulls };
-        }
         macro_rules! same_variant {
-            ($variant:ident) => {{
-                let mut values = Vec::with_capacity(total);
-                let mut nulls = NullMask::new();
-                for p in parts {
-                    if let ColumnData::$variant {
-                        values: v,
-                        nulls: n,
-                    } = p
-                    {
-                        values.extend_from_slice(v);
-                        for i in 0..v.len() {
-                            nulls.push(n.is_null(i));
+            ($variant:ident) => {
+                if parts
+                    .iter()
+                    .all(|p| matches!(p, ColumnData::$variant { .. }))
+                {
+                    let mut values = Vec::with_capacity(total);
+                    let mut nulls = NullMask::new();
+                    for p in parts {
+                        if let ColumnData::$variant {
+                            values: v,
+                            nulls: n,
+                        } = p
+                        {
+                            values.extend_from_slice(v);
+                            nulls.extend_from(n);
                         }
                     }
+                    return ColumnData::$variant { values, nulls };
                 }
-                ColumnData::$variant { values, nulls }
-            }};
+            };
         }
-        if parts.iter().all(|p| matches!(p, ColumnData::Int64 { .. })) {
-            return same_variant!(Int64);
-        }
-        if parts
-            .iter()
-            .all(|p| matches!(p, ColumnData::Float64 { .. }))
-        {
-            return same_variant!(Float64);
-        }
-        if parts.iter().all(|p| matches!(p, ColumnData::Bool { .. })) {
-            return same_variant!(Bool);
-        }
-        if parts.iter().all(|p| matches!(p, ColumnData::Date64 { .. })) {
-            return same_variant!(Date64);
-        }
+        same_variant!(Int64);
+        same_variant!(Float64);
+        same_variant!(Utf8);
+        same_variant!(Bool);
+        same_variant!(Date64);
         // Mismatched variants: materialize and let from_values re-type
         // (a purely representational mismatch still yields typed storage).
         let hint = parts.iter().find_map(|p| p.dtype());
@@ -577,29 +600,23 @@ impl ColumnData {
     }
 
     /// [`ColumnData::concat`] over all-`Dict` parts: sorted-union
-    /// dictionary, per-part code remap, null slots kept at code 0.
+    /// dictionary, per-part code remap, null slots kept at code 0. Runs of
+    /// parts sharing one dictionary `Arc` (what appends of known strings
+    /// produce) merge and remap once per run.
     fn concat_dicts(parts: &[&ColumnData], total: usize) -> ColumnData {
-        let first_dict = match parts[0] {
-            ColumnData::Dict { dict, .. } => dict,
-            _ => unreachable!("caller checked all parts are Dict"),
-        };
-        let shared = parts
+        let dicts: Vec<DictParts<'_>> = parts
             .iter()
-            .all(|p| matches!(p, ColumnData::Dict { dict, .. } if Arc::ptr_eq(dict, first_dict)));
+            .map(|p| p.dict_parts().expect("caller checked all parts are Dict"))
+            .collect();
+        let first_dict = dicts[0].1;
+        let shared = dicts.iter().all(|(_, d, _)| Arc::ptr_eq(d, first_dict));
+        let mut codes = Vec::with_capacity(total);
+        let mut nulls = NullMask::new();
         if shared {
             // One shared dictionary: codes concatenate verbatim.
-            let mut codes = Vec::with_capacity(total);
-            let mut nulls = NullMask::new();
-            for p in parts {
-                if let ColumnData::Dict {
-                    codes: c, nulls: n, ..
-                } = p
-                {
-                    codes.extend_from_slice(c);
-                    for i in 0..c.len() {
-                        nulls.push(n.is_null(i));
-                    }
-                }
+            for (c, _, n) in &dicts {
+                codes.extend_from_slice(c);
+                nulls.extend_from(n);
             }
             return ColumnData::Dict {
                 codes,
@@ -609,47 +626,48 @@ impl ColumnData {
         }
         // Sorted union of the (each sorted, deduped) dictionaries.
         let mut union: Vec<String> = Vec::new();
-        for p in parts {
-            if let ColumnData::Dict { dict, .. } = p {
-                let mut merged = Vec::with_capacity(union.len() + dict.len());
-                let (mut a, mut b) = (union.into_iter().peekable(), dict.iter().peekable());
-                loop {
-                    match (a.peek(), b.peek()) {
-                        (Some(x), Some(y)) => match x.as_str().cmp(y.as_str()) {
-                            Ordering::Less => merged.push(a.next().unwrap()),
-                            Ordering::Greater => merged.push(b.next().unwrap().clone()),
-                            Ordering::Equal => {
-                                merged.push(a.next().unwrap());
-                                b.next();
-                            }
-                        },
-                        (Some(_), None) => merged.push(a.next().unwrap()),
-                        (None, Some(_)) => merged.push(b.next().unwrap().clone()),
-                        (None, None) => break,
-                    }
+        let mut runs: Vec<&Arc<Vec<String>>> = dicts.iter().map(|(_, d, _)| *d).collect();
+        runs.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        for dict in runs {
+            let mut merged = Vec::with_capacity(union.len() + dict.len());
+            let (mut a, mut b) = (union.into_iter().peekable(), dict.iter().peekable());
+            loop {
+                match (a.peek(), b.peek()) {
+                    (Some(x), Some(y)) => match x.as_str().cmp(y.as_str()) {
+                        Ordering::Less => merged.push(a.next().unwrap()),
+                        Ordering::Greater => merged.push(b.next().unwrap().clone()),
+                        Ordering::Equal => {
+                            merged.push(a.next().unwrap());
+                            b.next();
+                        }
+                    },
+                    (Some(_), None) => merged.push(a.next().unwrap()),
+                    (None, Some(_)) => merged.push(b.next().unwrap().clone()),
+                    (None, None) => break,
                 }
-                union = merged;
             }
+            union = merged;
         }
-        let mut codes = Vec::with_capacity(total);
-        let mut nulls = NullMask::new();
-        for p in parts {
-            if let ColumnData::Dict {
-                codes: c,
-                dict,
-                nulls: n,
-            } = p
-            {
-                let remap: Vec<u32> = dict
+        let mut remap: Vec<u32> = Vec::new();
+        let mut remap_of: Option<&Arc<Vec<String>>> = None;
+        for (c, dict, n) in &dicts {
+            if !remap_of.is_some_and(|d| Arc::ptr_eq(d, dict)) {
+                remap_of = Some(dict);
+                remap = dict
                     .iter()
                     .map(|s| union.binary_search(s).expect("union holds every entry") as u32)
                     .collect();
-                for (i, &code) in c.iter().enumerate() {
-                    let null = n.is_null(i);
-                    codes.push(if null { 0 } else { remap[code as usize] });
-                    nulls.push(null);
-                }
             }
+            // Null slots hold the placeholder code 0; remap[0] may not be
+            // 0, so they are re-zeroed through the mask.
+            codes.extend(c.iter().enumerate().map(|(i, &code)| {
+                if n.is_null(i) {
+                    0
+                } else {
+                    remap[code as usize]
+                }
+            }));
+            nulls.extend_from(n);
         }
         ColumnData::Dict {
             codes,
@@ -1651,6 +1669,72 @@ mod tests {
         assert_eq!(c.dict_code_of("b"), Some(Ok(1)));
         assert_eq!(c.dict_code_of("aa"), Some(Err(1)));
         assert_eq!(c.dict_code_of("z"), Some(Err(2)));
+    }
+
+    #[test]
+    fn null_mask_extend_matches_bit_by_bit() {
+        // Word-wise concatenation at every alignment: part lengths around
+        // the word size, each all-valid, all-null and mixed, in every
+        // ordered triple — against pushing the bits one at a time.
+        let lens = [0usize, 1, 63, 64, 65, 127, 128];
+        let fills: [fn(usize) -> bool; 3] = [|_| false, |_| true, |i| i % 3 == 0 || i % 64 == 63];
+        let mut parts: Vec<NullMask> = Vec::new();
+        for &len in &lens {
+            for fill in fills {
+                let mut m = NullMask::new();
+                (0..len).for_each(|i| m.push(fill(i)));
+                parts.push(m);
+            }
+        }
+        for a in &parts {
+            for b in &parts {
+                for c in [&parts[0], &parts[5], &parts[13]] {
+                    let mut fast = NullMask::new();
+                    let mut slow = NullMask::new();
+                    for p in [a, b, c] {
+                        fast.extend_from(p);
+                        (0..p.len()).for_each(|i| slow.push(p.is_null(i)));
+                    }
+                    assert_eq!(fast, slow, "lens {} {} {}", a.len(), b.len(), c.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concat_keeps_null_slots_through_dictionary_remaps() {
+        let mk = |vals: &[Option<&str>]| {
+            let mut c = ColumnData::strs_dict(Vec::new());
+            vals.iter()
+                .for_each(|v| c.push(v.map_or(Value::Null, |s| Value::Str(s.into()))));
+            c.dict_encode()
+        };
+        let a = mk(&[Some("m"), None, Some("m"), Some("z")]);
+        let b = mk(&[None, Some("a"), Some("a"), Some("m")]);
+        assert!(a.dict_parts().is_some() && b.dict_parts().is_some());
+        let joined = ColumnData::concat(&[&a, &b, &a]);
+        let (_, dict, nulls) = joined.dict_parts().expect("stays dictionary-encoded");
+        assert_eq!(**dict, ["a", "m", "z"]);
+        assert_eq!(nulls.null_count(), 3);
+        let expect: Vec<Value> = a.iter().chain(b.iter()).chain(a.iter()).collect();
+        assert_eq!(joined.iter().collect::<Vec<_>>(), expect);
+    }
+
+    #[test]
+    fn dict_encode_like_shares_or_builds_its_own_dictionary() {
+        let base = ColumnData::strs_dict(["b", "d", "b", "d"].map(String::from).to_vec());
+        let (_, dict, _) = base.dict_parts().unwrap();
+        let known = ColumnData::strs(vec!["d".into(), "b".into()]);
+        let enc = known.dict_encode_like(dict).unwrap();
+        assert!(Arc::ptr_eq(enc.dict_parts().unwrap().1, dict));
+        assert!(enc.semantic_eq(&known));
+        // One unknown value (sorting before every known one): the chunk's
+        // own dictionary, not the union, and no cardinality cutoff.
+        let novel = ColumnData::strs(vec!["a".into(), "d".into()]);
+        let enc = novel.dict_encode_like(dict).unwrap();
+        assert_eq!(**enc.dict_parts().unwrap().1, ["a", "d"]);
+        assert!(enc.semantic_eq(&novel));
+        assert!(ColumnData::ints(vec![1]).dict_encode_like(dict).is_none());
     }
 
     #[test]

@@ -122,28 +122,25 @@ fn execute_vectorized(
     ctx: &ExecContext<'_>,
     outer: Option<&Scope<'_>>,
 ) -> Result<Table, EngineError> {
+    // 0. A single-table filter / group / aggregate or filter / project
+    // query over a table stored in chunks folds the chunks one at a time
+    // (`crate::ivm`) instead of consolidating them. Flat tables, every
+    // other shape, and any error inside the fold take the steps below.
+    if outer.is_none() {
+        if let Some(table) = crate::ivm::execute_chunked(query, ctx) {
+            return Ok(table);
+        }
+    }
+
     // 1. FROM: build the input relation (zero-copy for base-table scans).
     // Equijoins consume the join conjunct and push provably-safe
     // single-side conjuncts below the join; `residual` is what remains of
     // the WHERE clause.
-    let (mut rel, residual) = eval_from_vec(query, ctx, outer)?;
+    let (rel, residual) = eval_from_vec(query, ctx, outer)?;
 
     // 2. WHERE: predicate → selection vector → compacted relation. Skipped
     // on zero rows (the scalar interpreter never evaluates it then).
-    if rel.len > 0 {
-        if let Some(pred) = residual.as_deref() {
-            let sel = match crate::par::parallel_truthy(pred, &rel, ctx, outer) {
-                Some(sel) => sel?,
-                None => {
-                    let v = eval_vec(pred, &rel, ctx, outer)?;
-                    truthy_indices(&v, rel.len)
-                }
-            };
-            if sel.len() < rel.len {
-                rel = rel.gather(&sel);
-            }
-        }
-    }
+    let rel = apply_filter(rel, residual.as_deref().as_slice(), ctx, outer)?;
 
     if query.is_aggregate() {
         exec_aggregate(query, &rel, ctx, outer)
@@ -161,31 +158,40 @@ fn execute_vectorized(
 /// sequential single-typed-key grouping paths, where the id is already in
 /// hand per row; they feed the fused single-pass aggregates. `None`
 /// whenever a grouping path doesn't materialize them.
-type GroupsAndIds = (Vec<Vec<u32>>, Option<Vec<u32>>);
+pub(crate) type GroupsAndIds = (Vec<Vec<u32>>, Option<Vec<u32>>);
 
-/// Group the relation's rows by the GROUP BY key columns (batch-wise
-/// hashing; equality and hashing match `Value` semantics). Groups are in
-/// first-encounter order, like the scalar interpreter's.
-fn build_groups(
+/// The GROUP BY key expressions evaluated over the relation, one column
+/// each.
+pub(crate) fn group_key_columns(
     query: &Query,
     rel: &VecRelation,
     ctx: &ExecContext<'_>,
     outer: Option<&Scope<'_>>,
-) -> Result<GroupsAndIds, EngineError> {
-    if query.group_by.is_empty() {
-        // An implicit single group (no GROUP BY) aggregates even zero rows.
-        return Ok((vec![(0..rel.len as u32).collect()], None));
-    }
-    let keycols: Vec<Arc<ColumnData>> = query
+) -> Result<Vec<Arc<ColumnData>>, EngineError> {
+    query
         .group_by
         .iter()
         .map(|g| Ok(eval_vec(g, rel, ctx, outer)?.into_column(rel.len)))
-        .collect::<Result<_, EngineError>>()?;
+        .collect()
+}
+
+/// Group `n` rows by their key columns (batch-wise hashing; equality and
+/// hashing match `Value` semantics). Groups are in first-encounter order,
+/// like the scalar interpreter's.
+pub(crate) fn build_groups(
+    keycols: &[Arc<ColumnData>],
+    n: usize,
+    ctx: &ExecContext<'_>,
+) -> GroupsAndIds {
+    if keycols.is_empty() {
+        // An implicit single group (no GROUP BY) aggregates even zero rows.
+        return (vec![(0..n as u32).collect()], None);
+    }
     // Parallel path: per-morsel partial tables merged in morsel order
     // (identical first-encounter group order). Engages only over the row
     // threshold and when every key column yields exact integer keys.
-    if let Some(groups) = crate::par::parallel_group_exact(&keycols, rel.len, ctx) {
-        return Ok((groups, None));
+    if let Some(groups) = crate::par::parallel_group_exact(keycols, n, ctx) {
+        return (groups, None);
     }
     let mut groups: Vec<Vec<u32>> = Vec::new();
     // Single typed key: group through a direct typed map.
@@ -210,7 +216,7 @@ fn build_groups(
                     groups[g].push(i as u32);
                     gid.push(g as u32);
                 }
-                return Ok((groups, Some(gid)));
+                return (groups, Some(gid));
             }
             ColumnData::Utf8 { values, nulls } => {
                 let mut map: FastMap<&str, usize> = FastMap::default();
@@ -231,7 +237,7 @@ fn build_groups(
                     groups[g].push(i as u32);
                     gid.push(g as u32);
                 }
-                return Ok((groups, Some(gid)));
+                return (groups, Some(gid));
             }
             ColumnData::Dict { codes, dict, nulls } => {
                 // Group on dictionary codes: a dense code → group table, no
@@ -254,7 +260,7 @@ fn build_groups(
                     groups[g].push(i as u32);
                     gid.push(g as u32);
                 }
-                return Ok((groups, Some(gid)));
+                return (groups, Some(gid));
             }
             _ => {}
         }
@@ -263,14 +269,14 @@ fn build_groups(
     // keys (ints/dates by value, floats by bits, bools, dictionary codes),
     // so grouping hashes and compares u64 tuples — no string hashing, no
     // `Value` materialization.
-    if let Some(groups) = group_by_exact_keys(&keycols, rel.len) {
-        return Ok((groups, None));
+    if let Some(groups) = group_by_exact_keys(keycols, n) {
+        return (groups, None);
     }
     // General case: intern each row's key (cheap batch hash + `Value`
     // equality on collisions, shared with DISTINCT and the FD check).
     let mut interner = RowInterner::new(keycols.iter().map(|c| c.as_ref()).collect());
     let mut group_of: FastMap<u32, usize> = FastMap::default();
-    for i in 0..rel.len as u32 {
+    for i in 0..n as u32 {
         match interner.intern(i) {
             Some(rep) => groups[group_of[&rep]].push(i),
             None => {
@@ -279,7 +285,7 @@ fn build_groups(
             }
         }
     }
-    Ok((groups, None))
+    (groups, None)
 }
 
 /// A key column whose rows reduce to exact `u64` ids: two rows of the
@@ -374,7 +380,8 @@ fn exec_aggregate(
     ctx: &ExecContext<'_>,
     outer: Option<&Scope<'_>>,
 ) -> Result<Table, EngineError> {
-    let (mut groups, mut gid) = build_groups(query, rel, ctx, outer)?;
+    let keycols = group_key_columns(query, rel, ctx, outer)?;
+    let (mut groups, mut gid) = build_groups(&keycols, rel.len, ctx);
     let mut compacted: Option<VecRelation> = None;
     if let Some(h) = &query.having {
         let keep = eval_grouped_vec(h, rel, &groups, gid.as_deref(), ctx, outer)?;
@@ -504,7 +511,7 @@ fn exec_aggregate(
 // Non-aggregate lane: fully columnar projection / distinct / order / limit
 // ---------------------------------------------------------------------------
 
-fn exec_projection(
+pub(crate) fn exec_projection(
     query: &Query,
     rel: &VecRelation,
     ctx: &ExecContext<'_>,
@@ -728,9 +735,10 @@ fn pushdown_side_mask(e: &Expr, resolve: &dyn Fn(Option<&str>, &str) -> Option<u
     }
 }
 
-/// Filter a single-side relation by pushed-down conjuncts, in conjunct
-/// order (selection vectors compose lazily).
-fn apply_side_filter(
+/// Filter a relation by conjuncts, in conjunct order (selection vectors
+/// compose lazily): the WHERE step, and the join's pushed-down single-side
+/// filters. A relation that reaches zero rows evaluates nothing further.
+pub(crate) fn apply_filter(
     mut rel: VecRelation,
     conjuncts: &[&Expr],
     ctx: &ExecContext<'_>,
@@ -818,13 +826,13 @@ fn eval_from_vec<'q>(
             }
             let (right_binding, right_table) = parts.pop().unwrap();
             let (left_binding, left_table) = parts.pop().unwrap();
-            let left_rel = apply_side_filter(
+            let left_rel = apply_filter(
                 scan_rel(&left_binding, left_table.as_ref()),
                 &left_push,
                 ctx,
                 outer,
             )?;
-            let right_rel = apply_side_filter(
+            let right_rel = apply_filter(
                 scan_rel(&right_binding, right_table.as_ref()),
                 &right_push,
                 ctx,

@@ -1,38 +1,64 @@
-//! Incremental view maintenance (IVM) over append-only catalogues.
+//! The chunk-at-a-time fold: incremental view maintenance (IVM) over
+//! append-only catalogues, and execution over tables stored in chunks.
 //!
-//! When a catalogue version is produced by [`pi2_data::Catalog::append_rows`],
-//! a cached query result can often be brought up to date by executing only
-//! the appended rows and merging, instead of rescanning the whole table.
-//! This module implements that for the two shapes that dominate generated
-//! interfaces:
+//! A live table is a list of immutable chunks ([`pi2_data::Table::chunks`]);
+//! an append adds one. For the two query shapes that dominate generated
+//! interfaces this module folds **one flat chunk at a time** into a carried
+//! state, running the *vectorized* operators over the chunk (selection-
+//! vector `WHERE`, vectorized group keys and aggregate arguments):
 //!
 //! - **Aggregates** (`GROUP BY` + `count/sum/count(*)/avg/min/max`, with
-//!   `WHERE`/`HAVING`/`ORDER BY`/`LIMIT`/`DISTINCT`): per-group accumulators
-//!   absorb the delta rows; `avg` merges via sum + count.
+//!   `WHERE`/`HAVING`/`ORDER BY`/`LIMIT`/`DISTINCT`): groups in
+//!   first-encounter order with their representative rows, and per
+//!   aggregate site one accumulator per group that *continues* from its
+//!   current value; `avg` is sum + count.
 //! - **Projections** (`SELECT …  WHERE …` with no `DISTINCT`/`ORDER BY`/
-//!   `LIMIT`): the filter is row-local, so the delta's output rows append to
-//!   the cached output (zero-copy, via [`Table::append_table`]).
+//!   `LIMIT`): the filter is row-local, so each chunk's output rows append
+//!   to the output so far (zero-copy, via [`Table::append_table`]).
 //!
-//! Everything else — joins, subqueries, `DISTINCT` projections — reports
-//! unsupported and the caller falls back to full re-execution.
+//! One routine, three callers: [`IvmState::build`] folds every chunk of
+//! the table, [`IvmState::absorb`] folds an append's delta chunk, and
+//! [`crate::execute`] of such a query over a chunked table is `build` +
+//! [`IvmState::finalize`] — none of them consolidates the chunks. Chunks
+//! may carry different dictionaries (or plain strings next to dictionary
+//! codes): grouping inside a chunk runs in that chunk's code space, and
+//! only one key per chunk-local group is looked up, by value, in the
+//! carried group index.
+//!
+//! Everything else — joins, subqueries, `DISTINCT`/`ORDER BY`/`LIMIT`
+//! projections — reports unsupported: IVM callers fall back to full
+//! re-execution, and `execute` consolidates the chunked table (once per
+//! table value) and runs the flat executor, as it always has.
 //!
 //! **The contract is byte-identity with the scalar reference executor**: for
 //! a supported query, `build` + any sequence of `absorb`s + `finalize`
 //! produces exactly the table `execute_scalar` produces over the fully
-//! appended catalogue — same rows, same order, same cell values (float
-//! accumulators fold in row order so even sums match bit-for-bit). The
-//! differential tests below pin this; anything that errs mid-absorb simply
-//! falls back, so an IVM bug can degrade performance but never results.
+//! appended catalogue — same rows, same order, same cell values. That is
+//! why accumulators continue rather than merge: float sums fold row by row
+//! in ascending row order onto the carried total, `(s + d₁) + d₂`, never
+//! `s + (d₁ + d₂)`. `min` keeps the first minimum and `max` the last
+//! maximum. The fold evaluates every aggregate argument over every
+//! surviving row, a superset of what the reference evaluates (which skips
+//! groups `HAVING` drops), so an error inside it proves nothing: callers
+//! discard the state and fall back, and an IVM bug can degrade performance
+//! but never results. The differential tests below and
+//! `crates/workloads/tests/proptest_live.rs` pin all of this.
 
 use crate::analyze::analyze_query_cached;
 use crate::error::EngineError;
 use crate::eval::{
     apply_binary, apply_scalar_function, apply_unary, eval_between, eval_expr, eval_logical, Scope,
 };
-use crate::exec::{coerce_row, derive_schema, execute_scalar, ExecContext};
+use crate::exec::{
+    apply_filter, build_groups, coerce_row, derive_schema, exec_projection, group_key_columns,
+    ExecContext,
+};
+use crate::vector::{aggregate_over, eval_vec, LazyCol, VecRelation};
+use pi2_data::column::{ColumnData, NullMask};
 use pi2_data::{DataType, Table, Value};
 use pi2_sql::ast::{is_aggregate_function, BinOp, Expr, Query, SelectItem, TableRef};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Every base table the query reads, lowercased — including tables named
 /// inside subqueries at any depth. A cached result for `query` stays valid
@@ -170,110 +196,209 @@ struct AggSite<'q> {
     arg: Option<&'q Expr>,
 }
 
-/// Per-site accumulator state. Folding mirrors `eval_aggregate` in
-/// `crate::eval` exactly: NULL arguments are skipped everywhere, `sum`/`avg`
-/// accumulate `as_f64` values in row order onto a running total (so float
-/// results are bit-identical to the reference's left-fold), `min` keeps the
-/// first minimal value and `max` the last maximal one (matching
-/// `Iterator::min`/`max` tie-breaking), and `avg` divides by the non-null
-/// count — `avg` over appends is exactly sum + count.
-#[derive(Debug, Clone)]
-enum Acc {
-    CountStar(i64),
-    Count(i64),
-    SumAvg {
-        total: f64,
-        n: i64,
-        all_int: bool,
-        avg: bool,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
+/// Run `f` over the non-null slots of a typed column, ascending.
+fn for_valid(nulls: &NullMask, len: usize, mut f: impl FnMut(usize)) {
+    if nulls.null_count() == 0 {
+        (0..len).for_each(f);
+    } else {
+        (0..len).filter(|&i| !nulls.is_null(i)).for_each(&mut f);
+    }
 }
 
-impl Acc {
-    fn fresh(kind: AggKind) -> Acc {
+/// What one chunk's surviving rows look like to the accumulators: the
+/// chunk-local groups (row lists ascending, groups in first-encounter
+/// order), the carried group each maps to, and per row the carried group
+/// id — filled on first use, since only `count(x)`/`sum`/`avg` read it.
+struct ChunkGroups {
+    local: Vec<Vec<u32>>,
+    local_gid: Option<Vec<u32>>,
+    to_carried: Vec<u32>,
+    row_gid: std::cell::OnceCell<Vec<u32>>,
+}
+
+impl ChunkGroups {
+    fn row_gid(&self) -> &[u32] {
+        self.row_gid.get_or_init(|| match &self.local_gid {
+            Some(gid) => gid.iter().map(|&l| self.to_carried[l as usize]).collect(),
+            None => {
+                let mut out = vec![0u32; self.local.iter().map(Vec::len).sum()];
+                for (l, idx) in self.local.iter().enumerate() {
+                    for &i in idx {
+                        out[i as usize] = self.to_carried[l];
+                    }
+                }
+                out
+            }
+        })
+    }
+}
+
+/// The accumulators of one aggregate site, one slot per group (parallel
+/// to [`AggState::reprs`]). Folding mirrors `eval_aggregate` in
+/// `crate::eval` exactly: NULL arguments are skipped everywhere,
+/// `sum`/`avg` add `as_f64` values in row order onto the slot's running
+/// total (so float results are bit-identical to the reference's
+/// left-fold), `min` keeps the first minimal value and `max` the last
+/// maximal one (matching `Iterator::min`/`max` tie-breaking), and `avg`
+/// divides by the non-null count.
+#[derive(Debug, Clone)]
+enum SiteAcc {
+    /// `count(*)` / `count(x)`: rows / non-null arguments seen.
+    Count(Vec<i64>),
+    /// `sum` / `avg`: the running total, the non-null count, and whether
+    /// every non-null argument so far was an `Int` (then `sum` is one).
+    Sum {
+        total: Vec<f64>,
+        n: Vec<i64>,
+        all_int: Vec<bool>,
+    },
+    /// `min` / `max`: the extreme so far.
+    Extreme(Vec<Option<Value>>),
+}
+
+impl SiteAcc {
+    fn new(kind: AggKind) -> SiteAcc {
         match kind {
-            AggKind::CountStar => Acc::CountStar(0),
-            AggKind::Count => Acc::Count(0),
-            AggKind::Sum | AggKind::Avg => Acc::SumAvg {
-                total: 0.0,
-                n: 0,
-                all_int: true,
-                avg: kind == AggKind::Avg,
+            AggKind::CountStar | AggKind::Count => SiteAcc::Count(Vec::new()),
+            AggKind::Sum | AggKind::Avg => SiteAcc::Sum {
+                total: Vec::new(),
+                n: Vec::new(),
+                all_int: Vec::new(),
             },
-            AggKind::Min => Acc::Min(None),
-            AggKind::Max => Acc::Max(None),
+            AggKind::Min | AggKind::Max => SiteAcc::Extreme(Vec::new()),
         }
     }
 
+    /// Open the slot of a group just encountered.
+    fn push_group(&mut self) {
+        match self {
+            SiteAcc::Count(n) => n.push(0),
+            SiteAcc::Sum { total, n, all_int } => {
+                total.push(0.0);
+                n.push(0);
+                all_int.push(true);
+            }
+            SiteAcc::Extreme(v) => v.push(None),
+        }
+    }
+
+    /// The aggregate's value for group `g`; `None` asks for the value over
+    /// zero rows (the implicit single group of an empty input).
+    fn value(&self, kind: AggKind, g: Option<usize>) -> Value {
+        match (self, g) {
+            (SiteAcc::Count(_), None) => Value::Int(0),
+            (_, None) => Value::Null,
+            (SiteAcc::Count(n), Some(g)) => Value::Int(n[g]),
+            (SiteAcc::Sum { n, .. }, Some(g)) if n[g] == 0 => Value::Null,
+            (SiteAcc::Sum { total, n, all_int }, Some(g)) => {
+                if kind == AggKind::Avg {
+                    Value::Float(total[g] / n[g] as f64)
+                } else if all_int[g] {
+                    Value::Int(total[g] as i64)
+                } else {
+                    Value::Float(total[g])
+                }
+            }
+            (SiteAcc::Extreme(v), Some(g)) => v[g].clone().unwrap_or(Value::Null),
+        }
+    }
+
+    /// Fold one chunk's surviving rows (`rel`) into the slots. One
+    /// sequential pass in ascending row order for the order-sensitive
+    /// accumulators — the same additions, in the same order, as folding
+    /// the reference's per-group value lists.
     fn fold(
         &mut self,
         site: &AggSite<'_>,
-        scope: &Scope<'_>,
+        rel: &VecRelation,
+        groups: &ChunkGroups,
         ctx: &ExecContext<'_>,
     ) -> Result<(), EngineError> {
-        if let Acc::CountStar(n) = self {
-            *n += 1;
-            return Ok(());
-        }
-        let arg = site
-            .arg
-            .ok_or_else(|| EngineError::BadFunction("aggregate needs an argument".to_string()))?;
-        let v = eval_expr(arg, scope, ctx)?;
-        if v.is_null() {
-            return Ok(());
-        }
-        match self {
-            Acc::CountStar(_) => unreachable!("handled above"),
-            Acc::Count(n) => *n += 1,
-            Acc::SumAvg {
-                total, n, all_int, ..
-            } => {
-                *all_int &= matches!(v, Value::Int(_));
-                if let Some(f) = v.as_f64() {
-                    *total += f;
-                }
-                *n += 1;
+        let add_group_sizes = |n: &mut [i64]| {
+            for (l, idx) in groups.local.iter().enumerate() {
+                n[groups.to_carried[l] as usize] += idx.len() as i64;
             }
-            Acc::Min(cur) => match cur {
-                Some(m) if v.cmp(m).is_lt() => *cur = Some(v),
-                None => *cur = Some(v),
-                _ => {}
-            },
-            Acc::Max(cur) => match cur {
-                Some(m) if v.cmp(m).is_ge() => *cur = Some(v),
-                None => *cur = Some(v),
-                _ => {}
-            },
+        };
+        if site.kind == AggKind::CountStar {
+            let SiteAcc::Count(n) = self else {
+                unreachable!("count(*) accumulates a count")
+            };
+            add_group_sizes(n);
+            return Ok(());
+        }
+        let arg = site.arg.expect("AggState::new checked the argument");
+        let col = eval_vec(arg, rel, ctx, None)?.into_column(rel.len);
+        match self {
+            SiteAcc::Count(n) if col.null_count() == 0 => add_group_sizes(n),
+            SiteAcc::Count(n) => {
+                let gid = groups.row_gid();
+                (0..rel.len)
+                    .filter(|&i| !col.is_null(i))
+                    .for_each(|i| n[gid[i] as usize] += 1);
+            }
+            SiteAcc::Sum { total, n, all_int } => {
+                let gid = groups.row_gid();
+                match col.as_ref() {
+                    ColumnData::Int64 { values, nulls } => for_valid(nulls, rel.len, |i| {
+                        let g = gid[i] as usize;
+                        total[g] += values[i] as f64;
+                        n[g] += 1;
+                    }),
+                    // Date sums degrade to Float, like the reference's.
+                    ColumnData::Date64 { values, nulls } => for_valid(nulls, rel.len, |i| {
+                        let g = gid[i] as usize;
+                        total[g] += values[i] as f64;
+                        n[g] += 1;
+                        all_int[g] = false;
+                    }),
+                    ColumnData::Float64 { values, nulls } => for_valid(nulls, rel.len, |i| {
+                        let g = gid[i] as usize;
+                        total[g] += values[i];
+                        n[g] += 1;
+                        all_int[g] = false;
+                    }),
+                    other => {
+                        for (i, v) in other.iter().enumerate().filter(|(_, v)| !v.is_null()) {
+                            let g = gid[i] as usize;
+                            if let Some(f) = v.as_f64() {
+                                total[g] += f;
+                            }
+                            n[g] += 1;
+                            all_int[g] &= matches!(v, Value::Int(_));
+                        }
+                    }
+                }
+            }
+            // Order-insensitive up to ties: each chunk-local group's
+            // extreme (the kernels the flat executor uses) merges into the
+            // carried one, earlier rows winning `min` ties and later rows
+            // winning `max` ties.
+            SiteAcc::Extreme(best) => {
+                let name = if site.kind == AggKind::Min {
+                    "min"
+                } else {
+                    "max"
+                };
+                for (l, idx) in groups.local.iter().enumerate() {
+                    let v = aggregate_over(name, name, &col, idx)?;
+                    if v.is_null() {
+                        continue;
+                    }
+                    let slot = &mut best[groups.to_carried[l] as usize];
+                    let replace = slot.as_ref().is_none_or(|cur| {
+                        if site.kind == AggKind::Min {
+                            v.cmp(cur).is_lt()
+                        } else {
+                            v.cmp(cur).is_ge()
+                        }
+                    });
+                    if replace {
+                        *slot = Some(v);
+                    }
+                }
+            }
         }
         Ok(())
-    }
-
-    fn value(&self) -> Value {
-        match self {
-            Acc::CountStar(n) | Acc::Count(n) => Value::Int(*n),
-            Acc::SumAvg { n: 0, .. } => Value::Null,
-            Acc::SumAvg {
-                total,
-                n,
-                avg: true,
-                ..
-            } => Value::Float(*total / *n as f64),
-            Acc::SumAvg {
-                total,
-                all_int,
-                avg: false,
-                ..
-            } => {
-                if *all_int {
-                    Value::Int(*total as i64)
-                } else {
-                    Value::Float(*total)
-                }
-            }
-            Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
     }
 }
 
@@ -449,88 +574,139 @@ fn eval_ivm(
     }
 }
 
-/// One group's maintained state: its representative row (the first member
-/// encountered, exactly like the reference's group build) and one
-/// accumulator per aggregate site.
+/// How the fold sees the scanned table: the `(binding, column)` tags (as
+/// `eval_from` assigns them: alias or table name) and storage types every
+/// chunk shares.
 #[derive(Debug, Clone)]
-struct Group {
-    repr: Vec<Value>,
-    accs: Vec<Acc>,
+struct Scan {
+    cols: Arc<Vec<(String, String)>>,
+    types: Arc<Vec<DataType>>,
 }
 
-/// Maintained state for an aggregate-shaped query.
+impl Scan {
+    fn of(query: &Query, ctx: &ExecContext<'_>) -> Result<Scan, EngineError> {
+        let [TableRef::Table { name, alias }] = query.from.as_slice() else {
+            return Err(EngineError::Unsupported("IVM needs a single table".into()));
+        };
+        let schema = &ctx.catalog.require_table(name)?.table.schema;
+        let binding = alias.as_ref().unwrap_or(name);
+        Ok(Scan {
+            cols: Arc::new(
+                schema
+                    .columns
+                    .iter()
+                    .map(|c| (binding.clone(), c.name.clone()))
+                    .collect(),
+            ),
+            types: Arc::new(schema.columns.iter().map(|c| c.dtype).collect()),
+        })
+    }
+
+    /// A relation over the scanned table's columns: `rows` rows of
+    /// `columns` (which a zero-row relation may leave empty — nothing
+    /// reads them).
+    fn rel(&self, columns: Vec<LazyCol>, rows: usize) -> VecRelation {
+        VecRelation {
+            cols: Arc::clone(&self.cols),
+            types: Arc::clone(&self.types),
+            columns,
+            len: rows,
+        }
+    }
+
+    /// One flat chunk as a zero-copy relation, narrowed by the query's
+    /// `WHERE` (a lazy selection vector; nothing is gathered until read).
+    fn filtered(
+        &self,
+        query: &Query,
+        chunk: &Table,
+        ctx: &ExecContext<'_>,
+    ) -> Result<VecRelation, EngineError> {
+        let columns = (0..chunk.num_columns())
+            .map(|i| LazyCol::dense(Arc::clone(chunk.col_arc(i))))
+            .collect();
+        let rel = self.rel(columns, chunk.num_rows());
+        apply_filter(rel, query.where_clause.as_ref().as_slice(), ctx, None)
+    }
+}
+
+/// Maintained state for an aggregate-shaped query: the groups seen so far,
+/// in first-encounter order, and one accumulator column per aggregate site.
 #[derive(Debug, Clone)]
 pub struct AggState {
-    /// `(binding, column)` pairs of the scanned table, as `eval_from` tags
-    /// them (alias or table name).
-    cols: Vec<(String, String)>,
-    types: Vec<DataType>,
-    index: HashMap<Vec<Value>, usize>,
-    groups: Vec<Group>,
+    scan: Scan,
+    /// Group key values → position in `reprs`. Keyed by value, so chunks
+    /// with different dictionaries (or none) meet in one index.
+    index: HashMap<Vec<Value>, u32>,
+    /// Each group's representative row: the first member encountered,
+    /// exactly like the reference's group build.
+    reprs: Vec<Vec<Value>>,
+    /// Parallel to the query's aggregate sites; each `reprs.len()` slots.
+    accs: Vec<SiteAcc>,
 }
 
 impl AggState {
     fn new(query: &Query, ctx: &ExecContext<'_>) -> Result<AggState, EngineError> {
-        let [TableRef::Table { name, alias }] = query.from.as_slice() else {
-            return Err(EngineError::Unsupported("IVM needs a single table".into()));
-        };
-        let meta = ctx.catalog.require_table(name)?;
-        let binding = alias.clone().unwrap_or_else(|| name.clone());
-        let cols = meta
-            .table
-            .schema
-            .columns
+        let sites = site_plan(query).sites;
+        // The reference reports a missing argument even over zero rows,
+        // which the fold would never look at.
+        if let Some(site) = sites
             .iter()
-            .map(|c| (binding.clone(), c.name.clone()))
-            .collect();
-        let types = meta.table.schema.columns.iter().map(|c| c.dtype).collect();
+            .find(|s| s.kind != AggKind::CountStar && s.arg.is_none())
+        {
+            return Err(EngineError::BadFunction(format!(
+                "{:?} needs an argument",
+                site.kind
+            )));
+        }
         Ok(AggState {
-            cols,
-            types,
+            scan: Scan::of(query, ctx)?,
             index: HashMap::new(),
-            groups: Vec::new(),
+            reprs: Vec::new(),
+            accs: sites.iter().map(|s| SiteAcc::new(s.kind)).collect(),
         })
     }
 
-    fn absorb(
+    /// Fold one flat chunk: vectorized `WHERE`, group keys and grouping
+    /// over the chunk (dictionary keys group on a dense code table built
+    /// once for the chunk), then one carried-index lookup per chunk-local
+    /// group, then every site's accumulators.
+    fn fold(
         &mut self,
         query: &Query,
-        rows: &Table,
+        chunk: &Table,
         ctx: &ExecContext<'_>,
     ) -> Result<(), EngineError> {
-        let plan = site_plan(query);
-        for i in 0..rows.num_rows() {
-            let row = rows.row(i);
-            let scope = Scope {
-                cols: &self.cols,
-                row: &row,
-                parent: None,
-            };
-            if let Some(pred) = &query.where_clause {
-                if eval_expr(pred, &scope, ctx)?.as_bool() != Some(true) {
-                    continue;
-                }
-            }
-            let key: Vec<Value> = query
-                .group_by
-                .iter()
-                .map(|g| eval_expr(g, &scope, ctx))
-                .collect::<Result<_, _>>()?;
-            let gi = match self.index.get(&key) {
-                Some(&gi) => gi,
+        let rel = self.scan.filtered(query, chunk, ctx)?;
+        if rel.len == 0 {
+            return Ok(());
+        }
+        let keycols = group_key_columns(query, &rel, ctx, None)?;
+        let (local, local_gid) = build_groups(&keycols, rel.len, ctx);
+        let mut to_carried = Vec::with_capacity(local.len());
+        for idx in &local {
+            let first = idx[0] as usize;
+            let key: Vec<Value> = keycols.iter().map(|c| c.value(first)).collect();
+            let g = match self.index.get(&key) {
+                Some(&g) => g,
                 None => {
-                    self.index.insert(key, self.groups.len());
-                    self.groups.push(Group {
-                        repr: row.clone(),
-                        accs: plan.sites.iter().map(|s| Acc::fresh(s.kind)).collect(),
-                    });
-                    self.groups.len() - 1
+                    let g = self.reprs.len() as u32;
+                    self.index.insert(key, g);
+                    self.reprs.push(rel.row(first));
+                    self.accs.iter_mut().for_each(SiteAcc::push_group);
+                    g
                 }
             };
-            let group = &mut self.groups[gi];
-            for (site, acc) in plan.sites.iter().zip(group.accs.iter_mut()) {
-                acc.fold(site, &scope, ctx)?;
-            }
+            to_carried.push(g);
+        }
+        let groups = ChunkGroups {
+            local,
+            local_gid,
+            to_carried,
+            row_gid: std::cell::OnceCell::new(),
+        };
+        for (site, acc) in site_plan(query).sites.iter().zip(&mut self.accs) {
+            acc.fold(site, &rel, &groups, ctx)?;
         }
         Ok(())
     }
@@ -539,22 +715,22 @@ impl AggState {
         let plan = site_plan(query);
         // The implicit single group: no GROUP BY and zero input rows still
         // aggregates (count(*) = 0, sum = NULL).
-        let synthesized;
-        let groups: &[Group] = if query.group_by.is_empty() && self.groups.is_empty() {
-            synthesized = [Group {
-                repr: Vec::new(),
-                accs: plan.sites.iter().map(|s| Acc::fresh(s.kind)).collect(),
-            }];
-            &synthesized
+        let groups: Vec<Option<usize>> = if query.group_by.is_empty() && self.reprs.is_empty() {
+            vec![None]
         } else {
-            &self.groups
+            (0..self.reprs.len()).map(Some).collect()
         };
         let mut out_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-        for group in groups {
-            let vals: Vec<Value> = group.accs.iter().map(Acc::value).collect();
+        for g in groups {
+            let vals: Vec<Value> = plan
+                .sites
+                .iter()
+                .zip(&self.accs)
+                .map(|(site, acc)| acc.value(site.kind, g))
+                .collect();
             let repr = Scope {
-                cols: &self.cols,
-                row: &group.repr,
+                cols: &self.scan.cols,
+                row: g.map_or(&[][..], |g| &self.reprs[g]),
                 parent: None,
             };
             if let Some(h) = &query.having {
@@ -609,8 +785,8 @@ impl AggState {
         let schema = derive_schema(
             query,
             ctx,
-            &self.cols,
-            &self.types,
+            &self.scan.cols,
+            &self.scan.types,
             out_rows.first().map(|(r, _)| r.as_slice()),
         );
         let mut table = Table::new(schema);
@@ -622,39 +798,34 @@ impl AggState {
 }
 
 /// Maintained state for a projection-shaped query: the output so far. The
-/// filter/projection is row-local, so the delta's output simply appends —
+/// filter/projection is row-local, so each chunk's output simply appends —
 /// and the append is zero-copy chunk sharing, not a rebuild.
 #[derive(Debug, Clone)]
 pub struct ProjState {
+    scan: Scan,
     table: Table,
 }
 
 impl ProjState {
-    fn absorb(
+    fn new(query: &Query, ctx: &ExecContext<'_>) -> Result<ProjState, EngineError> {
+        let scan = Scan::of(query, ctx)?;
+        // Zero rows evaluate nothing and yield the (statically derived)
+        // output schema every chunk's output must share.
+        let table = exec_projection(query, &scan.rel(Vec::new(), 0), ctx, None)?;
+        Ok(ProjState { scan, table })
+    }
+
+    fn fold(
         &mut self,
         query: &Query,
-        name: &str,
-        rows: &Table,
+        chunk: &Table,
         ctx: &ExecContext<'_>,
     ) -> Result<(), EngineError> {
-        // Execute the query over a catalogue where the scanned table holds
-        // only the delta rows. Registration is keyed by the same name, so
-        // analysis resolves identically; column types are unchanged, so the
-        // statically derived output schema matches the cached one.
-        let meta = ctx.catalog.require_table(name)?;
-        let registered = meta.name.clone();
-        let pk: Vec<String> = meta.primary_key.clone();
-        let mut delta_catalog = ctx.catalog.clone();
-        delta_catalog.add_table(
-            registered,
-            rows.clone(),
-            pk.iter().map(String::as_str).collect(),
-        );
-        let delta_ctx = ExecContext {
-            catalog: &delta_catalog,
-            ..*ctx
-        };
-        let out = execute_scalar(query, &delta_ctx)?;
+        let rel = self.scan.filtered(query, chunk, ctx)?;
+        if rel.len == 0 {
+            return Ok(());
+        }
+        let out = exec_projection(query, &rel, ctx, None)?;
         if out.schema != self.table.schema {
             return Err(EngineError::Unsupported(
                 "IVM projection schema drifted".into(),
@@ -663,6 +834,17 @@ impl ProjState {
         self.table = self.table.append_table(&out, pi2_data::chunk_rows())?;
         Ok(())
     }
+}
+
+/// The flat pieces of a table, in row order: its chunks, or the table
+/// itself when it is stored flat.
+fn morsels(table: &Table) -> impl Iterator<Item = &Table> {
+    let chunks = table.chunks();
+    chunks
+        .is_empty()
+        .then_some(table)
+        .into_iter()
+        .chain(chunks.iter().map(Arc::as_ref))
 }
 
 /// Maintained state for one supported query: build once, absorb each
@@ -676,38 +858,37 @@ pub enum IvmState {
 }
 
 impl IvmState {
-    /// Build the state from the catalogue's current table contents. The
-    /// query must satisfy [`supported`].
+    /// Build the state from the catalogue's current table contents, one
+    /// chunk at a time. The query must satisfy [`supported`].
     pub fn build(query: &Query, ctx: &ExecContext<'_>) -> Result<IvmState, EngineError> {
-        if query.is_aggregate() {
-            let name = ivm_table(query)
-                .ok_or_else(|| EngineError::Unsupported("query shape not IVM-able".into()))?;
-            let mut state = AggState::new(query, ctx)?;
-            let table = ctx.catalog.require_table(&name)?.table.clone();
-            state.absorb(query, &table, ctx)?;
-            Ok(IvmState::Aggregate(state))
+        let name = ivm_table(query)
+            .ok_or_else(|| EngineError::Unsupported("query shape not IVM-able".into()))?;
+        let mut state = if query.is_aggregate() {
+            IvmState::Aggregate(AggState::new(query, ctx)?)
         } else {
-            Ok(IvmState::Projection(ProjState {
-                table: execute_scalar(query, ctx)?,
-            }))
-        }
+            IvmState::Projection(ProjState::new(query, ctx)?)
+        };
+        state.absorb(query, &ctx.catalog.require_table(&name)?.table, ctx)?;
+        Ok(state)
     }
 
-    /// Fold one append's rows (of table `name`, already lowercased) into the
-    /// state. `ctx.catalog` must be the *post-append* catalogue. On error the
-    /// state may be partially updated — clone before absorbing and discard
-    /// the clone to fall back.
+    /// Fold more rows of the scanned table (one append's delta) into the
+    /// state. `ctx.catalog` must be the *post-append* catalogue. On error
+    /// the state may be partially updated — clone before absorbing and
+    /// discard the clone to fall back.
     pub fn absorb(
         &mut self,
         query: &Query,
-        name: &str,
         rows: &Table,
         ctx: &ExecContext<'_>,
     ) -> Result<(), EngineError> {
-        match self {
-            IvmState::Aggregate(state) => state.absorb(query, rows, ctx),
-            IvmState::Projection(state) => state.absorb(query, name, rows, ctx),
+        for chunk in morsels(rows) {
+            match self {
+                IvmState::Aggregate(state) => state.fold(query, chunk, ctx)?,
+                IvmState::Projection(state) => state.fold(query, chunk, ctx)?,
+            }
         }
+        Ok(())
     }
 
     /// Materialize the maintained result (byte-identical to full scalar
@@ -720,9 +901,26 @@ impl IvmState {
     }
 }
 
+/// [`crate::execute`] of a [`supported`] query whose table is stored in
+/// chunks: the state build over every chunk, finalized, with no
+/// consolidation. `None` sends the caller to the flat executor: for every
+/// other query, for flat tables, and for any error inside the fold — the
+/// flat executor then reproduces the error, or succeeds where the fold
+/// evaluated rows the reference never would.
+pub(crate) fn execute_chunked(query: &Query, ctx: &ExecContext<'_>) -> Option<Table> {
+    let [TableRef::Table { name, .. }] = query.from.as_slice() else {
+        return None;
+    };
+    if ctx.catalog.table(name)?.table.chunks().is_empty() || !supported(query, ctx.catalog) {
+        return None;
+    }
+    IvmState::build(query, ctx).ok()?.finalize(query, ctx).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute_scalar;
     use pi2_data::wire::table_to_json;
     use pi2_data::{Catalog, Value};
     use pi2_sql::parse_query;
@@ -799,7 +997,7 @@ mod tests {
         ]);
         let c1 = c0.append_rows("sales", d1.clone()).unwrap();
         let ctx1 = ExecContext::scalar(&c1);
-        state.absorb(&query, "sales", &d1, &ctx1).unwrap();
+        state.absorb(&query, &d1, &ctx1).unwrap();
         let d2 = delta_rows(vec![vec![
             Value::Int(6),
             Value::Str("west".into()),
@@ -808,7 +1006,7 @@ mod tests {
         ]]);
         let c2 = c1.append_rows("sales", d2.clone()).unwrap();
         let ctx2 = ExecContext::scalar(&c2);
-        state.absorb(&query, "sales", &d2, &ctx2).unwrap();
+        state.absorb(&query, &d2, &ctx2).unwrap();
         let ivm = state.finalize(&query, &ctx2).unwrap();
         let full = execute_scalar(&query, &ctx2).unwrap();
         assert_eq!(
@@ -883,6 +1081,59 @@ mod tests {
             tables.into_iter().collect::<Vec<_>>(),
             vec!["inventory", "orders", "sales"]
         );
+    }
+
+    #[test]
+    fn an_error_inside_the_fold_means_fall_back_not_fail() {
+        // `-region` errors on every row. The reference only evaluates it
+        // for groups HAVING keeps — none — so the query succeeds; the
+        // fold evaluates aggregate arguments for every surviving row, so
+        // it must report the error (the caller discards the state) and
+        // `execute` over the chunked table must still answer correctly.
+        let q = parse_query(
+            "SELECT region, min(-region) FROM sales GROUP BY region HAVING count(*) > 99",
+        )
+        .unwrap();
+        let c0 = base_catalog();
+        let d = delta_rows(vec![vec![
+            Value::Int(4),
+            Value::Str("east".into()),
+            Value::Float(1.0),
+            Value::Int(1),
+        ]]);
+        let c1 = c0.append_rows("sales", d.clone()).unwrap();
+        let ctx = ExecContext::new(&c1);
+        assert!(supported(&q, &c1));
+        assert!(IvmState::build(&q, &ctx).is_err());
+        let full = execute_scalar(&q, &ctx).unwrap();
+        assert_eq!(full.num_rows(), 0);
+        assert_eq!(crate::execute(&q, &ctx).unwrap(), full);
+    }
+
+    #[test]
+    fn chunked_execution_reads_chunks_not_the_flat_view() {
+        let q =
+            parse_query("SELECT region, sum(amount), max(qty) FROM sales GROUP BY region").unwrap();
+        let mut flat = base_catalog();
+        let mut live = flat.clone();
+        for id in 4..10 {
+            let row = vec![
+                Value::Int(id),
+                Value::Str(["east", "north"][id as usize % 2].into()),
+                Value::Float(id as f64 / 3.0),
+                Value::Int(id % 3),
+            ];
+            live = live
+                .append_rows("sales", delta_rows(vec![row.clone()]))
+                .unwrap();
+            let mut all = flat.table("sales").unwrap().table.clone();
+            all.push_row(row).unwrap();
+            flat.add_table("sales", all, vec!["id"]);
+        }
+        let got = crate::execute(&q, &ExecContext::new(&live)).unwrap();
+        assert!(!live.table("sales").unwrap().table.has_flat_view());
+        let want = execute_scalar(&q, &ExecContext::new(&flat)).unwrap();
+        assert_eq!(table_to_json(&got), table_to_json(&want));
     }
 
     #[test]

@@ -265,7 +265,7 @@ impl EvalCache {
         sql_fp: u64,
         query: &Query,
     ) -> Option<Arc<Table>> {
-        let (name, table_delta) = delta.tables.iter().next()?;
+        let table_delta = delta.tables.get(&pi2_engine::ivm::ivm_table(query)?)?;
         let ctx = ExecContext::new(catalog);
         let prev_key = (delta.prev_fingerprint, sql_fp);
         let state = match self.ivm.get(&prev_key) {
@@ -273,7 +273,7 @@ impl EvalCache {
                 // Clone-then-absorb: a failed absorb discards the clone,
                 // leaving the previous epoch's state intact.
                 let mut state = (*prev).clone();
-                state.absorb(query, name, &table_delta.rows, &ctx).ok()?;
+                state.absorb(query, &table_delta.rows, &ctx).ok()?;
                 state
             }
             None => IvmState::build(query, &ctx).ok()?,
@@ -535,6 +535,36 @@ mod tests {
         let full = pi2_engine::execute_scalar(&q, &ExecContext::new(&third)).unwrap();
         assert_eq!(*again, full);
         assert!(cache.live_stats().ivm_hits >= 2);
+    }
+
+    #[test]
+    fn ivm_path_never_consolidates_a_live_version() {
+        // A state build (first fetch after an append), three absorbs and a
+        // full `execute` of the same shape read the live table chunk by
+        // chunk: no version's flat view is ever built.
+        let rows: Vec<(i64, i64)> = (0..40).map(|i| (i % 5, 3 * i)).collect();
+        let mut base = Catalog::new();
+        base.add_table("t", delta_rows(&rows[..10]), vec![]);
+        let cache = EvalCache::default();
+        let q = parse_query("SELECT a, sum(b), max(b) FROM t WHERE b > 5 GROUP BY a").unwrap();
+        let mut versions = vec![base];
+        for end in [18, 26, 34, 40] {
+            let prev = versions.last().unwrap();
+            let have = prev.table("t").unwrap().table.num_rows();
+            let next = prev.append_rows("t", delta_rows(&rows[have..end])).unwrap();
+            let served = cache.resolved_result(&next, &q).unwrap();
+            let mut scratch = Catalog::new();
+            scratch.add_table("t", delta_rows(&rows[..end]), vec![]);
+            let full = pi2_engine::execute_scalar(&q, &ExecContext::new(&scratch)).unwrap();
+            assert_eq!(*served, full, "maintained, {end} rows");
+            assert_eq!(execute(&q, &ExecContext::new(&next)).unwrap(), full);
+            versions.push(next);
+        }
+        assert_eq!(cache.live_stats().ivm_hits, 4, "one build, three absorbs");
+        assert_eq!(cache.live_stats().ivm_fallbacks, 0);
+        for catalog in &versions[1..] {
+            assert!(!catalog.table("t").unwrap().table.has_flat_view());
+        }
     }
 
     #[test]

@@ -64,6 +64,21 @@ fn append_request(table: &str, rows: Table) -> String {
     })
 }
 
+/// The `live{…}` counters are process-global (one `EvalCache` behind every
+/// `Pi2Service` in the process), and both tests below register the same
+/// catalogue, so they also share memo keys. Each test holds this lock for
+/// its whole body and asserts counter *deltas* from its own starting
+/// scrape: whatever the other test did, before or not at all, cancels out.
+static LIVE_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn live_state() -> std::sync::MutexGuard<'static, ()> {
+    // A sibling test that failed while holding the lock has already been
+    // reported; the state it guards stays usable.
+    LIVE_STATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn counter(body: &str, key: &str) -> u64 {
     body.split(&format!("\"{key}\":"))
         .nth(1)
@@ -82,10 +97,13 @@ fn counter(body: &str, key: &str) -> u64 {
 /// sessions see the new rows.
 #[test]
 fn append_over_http_bumps_epoch_and_serves_ivm() {
+    let _serial = live_state();
     let (service, generation) = live_service();
     let server = pi2::serve(Arc::clone(&service), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
     let mut http = Http1Client::connect(addr).unwrap();
+    let start = http.get("/metrics").unwrap().body;
+    let since_start = |metrics: &str, key: &str| counter(metrics, key) - counter(&start, key);
 
     // A session opened before the append: it must see appended rows on
     // its next fetch without any event being dispatched.
@@ -129,10 +147,10 @@ fn append_over_http_bumps_epoch_and_serves_ivm() {
     // counters reflect the commit.
     let metrics = http.get("/metrics").unwrap().body;
     assert!(metrics.contains("\"live\":{"), "{metrics}");
-    assert_eq!(counter(&metrics, "appendRows"), 2);
-    assert_eq!(counter(&metrics, "epochBumps"), 1);
-    assert!(counter(&metrics, "ivmHits") >= 1, "{metrics}");
-    assert_eq!(counter(&metrics, "ivmFallbacks"), 0, "{metrics}");
+    assert_eq!(since_start(&metrics, "appendRows"), 2);
+    assert_eq!(since_start(&metrics, "epochBumps"), 1);
+    assert!(since_start(&metrics, "ivmHits") >= 1, "{metrics}");
+    assert_eq!(since_start(&metrics, "ivmFallbacks"), 0, "{metrics}");
 
     // A second append keeps absorbing into the maintained state.
     let resp = http
@@ -161,7 +179,7 @@ fn append_over_http_bumps_epoch_and_serves_ivm() {
     assert_eq!(resp.status, 422, "{}", resp.body);
     let metrics = http.get("/metrics").unwrap().body;
     assert_eq!(
-        counter(&metrics, "epochBumps"),
+        since_start(&metrics, "epochBumps"),
         2,
         "rejected appends must not bump"
     );
@@ -175,6 +193,7 @@ fn append_over_http_bumps_epoch_and_serves_ivm() {
 /// yields (same memo-shared result a fresh dispatch would serialize).
 #[test]
 fn append_pushes_data_patches_only_for_affected_views() {
+    let _serial = live_state();
     let (service, generation) = live_service();
     let server = pi2::serve(Arc::clone(&service), ServerConfig::default()).unwrap();
     let addr = server.local_addr();
