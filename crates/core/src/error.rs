@@ -58,17 +58,6 @@ pub enum Pi2Error {
     /// arity mismatch, or rows the target schema cannot hold. The
     /// catalogue version is unchanged.
     Append(String),
-    /// A cluster peer that a request *requires* (the owner of a proxied
-    /// session) could not be reached: connection refused, timed out, or
-    /// its circuit breaker is open. Shared-cache misses never surface
-    /// this — they fall back to local computation.
-    PeerUnavailable(String),
-    /// The request addressed a session another node owns; retry against
-    /// that node. The status is a 307-style redirect hint, not a failure.
-    WrongShard {
-        /// Ring index of the owning node.
-        owner: u16,
-    },
 }
 
 impl Pi2Error {
@@ -97,8 +86,6 @@ impl Pi2Error {
             Pi2Error::Runtime(_) => "runtime",
             Pi2Error::Execution(_) => "execution",
             Pi2Error::Append(_) => "append",
-            Pi2Error::PeerUnavailable(_) => "peer_unavailable",
-            Pi2Error::WrongShard { .. } => "wrong_shard",
         }
     }
 
@@ -123,9 +110,7 @@ impl Pi2Error {
             | Pi2Error::Append(_) => 422,
             Pi2Error::Backpressure { .. } => 429,
             Pi2Error::Runtime(_) | Pi2Error::Execution(_) => 500,
-            Pi2Error::Overloaded(_) | Pi2Error::PeerUnavailable(_) => 503,
-            // A redirect hint: the session lives on another node.
-            Pi2Error::WrongShard { .. } => 307,
+            Pi2Error::Overloaded(_) => 503,
         }
     }
 }
@@ -154,10 +139,6 @@ impl fmt::Display for Pi2Error {
             Pi2Error::Runtime(m) => write!(f, "runtime error: {m}"),
             Pi2Error::Execution(m) => write!(f, "execution error: {m}"),
             Pi2Error::Append(m) => write!(f, "append rejected: {m}"),
-            Pi2Error::PeerUnavailable(m) => write!(f, "cluster peer unavailable: {m}"),
-            Pi2Error::WrongShard { owner } => {
-                write!(f, "session is owned by node #{owner}; retry there")
-            }
         }
     }
 }
@@ -213,12 +194,6 @@ mod tests {
             (Pi2Error::Runtime("r".into()), "runtime", 500),
             (Pi2Error::Execution("e".into()), "execution", 500),
             (Pi2Error::Append("no such table".into()), "append", 422),
-            (
-                Pi2Error::PeerUnavailable("node 2".into()),
-                "peer_unavailable",
-                503,
-            ),
-            (Pi2Error::WrongShard { owner: 2 }, "wrong_shard", 307),
         ]
     }
 
@@ -240,7 +215,7 @@ mod tests {
         // Every status the table uses must be a real, intentional class.
         for (error, _, status) in wire_table() {
             assert!(
-                matches!(status, 307 | 400 | 404 | 409 | 422 | 429 | 500 | 503),
+                matches!(status, 400 | 404 | 409 | 422 | 429 | 500 | 503),
                 "{error:?} maps to unexpected status {status}"
             );
         }

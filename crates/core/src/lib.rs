@@ -78,7 +78,6 @@ pub use protocol::{
 pub use push::{PushHub, PushStats};
 pub use registry::SessionRegistry;
 pub use runtime::Event;
-pub use service::ClusterStats;
 pub use service::{
     AppendOutcome, Patch, PatchView, Pi2Service, ServiceMetrics, Session, WorkloadMetrics,
 };

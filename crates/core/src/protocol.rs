@@ -741,19 +741,6 @@ pub(crate) fn metrics_response(m: &ServiceMetrics) -> String {
         m.live.ivm_fallbacks,
         m.live.invalidated_views,
     );
-    if let Some(c) = &m.cluster {
-        let _ = write!(
-            out,
-            ",\"cluster\":{{\"node\":{},\"nodes\":{},\"clusterHits\":{},\
-             \"clusterMisses\":{},\"peerTimeouts\":{},\"proxiedDispatches\":{}}}",
-            c.node,
-            c.nodes,
-            c.cluster_hits,
-            c.cluster_misses,
-            c.peer_timeouts,
-            c.proxied_dispatches,
-        );
-    }
     out.push('}');
     out
 }
@@ -866,8 +853,7 @@ impl Pi2Service {
                 // The structured capability object replaces endpoint
                 // probing: `versions` lists every protocol version this
                 // server speaks, `ws_push` reports whether *this
-                // connection* can deliver pushes, `cluster` whether the
-                // process is part of a fleet, and `live` the append
+                // connection* can deliver pushes, and `live` the append
                 // endpoint plus the query shapes served incrementally.
                 // The legacy top-level `push` flag is kept for v2 clients
                 // that predate capabilities.
@@ -875,11 +861,10 @@ impl Pi2Service {
                     "{{\"v\":{PROTOCOL_VERSION_V2},\"type\":\"protocols\",\
                      \"versions\":[{PROTOCOL_VERSION},{PROTOCOL_VERSION_V2}],\"push\":{push},\
                      \"capabilities\":{{\"versions\":[{PROTOCOL_VERSION},{PROTOCOL_VERSION_V2}],\
-                     \"ws_push\":{push},\"cluster\":{cluster},\
+                     \"ws_push\":{push},\
                      \"live\":{{\"append\":true,\
                      \"ivm\":[\"filter\",\"group\",\"aggregate\",\"project\"]}}}}}}",
                     push = link.is_some(),
-                    cluster = self.cluster_stats().is_some(),
                 ))
             }
             Request::Append {

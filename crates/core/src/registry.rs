@@ -29,10 +29,6 @@ const SHARDS: usize = 16;
 pub struct SessionRegistry {
     shards: Vec<Mutex<HashMap<u64, Arc<Mutex<Session>>>>>,
     next: AtomicU64,
-    /// OR-ed into every minted id. Zero outside a cluster; a cluster node
-    /// sets its ring index into the high bits ([`SessionRegistry::set_id_prefix`])
-    /// so ids stay fleet-unique and encode their owner.
-    prefix: AtomicU64,
 }
 
 impl SessionRegistry {
@@ -41,16 +37,7 @@ impl SessionRegistry {
         SessionRegistry {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             next: AtomicU64::new(0),
-            prefix: AtomicU64::new(0),
         }
-    }
-
-    /// Namespace all future ids: every minted id is `prefix | seq`. A
-    /// cluster node passes `(ring index) << 48`, making the owning node
-    /// recoverable from any session id (`id >> 48`); the default prefix of
-    /// zero preserves the dense 1, 2, 3… ids of a standalone process.
-    pub fn set_id_prefix(&self, prefix: u64) {
-        self.prefix.store(prefix, Ordering::Relaxed);
     }
 
     fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Arc<Mutex<Session>>>> {
@@ -61,8 +48,7 @@ impl SessionRegistry {
 
     /// Register a session under a fresh wire id.
     pub fn insert(&self, session: Session) -> (u64, Arc<Mutex<Session>>) {
-        let id =
-            self.prefix.load(Ordering::Relaxed) | (self.next.fetch_add(1, Ordering::Relaxed) + 1);
+        let id = self.next.fetch_add(1, Ordering::Relaxed) + 1;
         let slot = Arc::new(Mutex::new(session));
         self.shard(id).lock().insert(id, Arc::clone(&slot));
         (id, slot)
@@ -172,18 +158,5 @@ mod tests {
         let unique: std::collections::HashSet<u64> = ids.iter().copied().collect();
         assert_eq!(unique.len(), ids.len(), "ids must never be reused");
         assert_eq!(registry.len(), ids.len());
-    }
-
-    #[test]
-    fn id_prefix_namespaces_new_ids() {
-        let registry = SessionRegistry::new();
-        registry.set_id_prefix(2u64 << 48);
-        let (a, _) = registry.insert(sample_session());
-        let (b, _) = registry.insert(sample_session());
-        assert_eq!(a, (2u64 << 48) | 1);
-        assert_eq!(b, (2u64 << 48) | 2);
-        assert_eq!(a >> 48, 2, "the owning node is recoverable");
-        assert!(registry.get(a).is_some());
-        assert!(registry.remove(b));
     }
 }

@@ -33,7 +33,7 @@ use pi2_search::SearchStats;
 use pi2_sql::ast::Query;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One view's update inside a [`Patch`]: the view's new resolved SQL and
 /// its result table (shared out of the process-wide memo).
@@ -392,33 +392,6 @@ pub struct Pi2Service {
     sessions_opened: AtomicU64,
     /// Protocol-v2 shared-session subscriptions (see [`crate::push`]).
     push: PushHub,
-    /// Cluster-layer stats provider, installed once by `pi2-cluster` when
-    /// this process joins a fleet. Core never depends on the cluster crate;
-    /// the closure inverts the dependency.
-    cluster: OnceLock<ClusterStatsFn>,
-}
-
-/// Snapshot provider a cluster layer installs via
-/// [`Pi2Service::set_cluster_stats`].
-pub type ClusterStatsFn = Box<dyn Fn() -> ClusterStats + Send + Sync>;
-
-/// Counters the cluster cache/routing layer exposes through `/metrics`
-/// and the v2 `negotiate` capability object.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterStats {
-    /// This process's ring index.
-    pub node: u16,
-    /// Fleet size (peer count including this node).
-    pub nodes: usize,
-    /// Shared-cache lookups served by a remote peer.
-    pub cluster_hits: u64,
-    /// Shared-cache lookups the owning peer missed (or the peer was
-    /// skipped by its circuit breaker) — computed locally instead.
-    pub cluster_misses: u64,
-    /// Peer requests that timed out or failed to connect.
-    pub peer_timeouts: u64,
-    /// Session requests proxied to their owning node.
-    pub proxied_dispatches: u64,
 }
 
 impl Pi2Service {
@@ -530,20 +503,6 @@ impl Pi2Service {
         &self.push
     }
 
-    /// Join a fleet: namespace future wire-session ids under this node's
-    /// ring index (`id >> 48` recovers the owner) and install the cluster
-    /// stats provider surfaced in `/metrics` and `negotiate`. One-shot;
-    /// a second install is ignored.
-    pub fn set_cluster_stats(&self, node: u16, stats: ClusterStatsFn) {
-        self.sessions.set_id_prefix((node as u64) << 48);
-        let _ = self.cluster.set(stats);
-    }
-
-    /// The cluster layer's counters, if this process is part of a fleet.
-    pub fn cluster_stats(&self) -> Option<ClusterStats> {
-        self.cluster.get().map(|f| f())
-    }
-
     /// Append rows to a registered workload's live catalogue: advance the
     /// epoch, fold the append into the catalogue fingerprint, record the
     /// live counters, and sweep memo entries keyed to the fingerprint the
@@ -612,7 +571,6 @@ impl Pi2Service {
             action_table_entries: action_entries,
             push: self.push.stats(),
             live: global_eval_cache().live_stats(),
-            cluster: self.cluster_stats(),
         }
     }
 }
@@ -668,8 +626,6 @@ pub struct ServiceMetrics {
     /// Live-data counters (appends, epoch bumps, IVM hits/fallbacks,
     /// invalidated views).
     pub live: LiveStats,
-    /// Cluster counters, when this process is part of a fleet.
-    pub cluster: Option<ClusterStats>,
 }
 
 #[cfg(test)]

@@ -225,8 +225,7 @@ proptest! {
 
 /// The v2 `negotiate` answer is a compatibility contract: clients switch
 /// on the structured `capabilities` object, so its shape is pinned
-/// byte-exactly. `ws_push` reflects the connection (none here) and
-/// `cluster` whether the process joined a fleet (it has not); the legacy
+/// byte-exactly. `ws_push` reflects the connection (none here); the legacy
 /// top-level `push` flag stays for v2 clients that predate capabilities.
 #[test]
 fn negotiate_capabilities_shape_is_pinned() {
@@ -235,7 +234,7 @@ fn negotiate_capabilities_shape_is_pinned() {
     assert_eq!(
         answer,
         "{\"v\":2,\"type\":\"protocols\",\"versions\":[1,2],\"push\":false,\
-         \"capabilities\":{\"versions\":[1,2],\"ws_push\":false,\"cluster\":false,\
+         \"capabilities\":{\"versions\":[1,2],\"ws_push\":false,\
          \"live\":{\"append\":true,\"ivm\":[\"filter\",\"group\",\"aggregate\",\"project\"]}}}"
     );
     // The object stays machine-readable through the parser too.
@@ -244,10 +243,6 @@ fn negotiate_capabilities_shape_is_pinned() {
         .get("capabilities")
         .cloned()
         .expect("capabilities present");
-    assert_eq!(
-        caps.get("cluster").and_then(pi2::Json::as_bool),
-        Some(false)
-    );
     assert_eq!(
         caps.get("ws_push").and_then(pi2::Json::as_bool),
         Some(false)

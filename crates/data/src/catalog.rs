@@ -155,8 +155,8 @@ impl Catalog {
     /// here; see [`Table`]'s storage notes for which *queries* still build
     /// it, once per catalogue version. The fingerprint fold is
     /// content-based — two catalogues that apply identical appends
-    /// converge to identical fingerprints, which keeps a fleet's shared
-    /// caches coherent.
+    /// converge to identical fingerprints, so every memo keyed on the
+    /// fingerprint treats equal data as one catalogue.
     pub fn append_rows(&self, name: &str, delta: Table) -> Result<Catalog, DataError> {
         let meta = self.require_table(name)?;
         if delta.num_columns() != meta.table.num_columns() {
@@ -424,8 +424,8 @@ mod tests {
 
     #[test]
     fn append_fingerprint_is_content_deterministic() {
-        // Two nodes applying the same append to the same catalogue must
-        // converge — shared caches across a fleet key on the fingerprint.
+        // Two copies applying the same append to the same catalogue must
+        // converge — the shared memos key on the fingerprint.
         let a = catalog_with_t()
             .append_rows("T", delta_rows(&[(3, 30, 300)]))
             .unwrap();

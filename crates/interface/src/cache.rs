@@ -129,34 +129,6 @@ pub fn global_eval_cache() -> &'static EvalCache {
     CACHE.get_or_init(EvalCache::default)
 }
 
-/// A remote tier behind the executed-result memo: in a fleet, each
-/// `(catalogue fp, resolved-SQL fp)` key has one owning node, and a local
-/// miss consults the owner before paying for an execution (read-through),
-/// while local computes are pushed to the owner afterwards (write-behind).
-/// The tier is a *cache*, never a correctness dependency — `fetch`
-/// returning `None` (miss, timeout, open circuit breaker) simply means
-/// "compute locally".
-pub trait RemoteResultTier: Send + Sync {
-    /// Look `(catalog_fp, sql_fp)` up on the owning peer. `None` on a
-    /// remote miss or any peer failure.
-    fn fetch(&self, catalog_fp: u64, sql_fp: u64) -> Option<Table>;
-    /// Hand a locally computed result to the owning peer (best-effort,
-    /// typically queued behind the caller's back).
-    fn publish(&self, catalog_fp: u64, sql_fp: u64, table: &Arc<Table>);
-}
-
-static REMOTE_RESULTS: OnceLock<Arc<dyn RemoteResultTier>> = OnceLock::new();
-
-/// Install the process-wide remote result tier (one-shot; returns whether
-/// this call installed it). `pi2-cluster` calls this when joining a fleet.
-pub fn set_remote_result_tier(tier: Arc<dyn RemoteResultTier>) -> bool {
-    REMOTE_RESULTS.set(tier).is_ok()
-}
-
-fn remote_result_tier() -> Option<&'static Arc<dyn RemoteResultTier>> {
-    REMOTE_RESULTS.get()
-}
-
 /// Order-sensitive hash of a query set, over the queries' *content*
 /// fingerprints — never their workload indices, which collide between
 /// workloads sharing a catalogue.
@@ -225,29 +197,10 @@ impl EvalCache {
                 self.live.ivm_fallbacks.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // Local miss: in a fleet, ask the key's owning peer before
-        // executing (read-through). A remote fill counts as a hit — the
-        // query is served from the shared memo, just a remote shard of it.
-        if let Some(tier) = remote_result_tier() {
-            if let Some(table) = tier.fetch(key.0, key.1) {
-                let value = Some(Arc::new(table));
-                self.results.insert(key, value.clone());
-                self.result_hits.fetch_add(1, Ordering::Relaxed);
-                return value;
-            }
-        }
         self.result_misses.fetch_add(1, Ordering::Relaxed);
         let ctx = ExecContext::new(catalog);
         let value = execute(query, &ctx).ok().map(Arc::new);
         self.results.insert(key, value.clone());
-        // Write-behind: hand successful computes to the owning peer.
-        // Failures stay local — `None` marks "don't retry here", which is
-        // not a fact worth exporting.
-        if let Some(tier) = remote_result_tier() {
-            if let Some(table) = &value {
-                tier.publish(key.0, key.1, table);
-            }
-        }
         value
     }
 
@@ -325,21 +278,6 @@ impl EvalCache {
             ivm_fallbacks: self.live.ivm_fallbacks.load(Ordering::Relaxed),
             invalidated_views: self.live.invalidated_views.load(Ordering::Relaxed),
         }
-    }
-
-    /// Local-only lookup by raw key parts, bypassing counters and the
-    /// remote tier. The cluster peer server answers `MemoGet` frames with
-    /// this — routing through [`EvalCache::resolved_result_fp`] would
-    /// recurse into the fleet. Cached failures (`None` entries) read as
-    /// misses: only successful results are shareable.
-    pub fn peek_result(&self, catalog_fp: u64, sql_fp: u64) -> Option<Arc<Table>> {
-        self.results.get(&(catalog_fp, sql_fp)).flatten()
-    }
-
-    /// Admit a result computed on (and pushed by) a remote peer, without
-    /// touching the hit/miss counters.
-    pub fn admit_result(&self, catalog_fp: u64, sql_fp: u64, table: Arc<Table>) {
-        self.results.insert((catalog_fp, sql_fp), Some(table));
     }
 
     /// Pre-warm the result memo with every input query of a workload
@@ -592,11 +530,11 @@ mod tests {
         let cache = EvalCache::default();
         let q = parse_query("SELECT a FROM t").unwrap();
         cache.resolved_result(&base, &q).unwrap();
-        let sql_fp = fnv1a_64(q.to_string().as_bytes());
-        assert!(cache.peek_result(base.fingerprint(), sql_fp).is_some());
+        let key = (base.fingerprint(), fnv1a_64(q.to_string().as_bytes()));
+        assert!(cache.results.get(&key).flatten().is_some());
 
         cache.evict_catalog(base.fingerprint());
-        assert!(cache.peek_result(base.fingerprint(), sql_fp).is_none());
+        assert!(cache.results.get(&key).is_none());
         assert_eq!(cache.live_stats().invalidated_views, 1);
         // Sweeping an unknown fingerprint is a no-op.
         cache.evict_catalog(0xdead_beef);

@@ -32,10 +32,7 @@ pub mod layout;
 pub mod vis;
 pub mod widget;
 
-pub use cache::{
-    global_eval_cache, set_remote_result_tier, CacheStats, EvalCache, LiveStats, RemoteResultTier,
-    TreeArtifacts,
-};
+pub use cache::{global_eval_cache, CacheStats, EvalCache, LiveStats, TreeArtifacts};
 pub use cost::{fitts_time, interface_cost, manipulation_cost, widget_poly, CostParams};
 pub use flat::{event_type_compatible, flatten_node, FlatElem, FlatSchema};
 pub use iface::{

@@ -21,8 +21,5 @@ pub mod random;
 pub use mapping::{
     best_interface, generate_top_k, optimise_layout, MappingOptions, ScoredMapping, WidgetDp,
 };
-pub use mcts::{
-    admit_remote_reward, initial_state, mcts_search, reward_table_peek, set_remote_reward_tier,
-    transposition_table_sizes, MctsConfig, RemoteRewardTier, SearchStats,
-};
+pub use mcts::{initial_state, mcts_search, transposition_table_sizes, MctsConfig, SearchStats};
 pub use random::{estimate_reward, greedy_interface, random_interface};

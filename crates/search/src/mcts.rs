@@ -26,12 +26,15 @@
 //! Reward estimates live in a **lock-sharded transposition table shared by
 //! all `p` workers** (and, with the workload/config fingerprint in the key,
 //! by repeated searches in one process), so each state's K-mapping estimate
-//! is computed once fleet-wide. The estimate's sampling RNG is seeded from
+//! is computed once per process. The estimate's sampling RNG is seeded from
 //! `cfg.seed ⊕ ForestKey` — a reward is a pure function of (state, config),
 //! so a table hit returns exactly the value the worker would have computed
 //! itself. Combined with schedule-independent per-worker stopping (each
-//! worker runs to its *own* early stop or the iteration cap), the whole
-//! search is deterministic for any worker count.
+//! worker runs to its *own* early stop or the iteration cap), the search is
+//! deterministic for a given [`MctsConfig`], worker count included: the
+//! same config returns the same forest run over run. Different worker
+//! counts explore different trajectories and may return different
+//! forests.
 
 use crate::random::estimate_reward;
 use parking_lot::Mutex;
@@ -109,8 +112,8 @@ pub struct SearchStats {
     pub duration: Duration,
     /// Best (un-normalised) reward = −min estimated cost.
     pub best_reward: f64,
-    /// Reward estimates actually computed fleet-wide (transposition-table
-    /// misses; hits are shared across workers).
+    /// Reward estimates this search computed (transposition-table misses;
+    /// hits are shared across workers and earlier searches).
     pub states_evaluated: usize,
 }
 
@@ -141,52 +144,6 @@ fn search_caches() -> &'static SearchCaches {
         rewards: ShardedMemo::new(MAX_TT_ENTRIES_PER_SHARD),
         actions: ShardedMemo::new(MAX_TT_ENTRIES_PER_SHARD),
     })
-}
-
-/// A remote tier behind the reward transposition table: in a fleet, each
-/// `(state key, context fp)` has one owning node, consulted on a local
-/// miss before the (expensive) reward estimate, and fed locally computed
-/// estimates afterwards. Purely a cache — any failure reads as a miss and
-/// the estimate is computed locally. The state key travels as its raw
-/// [`ForestKey`] parts (`hash`, `size`), which are already
-/// network-compact.
-pub trait RemoteRewardTier: Send + Sync {
-    /// Look a reward up on the owning peer; `None` on miss or failure.
-    fn fetch(&self, state_hash: u64, state_size: u32, ctx_fp: u64) -> Option<f64>;
-    /// Hand a locally computed reward to the owning peer (best-effort).
-    fn publish(&self, state_hash: u64, state_size: u32, ctx_fp: u64, reward: f64);
-}
-
-static REMOTE_REWARDS: OnceLock<Arc<dyn RemoteRewardTier>> = OnceLock::new();
-
-/// Install the process-wide remote reward tier (one-shot; returns whether
-/// this call installed it). `pi2-cluster` calls this when joining a fleet.
-pub fn set_remote_reward_tier(tier: Arc<dyn RemoteRewardTier>) -> bool {
-    REMOTE_REWARDS.set(tier).is_ok()
-}
-
-fn remote_reward_tier() -> Option<&'static Arc<dyn RemoteRewardTier>> {
-    REMOTE_REWARDS.get()
-}
-
-/// Local-only reward-table lookup by raw key parts — the cluster peer
-/// server answers `RewardGet` frames with this (never recursing into the
-/// remote tier).
-pub fn reward_table_peek(state_hash: u64, state_size: u32, ctx_fp: u64) -> Option<f64> {
-    let key = ForestKey {
-        hash: state_hash,
-        size: state_size,
-    };
-    search_caches().rewards.get(&(key, ctx_fp))
-}
-
-/// Admit a reward computed on (and pushed by) a remote peer.
-pub fn admit_remote_reward(state_hash: u64, state_size: u32, ctx_fp: u64, reward: f64) {
-    let key = ForestKey {
-        hash: state_hash,
-        size: state_size,
-    };
-    search_caches().rewards.insert((key, ctx_fp), reward);
 }
 
 /// Current entry counts of the process-global transposition tables
@@ -417,49 +374,34 @@ impl<'w> Worker<'w> {
 
     /// Reward of a state: −min cost over K mappings sampled with a
     /// state-seeded RNG; unmappable states get a strongly negative reward.
-    /// Estimates are shared fleet-wide through the transposition table, and
-    /// every sighting of an improvement updates this worker's best state
-    /// (Cadiaplayer max-reward tracking).
+    /// Estimates are shared across workers and searches through the
+    /// transposition table, and every sighting of an improvement updates
+    /// this worker's best state (Cadiaplayer max-reward tracking).
     fn evaluate(&mut self, state: &Arc<Forest>) -> f64 {
         let key = state.key();
         let tables = search_caches();
         let r = match tables.rewards.get(&(key, self.ctx_fp)) {
             Some(r) => r,
-            // Local miss: a fleet peer may have estimated this state
-            // already (read-through; estimates are pure in the key, so a
-            // remote value is the value).
-            None => match remote_reward_tier()
-                .and_then(|t| t.fetch(key.hash, key.size, self.ctx_fp))
-            {
-                Some(r) => {
-                    tables.rewards.insert((key, self.ctx_fp), r);
-                    r
-                }
-                None => {
-                    let r = match MappingContext::build(state, self.workload) {
-                        Some(mut ctx) => {
-                            ctx.check_safety = self.cfg.check_safety;
-                            let mut reward_rng = StdRng::seed_from_u64(self.cfg.seed ^ key.seed());
-                            estimate_reward(
-                                &ctx,
-                                &mut reward_rng,
-                                &self.cfg.params,
-                                self.cfg.k_mappings,
-                            )
-                            .unwrap_or(-1e9)
-                        }
-                        None => -1e9,
-                    };
-                    if tables.rewards.insert((key, self.ctx_fp), r) {
-                        self.shared.computed.fetch_add(1, Ordering::Relaxed);
+            None => {
+                let r = match MappingContext::build(state, self.workload) {
+                    Some(mut ctx) => {
+                        ctx.check_safety = self.cfg.check_safety;
+                        let mut reward_rng = StdRng::seed_from_u64(self.cfg.seed ^ key.seed());
+                        estimate_reward(
+                            &ctx,
+                            &mut reward_rng,
+                            &self.cfg.params,
+                            self.cfg.k_mappings,
+                        )
+                        .unwrap_or(-1e9)
                     }
-                    // Write-behind: share the estimate with its owner.
-                    if let Some(t) = remote_reward_tier() {
-                        t.publish(key.hash, key.size, self.ctx_fp, r);
-                    }
-                    r
+                    None => -1e9,
+                };
+                if tables.rewards.insert((key, self.ctx_fp), r) {
+                    self.shared.computed.fetch_add(1, Ordering::Relaxed);
                 }
-            },
+                r
+            }
         };
         if r > self.best.0 {
             self.best = (r, Arc::clone(state));
@@ -468,7 +410,7 @@ impl<'w> Worker<'w> {
         r
     }
 
-    /// Validated expansion actions for a state, computed once fleet-wide.
+    /// Validated expansion actions for a state, computed once per process.
     fn expansion_actions(&self, state: &Forest) -> Arc<Vec<Action>> {
         let key = state.key();
         let tables = search_caches();

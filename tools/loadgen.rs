@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! loadgen [--workload covid|sales|…] [--rows N] [--sessions 8]
-//!         [--events 200] [--addr HOST:PORT] [--ws] [--cluster N]
+//!         [--events 200] [--addr HOST:PORT] [--ws]
 //!         [--append-every N] [--fail-on-errors]
 //! ```
 //!
@@ -39,29 +39,18 @@
 //! separate distributions — an append pays catalogue versioning and
 //! fan-out that a memo-served read never sees. CI's append-mix smoke
 //! runs this with `--fail-on-errors`.
-//!
-//! `--cluster N` boots an N-process fleet instead: N `pi2-node` siblings
-//! (the binary must sit next to `loadgen` in the target directory —
-//! `cargo build -p pi2-cluster` first) joined over loopback, the load
-//! driven at node 0, and each node's shared-cache counters reported at
-//! the end. The event mix is recorded from a local generation with the
-//! *quick* config — the same deterministic config every node registers
-//! with — so the whole fleet agrees on the interface. CI's
-//! `cluster-smoke` step runs this with 2 nodes.
 
-use pi2::server::{Http1Client, ServerConfig};
-use pi2::{GenerationConfig, Json, Pi2, Pi2Service};
+use pi2::server::ServerConfig;
+use pi2::Pi2Service;
 use pi2_bench::load;
-use pi2_workloads::{all_logs, catalog, log, LogKind};
-use std::io::BufRead;
-use std::net::SocketAddr;
-use std::process::{Child, Command, ExitCode, Stdio};
+use pi2_workloads::{all_logs, log, LogKind};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: loadgen [--workload covid] [--rows N] [--sessions 8] [--events 200] \
-         [--addr HOST:PORT] [--ws] [--cluster N] [--append-every N] [--fail-on-errors]"
+         [--addr HOST:PORT] [--ws] [--append-every N] [--fail-on-errors]"
     );
     ExitCode::from(2)
 }
@@ -73,113 +62,6 @@ fn kind_by_name(name: &str) -> Option<LogKind> {
         .find(|k| log(*k).name == name)
 }
 
-/// The booted fleet of `--cluster N`: killed on drop so an early exit
-/// (or a panic in the load loop) never leaks node processes.
-struct FleetGuard {
-    nodes: Vec<Child>,
-    http: Vec<SocketAddr>,
-}
-
-impl Drop for FleetGuard {
-    fn drop(&mut self) {
-        for child in &mut self.nodes {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-/// Boot `n` `pi2-node` processes into one fleet and wait for each node's
-/// `READY <http> <peer>` line.
-fn boot_fleet(n: usize, workload: &str) -> Result<FleetGuard, String> {
-    let node_bin = std::env::current_exe()
-        .map_err(|e| format!("cannot locate loadgen: {e}"))?
-        .with_file_name(format!("pi2-node{}", std::env::consts::EXE_SUFFIX));
-    if !node_bin.exists() {
-        return Err(format!(
-            "{} not found — build it first: cargo build -p pi2-cluster",
-            node_bin.display()
-        ));
-    }
-    // Bind-then-drop hands out n distinct free peer ports.
-    let listeners: Vec<std::net::TcpListener> = (0..n)
-        .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("cannot reserve peer ports: {e}"))?;
-    let peers = listeners
-        .iter()
-        .map(|l| l.local_addr().unwrap().to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    drop(listeners);
-    let mut fleet = FleetGuard {
-        nodes: Vec::new(),
-        http: Vec::new(),
-    };
-    for node in 0..n {
-        let mut child = Command::new(&node_bin)
-            .args([
-                "--node",
-                &node.to_string(),
-                "--peers",
-                &peers,
-                "--workload",
-                workload,
-            ])
-            .stdout(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("cannot spawn {}: {e}", node_bin.display()))?;
-        let stdout = child.stdout.take().unwrap();
-        fleet.nodes.push(child);
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .map_err(|e| format!("node {node} died before READY: {e}"))?;
-        let mut parts = line.split_whitespace();
-        if parts.next() != Some("READY") {
-            return Err(format!("node {node} said {line:?}, expected READY"));
-        }
-        let http = parts
-            .next()
-            .and_then(|a| a.parse().ok())
-            .ok_or_else(|| format!("node {node} announced no HTTP address: {line:?}"))?;
-        eprintln!("loadgen: node {node} ready on http://{http}");
-        fleet.http.push(http);
-    }
-    Ok(fleet)
-}
-
-/// Fetch one node's shared-cache counters from `/metrics`.
-fn cluster_counters(addr: SocketAddr) -> Result<String, String> {
-    let resp = Http1Client::connect(addr)
-        .and_then(|mut c| c.get("/metrics"))
-        .map_err(|e| format!("metrics fetch from {addr}: {e}"))?;
-    let parsed = Json::parse(&resp.body).map_err(|e| format!("metrics from {addr}: {e}"))?;
-    let counter = |path: &[&str]| {
-        let mut j = Some(&parsed);
-        for key in path {
-            j = j.and_then(|j| j.get(key));
-        }
-        j.and_then(Json::as_i64).unwrap_or(-1)
-    };
-    let hits = counter(&["service", "cluster", "clusterHits"]);
-    let misses = counter(&["service", "cluster", "clusterMisses"]);
-    let total = hits + misses;
-    let rate = if total > 0 {
-        format!("{:.1}%", 100.0 * hits as f64 / total as f64)
-    } else {
-        "n/a".to_string()
-    };
-    Ok(format!(
-        "clusterHits={hits} clusterMisses={misses} hitRate={rate} peerTimeouts={} \
-         proxiedDispatches={} localResultHits={} localResultMisses={}",
-        counter(&["service", "cluster", "peerTimeouts"]),
-        counter(&["service", "cluster", "proxiedDispatches"]),
-        counter(&["service", "resultCache", "hits"]),
-        counter(&["service", "resultCache", "misses"]),
-    ))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut workload = "covid".to_string();
@@ -188,7 +70,6 @@ fn main() -> ExitCode {
     let mut events: usize = 200;
     let mut addr: Option<String> = None;
     let mut ws = false;
-    let mut cluster: Option<usize> = None;
     let mut append_every: usize = 0;
     let mut fail_on_errors = false;
     let mut it = args.iter();
@@ -215,10 +96,6 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--ws" => ws = true,
-            "--cluster" => match it.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 2) {
-                Some(v) => cluster = Some(v),
-                None => return usage(),
-            },
             "--append-every" => match it.next().and_then(|v| v.parse().ok()).filter(|&n| n > 0) {
                 Some(v) => append_every = v,
                 None => return usage(),
@@ -226,15 +103,6 @@ fn main() -> ExitCode {
             "--fail-on-errors" => fail_on_errors = true,
             _ => return usage(),
         }
-    }
-    if let Some(n) = cluster {
-        if addr.is_some() || rows.is_some() || ws || append_every > 0 {
-            eprintln!(
-                "loadgen: --cluster is incompatible with --addr, --rows, --ws, and --append-every"
-            );
-            return ExitCode::from(2);
-        }
-        return run_cluster(n, &workload, sessions, events, fail_on_errors);
     }
     if append_every > 0 && ws {
         eprintln!("loadgen: --append-every drives the HTTP path; drop --ws");
@@ -392,76 +260,6 @@ fn main() -> ExitCode {
     };
     if let Some(server) = local {
         server.shutdown();
-    }
-    code
-}
-
-/// The `--cluster N` mode: boot a fleet, drive the load at node 0, and
-/// report every node's shared-cache counters.
-fn run_cluster(
-    n: usize,
-    workload: &str,
-    sessions: usize,
-    events: usize,
-    fail_on_errors: bool,
-) -> ExitCode {
-    let Some(kind) = kind_by_name(workload) else {
-        eprintln!(
-            "loadgen: unknown workload {workload:?} (known: {})",
-            all_logs()
-                .iter()
-                .map(|l| l.name)
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        return ExitCode::from(2);
-    };
-    // The nodes register with the quick config; recording the event mix
-    // from the *same* deterministic generation keeps every process on
-    // the identical interface (and the shared caches on agreeing keys).
-    eprintln!("loadgen: generating {workload} interface (quick config)…");
-    let queries = log(kind).queries;
-    let sqls: Vec<&str> = queries.iter().map(String::as_str).collect();
-    let generation = match Pi2::new(catalog()).generate_with(&sqls, &GenerationConfig::quick()) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("loadgen: generation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cycle = load::event_cycle(&generation);
-    eprintln!(
-        "loadgen: recorded event mix of {} events over {} interactions",
-        cycle.len(),
-        generation.interface.interactions.len()
-    );
-    let fleet = match boot_fleet(n, workload) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("loadgen: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let code = match load::run_load(fleet.http[0], workload, &cycle, sessions, events) {
-        Ok(report) => {
-            println!("loadgen[{workload},cluster={n}]: {report}");
-            if fail_on_errors && report.errors > 0 {
-                eprintln!("loadgen: FAIL — {} protocol errors", report.errors);
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("loadgen: cluster run failed: {e}");
-            ExitCode::FAILURE
-        }
-    };
-    for (node, &addr) in fleet.http.iter().enumerate() {
-        match cluster_counters(addr) {
-            Ok(line) => println!("loadgen[{workload},cluster={n}] node {node}: {line}"),
-            Err(e) => eprintln!("loadgen: {e}"),
-        }
     }
     code
 }
