@@ -171,6 +171,17 @@ impl PushHub {
         peers
     }
 
+    /// Whether any session of `session`'s channel, `session` itself
+    /// included, is subscribed. A dispatch on such a session either fans
+    /// out to peers or races pushes to its own connection.
+    pub fn channel_has_subscribers(&self, session: u64) -> bool {
+        let inner = lock(&self.inner);
+        inner
+            .channel_of
+            .get(&session)
+            .is_some_and(|channel| inner.subscribers.contains_key(channel))
+    }
+
     /// Every subscription in `channel`: `(session, conn, sender)`
     /// snapshots sorted by session id. The live-append fan-out pushes
     /// each subscriber its own data patch through these — unlike
@@ -245,6 +256,23 @@ mod tests {
         );
         assert!(hub.peers_of(3).is_empty());
         assert_eq!(hub.stats().subscriptions, 3);
+    }
+
+    #[test]
+    fn channel_subscribers_include_the_session_itself() {
+        let hub = PushHub::new();
+        let hits = Arc::new(AtomicUsize::new(0));
+        hub.bind(1, "covid");
+        hub.bind(2, "covid");
+        hub.bind(3, "flights");
+        assert!(!hub.channel_has_subscribers(1));
+        assert!(hub.subscribe(1, 7, counting_sender(&hits, true)));
+        assert!(hub.channel_has_subscribers(1), "its own subscription");
+        assert!(hub.channel_has_subscribers(2), "a peer's subscription");
+        assert!(!hub.channel_has_subscribers(3), "another channel");
+        assert!(!hub.channel_has_subscribers(9), "an unknown session");
+        hub.drop_conn(7);
+        assert!(!hub.channel_has_subscribers(2));
     }
 
     #[test]

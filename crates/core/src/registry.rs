@@ -10,10 +10,11 @@
 //!
 //! Both serving paths go through it: the in-process path
 //! (`Pi2Service::handle_json`) and the HTTP server (`pi2::server`), whose
-//! per-session mailboxes additionally guarantee that only one worker
-//! drives a session at a time — the per-session mutex then never blocks,
-//! it only guards against *mixed* deployments driving one session from
-//! both paths at once.
+//! per-session mailboxes additionally guarantee that only one thread (a
+//! worker, or a reactor on the fast path) drives a session at a time. The
+//! per-session mutex then blocks only behind a push fan-out replaying onto
+//! the session or a *mixed* deployment driving it from both paths at once
+//! — and a reactor only ever `try_lock`s it.
 
 use crate::service::Session;
 use parking_lot::Mutex;

@@ -84,6 +84,15 @@ type ResolvedBinding = (BindingMap, Arc<Query>, Arc<str>, u64);
 /// A validated per-tree commit staged by a dispatch.
 type StagedCommit = (usize, BindingMap, Arc<Query>, Arc<str>, u64);
 
+/// How a dispatch obtains the result tables of the views it changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fill {
+    /// Through the memo, executing on a miss.
+    Compute,
+    /// From memo hits only; anything else declines the dispatch.
+    MemoOnly,
+}
+
 /// One analyst's interactive state over a shared [`Generation`].
 ///
 /// Sessions are cheap: per-tree binding maps, resolved queries, and
@@ -203,6 +212,21 @@ impl Session {
     /// query changed, with results served through the shared memo. Invalid
     /// events leave the state unchanged and report a structured error.
     pub fn dispatch(&mut self, event: &Event) -> Result<Patch, Pi2Error> {
+        let patch = self.dispatch_with(event, Fill::Compute)?;
+        Ok(patch.expect("a computing dispatch always fills its views"))
+    }
+
+    /// [`Session::dispatch`] without executing anything: `Ok(None)` when
+    /// some changed view's result is not a memo hit (a cached failure
+    /// included — only a re-execution recovers its message). The session
+    /// is then left as it was, apart from its resolved-binding memo. Any
+    /// other outcome, errors included, is exactly what `dispatch` returns.
+    pub(crate) fn dispatch_memo_only(&mut self, event: &Event) -> Result<Option<Patch>, Pi2Error> {
+        self.dispatch_with(event, Fill::MemoOnly)
+    }
+
+    /// The one dispatch body; `fill` says whether a memo miss may execute.
+    fn dispatch_with(&mut self, event: &Event, fill: Fill) -> Result<Option<Patch>, Pi2Error> {
         let staged = EventEngine {
             forest: &self.generation.forest,
             assignments: &self.assignments,
@@ -236,9 +260,14 @@ impl Session {
                 .iter()
                 .find(|(tree, _, _, _, fp)| *tree == view.tree && *fp != self.fps[*tree]);
             if let Some((tree, _, query, sql, fp)) = staged_for_view {
-                let table = cache
-                    .resolved_result_fp(&catalog, *fp, query)
-                    .ok_or_else(|| self.execution_error(*tree, query))?;
+                let table = match fill {
+                    Fill::Compute => cache.resolved_result_fp(&catalog, *fp, query),
+                    Fill::MemoOnly => match cache.lookup_result_fp(&catalog, *fp, query) {
+                        Some(Some(table)) => Some(table),
+                        _ => return Ok(None),
+                    },
+                };
+                let table = table.ok_or_else(|| self.execution_error(*tree, query))?;
                 views.push(PatchView {
                     view: v,
                     tree: *tree,
@@ -246,6 +275,11 @@ impl Session {
                     table,
                 });
             }
+        }
+        if fill == Fill::MemoOnly {
+            // Counted only now that every lookup hit, so a declined
+            // dispatch leaves the counters to the computing one.
+            cache.note_result_hits(views.len() as u64);
         }
 
         // All fallible work done — commit.
@@ -258,10 +292,10 @@ impl Session {
             }
         }
         self.seq += 1;
-        Ok(Patch {
+        Ok(Some(Patch {
             seq: self.seq,
             views,
-        })
+        }))
     }
 
     /// A full-state patch (every view, current results) — what a front-end

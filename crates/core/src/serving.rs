@@ -6,8 +6,9 @@
 //! needs to know about the v1 JSON protocol it asks through
 //! [`pi2_server::WireService`], implemented here. The response body for a
 //! `POST /v1` is exactly what [`Pi2Service::handle_json`] would return for
-//! the same message (the server goes through
-//! [`Pi2Service::handle_request`], the shared core), and every
+//! the same message (workers go through [`Pi2Service::handle_request`],
+//! the shared core; a reactor serves memo-hit events inline through the
+//! same dispatch body run in its non-computing mode), and every
 //! transport-generated rejection — unknown path, oversized body,
 //! backpressure, overload — is phrased as a standard protocol `error`
 //! message with a stable code, so clients never need a second error
@@ -25,9 +26,9 @@
 //! ```
 
 use crate::error::Pi2Error;
-use crate::protocol::{error_to_json, metrics_response, request_from_json, Request};
+use crate::protocol::{error_to_json, metrics_response, patch_to_json, request_from_json, Request};
 use crate::service::Pi2Service;
-use pi2_server::{PushLink, Reject, Server, ServerConfig, WireService};
+use pi2_server::{Inline, PushLink, Reject, Server, ServerConfig, WireService};
 use std::sync::Arc;
 
 impl WireService for Pi2Service {
@@ -85,6 +86,46 @@ impl WireService for Pi2Service {
         }
     }
 
+    /// The fast path serves exactly one kind of request on the reactor: an
+    /// `event` whose session no push subscription touches, whose lock is
+    /// free, and whose changed views are all memo hits. The peer check
+    /// comes before the decode so declining a push-channel session costs
+    /// no parse; a decoded request that declines goes to the worker as is.
+    ///
+    /// Skipping fan-out here is not a loss: a subscription that lands
+    /// between the check and the dispatch could equally have landed just
+    /// after a worker's fan-out snapshot. The session's own subscribe is
+    /// ordered behind this request by the turn token the server holds.
+    fn try_inline(&self, session: u64, body: &str) -> Inline<Request> {
+        if self.push_hub().channel_has_subscribers(session) {
+            return Inline::Declined;
+        }
+        let Ok(request) = request_from_json(body) else {
+            return Inline::Declined;
+        };
+        let Request::Event {
+            session: target,
+            event,
+        } = &request
+        else {
+            return Inline::Decoded(request);
+        };
+        let slot = match self.wire_session(*target) {
+            Some(slot) if *target == session => slot,
+            _ => return Inline::Decoded(request),
+        };
+        let Some(mut guard) = slot.try_lock() else {
+            return Inline::Decoded(request);
+        };
+        let dispatched = guard.dispatch_memo_only(event);
+        drop(guard);
+        match dispatched {
+            Ok(Some(patch)) => Inline::Served(200, patch_to_json(&patch)),
+            Ok(None) => Inline::Decoded(request),
+            Err(e) => Inline::Served(e.http_status(), error_to_json(&e)),
+        }
+    }
+
     fn connection_closed(&self, conn: u64) {
         self.push_hub().drop_conn(conn);
     }
@@ -125,6 +166,103 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generation::GenerationConfig;
+    use crate::protocol::request_to_json;
+    use crate::runtime::Event;
+    use pi2_data::{Catalog, DataType, Table, Value};
+
+    fn rows(n: i64) -> Table {
+        let rows = (0..n)
+            .map(|i| vec![Value::Int(i % 4), Value::Int(10 * (i % 6))])
+            .collect();
+        Table::from_rows(vec![("a", DataType::Int), ("b", DataType::Int)], rows).unwrap()
+    }
+
+    /// A registered service plus an event that changes some view's query
+    /// from a fresh session's state.
+    fn service_and_event() -> (Pi2Service, Event) {
+        let mut catalog = Catalog::new();
+        catalog.add_table("T", rows(30), vec![]);
+        let service = Pi2Service::new();
+        let sqls = [
+            "SELECT a, count(*) FROM T WHERE b = 10 GROUP BY a",
+            "SELECT a, count(*) FROM T WHERE b = 20 GROUP BY a",
+        ];
+        let g = service
+            .register("inline", catalog, &sqls, &GenerationConfig::quick())
+            .unwrap();
+        let event = (0..g.interface.interactions.len())
+            .flat_map(|ix| {
+                [
+                    Event::Select {
+                        interaction: ix,
+                        option: 1,
+                    },
+                    Event::SetValues {
+                        interaction: ix,
+                        values: vec![Value::Int(20)],
+                    },
+                ]
+            })
+            .find(|e| {
+                g.session()
+                    .unwrap()
+                    .dispatch(e)
+                    .is_ok_and(|p| !p.is_empty())
+            })
+            .expect("some event changes a query");
+        (service, event)
+    }
+
+    fn event_body(session: u64, event: &Event) -> String {
+        request_to_json(&Request::Event {
+            session,
+            event: event.clone(),
+        })
+    }
+
+    #[test]
+    fn try_inline_serves_memo_hits_and_hands_back_everything_else() {
+        let (service, event) = service_and_event();
+        let (a, _) = service.open_wire("inline").unwrap();
+        let (twin, _) = service.open_wire("inline").unwrap();
+
+        // A memo hit is answered with the bytes handle_json gives the twin.
+        match service.try_inline(a, &event_body(a, &event)) {
+            Inline::Served(200, body) => {
+                assert_eq!(body, service.handle_json(&event_body(twin, &event)))
+            }
+            other => panic!("expected an inline patch, got {other:?}"),
+        }
+        // Routed under another session, not an event, or the session's
+        // lock held elsewhere: decoded, handed back, never waited on.
+        let decoded = |session: u64, body: &str| {
+            matches!(service.try_inline(session, body), Inline::Decoded(_))
+        };
+        assert!(decoded(twin, &event_body(a, &event)));
+        assert!(decoded(a, &request_to_json(&Request::Close { session: a })));
+        let slot = service.wire_session(a).unwrap();
+        let guard = slot.lock();
+        assert!(decoded(a, &event_body(a, &event)));
+        drop(guard);
+
+        // After an append the changed view's result is not in the memo
+        // for the new catalogue: the probe declines and leaves the session
+        // to the worker's computing dispatch.
+        service.append("inline", "T", rows(3)).unwrap();
+        let (fresh, slot) = service.open_wire("inline").unwrap();
+        assert!(decoded(fresh, &event_body(fresh, &event)));
+        assert_eq!(slot.lock().seq(), 0);
+
+        // Any subscription in the channel declines before decoding.
+        assert!(service
+            .push_hub()
+            .subscribe(twin, 1, Arc::new(|_conn, _text| true)));
+        assert!(matches!(
+            service.try_inline(a, "not even json"),
+            Inline::Declined
+        ));
+    }
 
     #[test]
     fn rejections_speak_the_protocol_error_space() {

@@ -140,6 +140,12 @@ fn qset_hash(w: &Workload, queries: &[usize]) -> u64 {
     h ^ (queries.len() as u64) << 48
 }
 
+/// Whether an append's delta touched any table the query reads.
+fn touched_by(delta: &CatalogDelta, query: &Query) -> bool {
+    let referenced = pi2_engine::referenced_tables(query);
+    delta.tables.keys().any(|t| referenced.contains(t))
+}
+
 impl EvalCache {
     /// The executed result of input query `qi` (`None` when execution
     /// fails), computed once per (catalogue, query content).
@@ -166,36 +172,69 @@ impl EvalCache {
         sql_fp: u64,
         query: &Query,
     ) -> Option<Arc<Table>> {
+        match self.lookup_result_fp(catalog, sql_fp, query) {
+            Some(hit) => {
+                self.note_result_hits(1);
+                hit
+            }
+            None => self.compute_result_fp(catalog, sql_fp, query),
+        }
+    }
+
+    /// The lookup half of [`EvalCache::resolved_result_fp`]: the memoized
+    /// outcome (`Some(None)` is a cached failure) without executing
+    /// anything, or `None` when answering would need an execution or an
+    /// IVM step. An entry an append left untouched is carried forward to
+    /// the new catalogue version here, which copies no table. Counts
+    /// nothing: callers that serve the hit call
+    /// [`EvalCache::note_result_hits`].
+    pub fn lookup_result_fp(
+        &self,
+        catalog: &Catalog,
+        sql_fp: u64,
+        query: &Query,
+    ) -> Option<Option<Arc<Table>>> {
         let key = (catalog.fingerprint(), sql_fp);
         if let Some(hit) = self.results.get(&key) {
-            self.result_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
+            return Some(hit);
         }
-        // Append-aware paths: when this catalogue version was produced by
-        // an append, the previous version's cache may still serve us —
-        // unchanged tables carry entries forward, and IVM-shaped queries
-        // absorb just the delta.
-        if let Some(delta) = catalog.delta() {
-            let referenced = pi2_engine::referenced_tables(query);
-            let touched = delta.tables.keys().any(|t| referenced.contains(t));
-            if !touched {
-                // The append cannot have changed this result: copy the old
-                // entry (including cached failures) to the new key.
-                if let Some(prev) = self.results.get(&(delta.prev_fingerprint, sql_fp)) {
-                    self.results.insert(key, prev.clone());
-                    self.result_hits.fetch_add(1, Ordering::Relaxed);
-                    return prev;
-                }
-            } else if pi2_engine::ivm::supported(query, catalog) {
+        // When this catalogue version was produced by an append that did
+        // not touch the query's tables, the previous version's entry
+        // (including a cached failure) still holds: copy it to the new key.
+        let delta = catalog.delta()?;
+        if touched_by(delta, query) {
+            return None;
+        }
+        let prev = self.results.get(&(delta.prev_fingerprint, sql_fp))?;
+        self.results.insert(key, prev.clone());
+        Some(prev)
+    }
+
+    /// Count `n` result lookups answered from the memo.
+    pub fn note_result_hits(&self, n: u64) {
+        self.result_hits.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The compute half of [`EvalCache::resolved_result_fp`], for a key
+    /// [`EvalCache::lookup_result_fp`] missed: absorb an append's delta
+    /// into the maintained IVM state where the shape allows, execute
+    /// otherwise, and memoize the outcome.
+    fn compute_result_fp(
+        &self,
+        catalog: &Catalog,
+        sql_fp: u64,
+        query: &Query,
+    ) -> Option<Arc<Table>> {
+        let key = (catalog.fingerprint(), sql_fp);
+        if let Some(delta) = catalog.delta().filter(|d| touched_by(d, query)) {
+            if pi2_engine::ivm::supported(query, catalog) {
                 if let Some(value) = self.try_ivm(catalog, delta, sql_fp, query) {
                     self.live.ivm_hits.fetch_add(1, Ordering::Relaxed);
                     self.result_hits.fetch_add(1, Ordering::Relaxed);
                     return Some(value);
                 }
-                self.live.ivm_fallbacks.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.live.ivm_fallbacks.fetch_add(1, Ordering::Relaxed);
             }
+            self.live.ivm_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         self.result_misses.fetch_add(1, Ordering::Relaxed);
         let ctx = ExecContext::new(catalog);
@@ -423,6 +462,38 @@ mod tests {
                 .collect(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn lookup_never_computes_or_counts() {
+        let mut base = Catalog::new();
+        base.add_table("t", delta_rows(&[(1, 10), (2, 20)]), vec![]);
+        let cache = EvalCache::default();
+        let q = parse_query("SELECT a FROM t WHERE b > 15").unwrap();
+        let fp = fnv1a_64(q.to_string().as_bytes());
+        assert!(cache.lookup_result_fp(&base, fp, &q).is_none());
+        assert_eq!(cache.result_stats(), CacheStats::default());
+        let computed = cache.resolved_result_fp(&base, fp, &q).unwrap();
+        let hit = cache.lookup_result_fp(&base, fp, &q).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&computed, &hit));
+        assert_eq!(cache.result_stats(), CacheStats { hits: 0, misses: 1 });
+        // A cached failure is a hit on `None`.
+        let bad = parse_query("SELECT nope FROM t").unwrap();
+        let bad_fp = fnv1a_64(bad.to_string().as_bytes());
+        assert!(cache.resolved_result_fp(&base, bad_fp, &bad).is_none());
+        assert_eq!(cache.lookup_result_fp(&base, bad_fp, &bad), Some(None));
+        // An append the query's tables never saw carries the entry over;
+        // one that touched them leaves the key to the compute half.
+        let mut two = Catalog::new();
+        two.add_table("t", delta_rows(&[(1, 10), (2, 20)]), vec![]);
+        two.add_table("u", delta_rows(&[(7, 70)]), vec![]);
+        let before = cache.resolved_result_fp(&two, fp, &q).unwrap();
+        let next = two.append_rows("u", delta_rows(&[(8, 80)])).unwrap();
+        let carried = cache.lookup_result_fp(&next, fp, &q).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&before, &carried));
+        let next = two.append_rows("t", delta_rows(&[(3, 30)])).unwrap();
+        assert!(cache.lookup_result_fp(&next, fp, &q).is_none());
+        assert_eq!(cache.result_stats(), CacheStats { hits: 0, misses: 3 });
     }
 
     #[test]

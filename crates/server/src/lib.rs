@@ -16,6 +16,11 @@
 //!    time — so one session's events stay ordered while different sessions
 //!    dispatch fully in parallel.
 //!
+//! A small session-addressed request whose session has no queued or
+//! running work may instead run to completion on its reactor, when the
+//! service says it needs no computation ([`WireService::try_inline`]; see
+//! [`server`] for the conditions).
+//!
 //! Reactors drive their connections off a pluggable readiness
 //! [`Selector`](poll::Selector): epoll on Linux (idle connections cost
 //! zero CPU), a portable timed tick elsewhere — see [`poll`].
@@ -42,7 +47,7 @@ pub mod ws;
 pub use client::{Http1Client, WsClient};
 pub use poll::SelectorKind;
 pub use server::{Server, ServerConfig, ServerStats};
-pub use wire::{PushLink, PushSender, Reject, WireService};
+pub use wire::{Inline, PushLink, PushSender, Reject, WireService};
 
 #[cfg(test)]
 mod tests {
@@ -59,15 +64,19 @@ mod tests {
     use std::time::Duration;
 
     /// Request format: `session:<id>:<payload>` orders under session
-    /// `<id>`; `direct:<payload>` runs sessionless; `slow:<millis>`
-    /// sleeps (sessionless) to hold a worker busy. Responses echo the
-    /// payload with a per-service monotone stamp. Push-capable requests:
-    /// `...:subscribe` binds the arrival connection as a push target,
-    /// `...:notify:<msg>` pushes `<msg>` to every bound target.
+    /// `<id>`; `direct:<payload>` runs sessionless. Responses echo the
+    /// payload and the serving thread's name with a per-service monotone
+    /// stamp. `session:<id>:fast:<payload>` bodies are served inline on
+    /// the reactor (`...:fast:panic` panics there); everything else is
+    /// declined to a worker, where `...:gated` waits for the `gate` lock.
+    /// Push-capable requests: `...:subscribe` binds the arrival connection
+    /// as a push target, `...:notify:<msg>` pushes `<msg>` to every bound
+    /// target.
     struct Echo {
         stamp: AtomicU64,
         delay: Duration,
         links: Mutex<Vec<PushLink>>,
+        gate: Mutex<()>,
     }
 
     impl Echo {
@@ -76,7 +85,14 @@ mod tests {
                 stamp: AtomicU64::new(0),
                 delay,
                 links: Mutex::new(Vec::new()),
+                gate: Mutex::new(()),
             }
+        }
+
+        fn echo(&self, request: &str) -> String {
+            let thread = std::thread::current().name().unwrap_or("?").to_string();
+            let stamp = self.stamp.fetch_add(1, Ordering::SeqCst);
+            format!("{{\"echo\":\"{request}\",\"thread\":\"{thread}\",\"stamp\":{stamp}}}")
         }
     }
 
@@ -111,6 +127,9 @@ mod tests {
             if request.ends_with(":panic") {
                 panic!("echo handler asked to panic");
             }
+            if request.ends_with(":gated") {
+                drop(self.gate.lock().unwrap());
+            }
             if let Some((_, msg)) = request.split_once(":notify:") {
                 let links = self.links.lock().unwrap();
                 let mut delivered = 0;
@@ -121,8 +140,17 @@ mod tests {
                 }
                 return (200, format!("{{\"notified\":{delivered}}}"));
             }
-            let stamp = self.stamp.fetch_add(1, Ordering::SeqCst);
-            (200, format!("{{\"echo\":\"{request}\",\"stamp\":{stamp}}}"))
+            (200, self.echo(&request))
+        }
+
+        fn try_inline(&self, session: u64, body: &str) -> Inline<String> {
+            if !body.starts_with(&format!("session:{session}:fast:")) {
+                return Inline::Declined;
+            }
+            if body.ends_with(":panic") {
+                panic!("inline echo handler asked to panic");
+            }
+            Inline::Served(200, self.echo(body))
         }
 
         fn handle_link(&self, request: String, link: Option<&PushLink>) -> (u16, String) {
@@ -364,6 +392,172 @@ mod tests {
         let started = std::time::Instant::now();
         server.shutdown();
         assert!(started.elapsed() < Duration::from_secs(4));
+    }
+
+    /// The `"thread"` an Echo response names.
+    fn thread_of(body: &str) -> &str {
+        body.split("\"thread\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .unwrap_or_else(|| panic!("no thread in {body}"))
+    }
+
+    fn stamp_of(body: &str) -> u64 {
+        body.rsplit("\"stamp\":")
+            .next()
+            .and_then(|s| s.trim_end_matches('}').parse().ok())
+            .unwrap_or_else(|| panic!("no stamp in {body}"))
+    }
+
+    #[test]
+    fn inline_answers_come_from_reactors_and_declined_ones_from_workers() {
+        let server = start(Duration::ZERO, small_config());
+        let mut client = Http1Client::connect(server.local_addr()).unwrap();
+        let fast = client.post("/v1", "session:1:fast:a").unwrap();
+        assert_eq!(fast.status, 200, "{}", fast.body);
+        assert!(
+            thread_of(&fast.body).starts_with("pi2-reactor-"),
+            "{}",
+            fast.body
+        );
+        // Declined by the service, sessionless, or over the inline size
+        // limit: all served by a worker.
+        let oversized = format!("session:1:fast:{}", "x".repeat(2000));
+        for body in ["session:1:plain", "direct:fast:a", oversized.as_str()] {
+            let resp = client.post("/v1", body).unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert!(
+                thread_of(&resp.body).starts_with("pi2-worker-"),
+                "{body:.40}: {:.200}",
+                resp.body
+            );
+        }
+        // WebSocket messages take the same path.
+        let mut ws = WsClient::connect(server.local_addr()).unwrap();
+        let reply = ws.round_trip("session:2:fast:ws").unwrap();
+        assert!(thread_of(&reply).starts_with("pi2-reactor-"), "{reply}");
+        let reply = ws.round_trip("session:2:ws").unwrap();
+        assert!(thread_of(&reply).starts_with("pi2-worker-"), "{reply}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_queued_token_blocks_inline_service_and_order_holds() {
+        let echo = Arc::new(Echo::new(Duration::ZERO));
+        let server = Server::start(Arc::clone(&echo), small_config()).unwrap();
+        let mut client = Http1Client::connect(server.local_addr()).unwrap();
+        // The declined first request holds the session's token on a worker
+        // until the gate opens; every `fast` request routed meanwhile must
+        // queue behind it instead of being served inline.
+        let gate = echo.gate.lock().unwrap();
+        const FAST: usize = 5;
+        client.send("POST", "/v1", "session:7:gated").unwrap();
+        for i in 0..FAST {
+            client
+                .send("POST", "/v1", &format!("session:7:fast:{i}"))
+                .unwrap();
+        }
+        // The reactor routes one connection's requests in order, so once
+        // this trailing request is counted every `fast` one is routed.
+        client.send("GET", "/healthz", "").unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server.stats().requests < FAST as u64 + 2 {
+            assert!(std::time::Instant::now() < deadline, "{:?}", server.stats());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(gate);
+        let bodies: Vec<String> = (0..=FAST)
+            .map(|_| client.read_response().unwrap().body)
+            .collect();
+        assert_eq!(client.read_response().unwrap().status, 200);
+        assert!(
+            bodies[0].contains("\"echo\":\"session:7:gated\""),
+            "{}",
+            bodies[0]
+        );
+        for (i, body) in bodies[1..].iter().enumerate() {
+            assert!(
+                body.contains(&format!("\"echo\":\"session:7:fast:{i}\"")),
+                "response {} out of order: {body}",
+                i + 1
+            );
+        }
+        for body in &bodies {
+            assert!(thread_of(body).starts_with("pi2-worker-"), "{body}");
+        }
+        let stamps: Vec<u64> = bodies.iter().map(|b| stamp_of(b)).collect();
+        assert!(
+            stamps.windows(2).all(|w| w[0] < w[1]),
+            "stamps not serialized: {stamps:?}"
+        );
+        assert_eq!(server.stats().inline_responses, 0);
+        // Once the session drains, the fast path is open again.
+        let resp = client.post("/v1", "session:7:fast:after").unwrap();
+        assert!(
+            thread_of(&resp.body).starts_with("pi2-reactor-"),
+            "{}",
+            resp.body
+        );
+        assert!(stamp_of(&resp.body) > stamps[FAST]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_inline_handler_answers_500_and_the_session_survives() {
+        let server = start(Duration::ZERO, small_config());
+        let mut client = Http1Client::connect(server.local_addr()).unwrap();
+        let resp = client.post("/v1", "session:5:fast:panic").unwrap();
+        assert_eq!(resp.status, 500);
+        assert_eq!(resp.body, "{\"error\":\"internal\"}");
+        // The token was released: both paths serve the session again.
+        let resp = client.post("/v1", "session:5:fast:after").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(
+            thread_of(&resp.body).starts_with("pi2-reactor-"),
+            "{}",
+            resp.body
+        );
+        let resp = client.post("/v1", "session:5:later").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let stats = server.stats();
+        assert_eq!(stats.inline_responses, 2, "{stats:?}");
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while server.stats().pending_jobs != 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "an inline panic must not leak its pending-job claim"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn inline_responses_count_exactly_the_inline_answers() {
+        let server = start(Duration::ZERO, small_config());
+        let mut client = Http1Client::connect(server.local_addr()).unwrap();
+        const FAST: u64 = 5;
+        for i in 0..FAST {
+            let resp = client.post("/v1", &format!("session:3:fast:{i}")).unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.body);
+        }
+        for body in ["session:3:plain", "direct:x", "bad payload"] {
+            client.post("/v1", body).unwrap();
+        }
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+        let stats = server.stats();
+        assert_eq!(stats.inline_responses, FAST, "{stats:?}");
+        assert_eq!(stats.requests, FAST + 4);
+        let metrics = client.get("/metrics").unwrap();
+        assert!(
+            metrics.body.contains(&format!(
+                "\"requests\":{},\"inlineResponses\":{FAST}",
+                FAST + 5
+            )),
+            "{}",
+            metrics.body
+        );
+        server.shutdown();
     }
 
     #[test]

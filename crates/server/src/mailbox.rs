@@ -4,10 +4,19 @@
 //! session execute in arrival order, requests addressed to different
 //! sessions execute fully in parallel. A [`Mailboxes`] map (lock-sharded in
 //! the style of `pi2_data::ShardedMemo`) holds one bounded FIFO per active
-//! session; a session with queued work holds exactly one *turn token* in
-//! the [`RunQueue`], so at most one worker drives a given session at a
-//! time — ordering needs no per-session mutex wait, and a slow session
-//! never blocks a worker that could serve another one.
+//! session; a session with queued or running work holds exactly one *turn
+//! token*, so at most one thread drives a given session at a time —
+//! ordering needs no per-session mutex wait, and a slow session never
+//! blocks a worker that could serve another one.
+//!
+//! The token is either scheduled in the [`RunQueue`] / held by a worker,
+//! or held by a reactor serving a request inline. A reactor takes it only
+//! through [`Mailboxes::try_claim`], which succeeds only when no token is
+//! live — nothing of the session is queued or running — so an inline
+//! request can never overtake earlier work of its session. The reactor
+//! then either finishes the turn itself ([`Mailboxes::finish_turn`]) or
+//! passes the token on to a worker ([`Mailboxes::enqueue_claimed`] plus a
+//! scheduled [`Runnable::Turn`]).
 //!
 //! Bounded queues are the backpressure primitive: when a session's mailbox
 //! is full, [`Mailboxes::enqueue`] refuses and the server answers 429
@@ -28,13 +37,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-struct Mailbox<T> {
-    queue: VecDeque<T>,
-    /// Whether a turn token for this session is live (queued or held by a
-    /// worker). Invariant: at most one token per session exists.
-    running: bool,
-}
-
 /// Outcome of an [`Mailboxes::enqueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Enqueued {
@@ -46,9 +48,10 @@ pub enum Enqueued {
     Full,
 }
 
-/// The sharded session-id → bounded-FIFO map.
+/// The sharded session-id → bounded-FIFO map. A session has an entry
+/// exactly while its turn token is live; the entry dies with the token.
 pub struct Mailboxes<T> {
-    shards: Vec<Mutex<HashMap<u64, Mailbox<T>>>>,
+    shards: Vec<Mutex<HashMap<u64, VecDeque<T>>>>,
     cap: usize,
 }
 
@@ -61,7 +64,7 @@ impl<T> Mailboxes<T> {
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Mailbox<T>>> {
+    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, VecDeque<T>>> {
         let h = BuildHasherDefault::<DefaultHasher>::default().hash_one(key);
         &self.shards[(h as usize) % self.shards.len()]
     }
@@ -69,20 +72,41 @@ impl<T> Mailboxes<T> {
     /// Append an item to `key`'s mailbox.
     pub fn enqueue(&self, key: u64, item: T) -> Enqueued {
         let mut shard = lock(self.shard(key));
-        let boxed = shard.entry(key).or_insert_with(|| Mailbox {
-            queue: VecDeque::new(),
-            running: false,
-        });
-        if boxed.queue.len() >= self.cap {
-            return Enqueued::Full;
+        match shard.get_mut(&key) {
+            Some(queue) if queue.len() >= self.cap => Enqueued::Full,
+            Some(queue) => {
+                queue.push_back(item);
+                Enqueued::Queued
+            }
+            None => {
+                shard.insert(key, VecDeque::from([item]));
+                Enqueued::MustSchedule
+            }
         }
-        boxed.queue.push_back(item);
-        if boxed.running {
-            Enqueued::Queued
-        } else {
-            boxed.running = true;
-            Enqueued::MustSchedule
+    }
+
+    /// Take `key`'s turn token if no token is live — nothing of the
+    /// session is queued or running. The caller then drives the session
+    /// itself and must end the turn with [`Mailboxes::finish_turn`] or hand
+    /// it on with [`Mailboxes::enqueue_claimed`].
+    pub fn try_claim(&self, key: u64) -> bool {
+        let mut shard = lock(self.shard(key));
+        if shard.contains_key(&key) {
+            return false;
         }
+        shard.insert(key, VecDeque::new());
+        true
+    }
+
+    /// Hand a claimed turn on to a worker: queue its item at the head of
+    /// `key`'s mailbox, ahead of anything that arrived while the claim was
+    /// held; the caller then schedules a [`Runnable::Turn`]. The item was
+    /// admitted when the token was claimed, so the cap does not apply.
+    pub fn enqueue_claimed(&self, key: u64, item: T) {
+        lock(self.shard(key))
+            .entry(key)
+            .or_default()
+            .push_front(item);
     }
 
     /// Take the next item of `key`'s mailbox. Only the holder of `key`'s
@@ -90,7 +114,7 @@ impl<T> Mailboxes<T> {
     pub fn pop(&self, key: u64) -> Option<T> {
         lock(self.shard(key))
             .get_mut(&key)
-            .and_then(|m| m.queue.pop_front())
+            .and_then(VecDeque::pop_front)
     }
 
     /// Finish one turn for `key`: returns `true` when more work is queued
@@ -99,8 +123,8 @@ impl<T> Mailboxes<T> {
     /// bounded by *active* sessions).
     pub fn finish_turn(&self, key: u64) -> bool {
         let mut shard = lock(self.shard(key));
-        match shard.get_mut(&key) {
-            Some(m) if m.queue.is_empty() => {
+        match shard.get(&key) {
+            Some(queue) if queue.is_empty() => {
                 shard.remove(&key);
                 false
             }
@@ -113,7 +137,7 @@ impl<T> Mailboxes<T> {
     pub fn queued(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| lock(s).values().map(|m| m.queue.len()).sum::<usize>())
+            .map(|s| lock(s).values().map(VecDeque::len).sum::<usize>())
             .sum()
     }
 
@@ -221,6 +245,36 @@ mod tests {
         // Draining reopens capacity.
         assert_eq!(boxes.pop(7), Some(0));
         assert_eq!(boxes.enqueue(7, 3), Enqueued::Queued);
+    }
+
+    #[test]
+    fn a_claim_takes_only_a_dead_token_and_hands_on_in_order() {
+        let boxes: Mailboxes<u32> = Mailboxes::new(2);
+        assert_eq!(boxes.enqueue(1, 10), Enqueued::MustSchedule);
+        assert!(!boxes.try_claim(1), "queued work holds the token");
+        assert_eq!(boxes.pop(1), Some(10));
+        assert!(!boxes.try_claim(1), "running work holds the token");
+        assert!(!boxes.finish_turn(1));
+
+        assert!(boxes.try_claim(1));
+        assert!(!boxes.try_claim(1), "one token per session");
+        // Work arriving while the claim is held queues behind it, still
+        // bounded by the cap, and schedules nothing.
+        assert_eq!(boxes.enqueue(1, 12), Enqueued::Queued);
+        assert_eq!(boxes.enqueue(1, 13), Enqueued::Queued);
+        assert_eq!(boxes.enqueue(1, 14), Enqueued::Full);
+        // Handing the claimed turn on puts its own item first.
+        boxes.enqueue_claimed(1, 11);
+        assert_eq!(boxes.pop(1), Some(11));
+        assert!(boxes.finish_turn(1));
+        assert_eq!(boxes.pop(1), Some(12));
+        assert_eq!(boxes.pop(1), Some(13));
+        assert!(!boxes.finish_turn(1));
+
+        // A claim finished with nothing queued leaves no entry behind.
+        assert!(boxes.try_claim(2));
+        assert!(!boxes.finish_turn(2));
+        assert!(boxes.is_idle());
     }
 
     #[test]

@@ -16,10 +16,24 @@
 //! bytes, parses complete HTTP requests (pipelining included), routes
 //! them, and writes finished responses back *in request order* per
 //! connection (a reorder buffer keyed by request sequence number absorbs
-//! out-of-order completion). Reactors never decode protocol bodies: a
-//! `POST /v1` body is routed by [`WireService::route_key`] — a cheap
-//! session-key scan — and decoded on a worker, so a near-limit body
-//! cannot head-of-line block its reactor.
+//! out-of-order completion). A `POST /v1` body is routed by
+//! [`WireService::route_key`] — a cheap session-key scan — and normally
+//! decoded and served on a worker.
+//!
+//! **Run-to-completion fast path.** A reactor serves a request itself,
+//! writing the response straight into the connection's reorder buffer,
+//! when all of these hold: the body is session-addressed and at most
+//! `INLINE_MAX_BODY` bytes (so a near-limit body is never decoded on a
+//! reactor); the session's turn token is free — nothing of the session is
+//! queued or running — and the reactor claims it; and
+//! [`WireService::try_inline`] serves it, which a service does only when
+//! answering needs no computation and no blocking lock. Everything else
+//! goes through the mailbox to a worker, the declined request first (the
+//! reactor passes the token it holds), already decoded if the service
+//! decoded it. Per-session order, the `429` bound, `pending_cap`, the
+//! shutdown drain and unwind isolation (an inline panic answers `500` and
+//! releases the token) hold on both paths; `/metrics` counts the inline
+//! answers as `inlineResponses`.
 //!
 //! `GET /ws` upgrades a connection to a **WebSocket** (RFC 6455; see
 //! [`crate::ws`]). Complete text frames carry exactly the `POST /v1`
@@ -35,8 +49,9 @@
 //!
 //! Routing is where the ordering contract lives: a request addressed to a
 //! session goes through that session's bounded mailbox (see
-//! [`crate::mailbox`]) and at most one **worker** drives a session at a
-//! time, so one session's events serialize while different sessions
+//! [`crate::mailbox`]) and at most one thread — a **worker**, or a reactor
+//! on the fast path — drives a session at a time, so one session's events
+//! serialize while different sessions
 //! dispatch fully in parallel. Sessionless requests go straight to the
 //! worker pool. Nothing queues without bound: a full mailbox answers
 //! `429` with the protocol's stable `backpressure` code, the global job
@@ -54,7 +69,7 @@
 use crate::http::{encode_response, encode_upgrade_response, parse_request, HttpRequest, Parsed};
 use crate::mailbox::{Enqueued, Mailboxes, RunQueue, Runnable};
 use crate::poll::{self, Interest, Selector, SelectorKind, Waker, Wakeup};
-use crate::wire::{PushLink, PushSender, Reject, WireService};
+use crate::wire::{Inline, PushLink, PushSender, Reject, WireService};
 use crate::ws;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
@@ -72,7 +87,11 @@ pub struct ServerConfig {
     pub addr: String,
     /// Reactor (connection I/O) threads.
     pub reactors: usize,
-    /// Worker (protocol dispatch) threads.
+    /// Worker (protocol dispatch) threads. They serve every request the
+    /// reactors do not answer inline: sessionless requests, bodies over the
+    /// inline size limit, sessions with queued or running work, and
+    /// whatever [`WireService::try_inline`] declines (for `Pi2Service`:
+    /// anything that computes, any non-event, and push fan-out).
     pub workers: usize,
     /// Admission gate: connections beyond this are answered `503` and
     /// closed at accept time.
@@ -139,6 +158,9 @@ pub struct ServerStats {
     /// complete WebSocket text messages. Requests whose framing is
     /// itself invalid are not counted.
     pub requests: u64,
+    /// Requests a reactor answered itself on the run-to-completion fast
+    /// path ([`WireService::try_inline`]), panics answered `500` included.
+    pub inline_responses: u64,
     /// Requests answered `429` because a session mailbox was full.
     pub backpressure_rejections: u64,
     /// Responses serialized onto connections (WS: response frames).
@@ -177,15 +199,22 @@ struct Done {
     close_after: bool,
 }
 
+/// Largest body a reactor offers to [`WireService::try_inline`]. Events
+/// are ~100 bytes; anything near `max_body_bytes` is decoded on a worker,
+/// so it cannot head-of-line block its reactor.
+const INLINE_MAX_BODY: usize = 1024;
+
 /// What a worker executes.
-enum JobKind {
-    /// A raw request body — decoded on the worker, never the reactor.
+enum JobKind<R> {
+    /// A raw request body, decoded on the worker.
     Request(String),
+    /// A body the reactor decoded before declining to serve it inline.
+    Decoded(R),
     /// `GET /metrics`: compose service metrics with server counters.
     Metrics,
 }
 
-struct Job {
+struct Job<R> {
     conn: u64,
     seq: u64,
     reactor: usize,
@@ -193,7 +222,7 @@ struct Job {
     /// The request arrived over a WebSocket: hand the service a
     /// [`PushLink`] so it can bind subscriptions to the connection.
     ws: bool,
-    kind: JobKind,
+    kind: JobKind<R>,
 }
 
 /// Per-reactor mail: new connections from the acceptor, finished
@@ -215,6 +244,7 @@ struct Counters {
     rejected: AtomicU64,
     active: AtomicUsize,
     requests: AtomicU64,
+    inline_responses: AtomicU64,
     backpressure: AtomicU64,
     responses: AtomicU64,
     pending_jobs: AtomicUsize,
@@ -227,8 +257,8 @@ struct Counters {
 struct Inner<S: WireService> {
     service: Arc<S>,
     config: ServerConfig,
-    mailboxes: Mailboxes<Job>,
-    run_queue: RunQueue<Job>,
+    mailboxes: Mailboxes<Job<S::Request>>,
+    run_queue: RunQueue<Job<S::Request>>,
     reactors: Vec<ReactorShared>,
     counters: Counters,
     /// The readiness backend the reactor pool actually runs.
@@ -274,6 +304,7 @@ impl<S: WireService> Inner<S> {
             rejected_connections: self.counters.rejected.load(Ordering::Relaxed),
             active_connections: self.counters.active.load(Ordering::Relaxed),
             requests: self.counters.requests.load(Ordering::Relaxed),
+            inline_responses: self.counters.inline_responses.load(Ordering::Relaxed),
             backpressure_rejections: self.counters.backpressure.load(Ordering::Relaxed),
             responses: self.counters.responses.load(Ordering::Relaxed),
             pending_jobs: self.counters.pending_jobs.load(Ordering::Relaxed),
@@ -382,9 +413,11 @@ impl<S: WireService> Inner<S> {
         self.enqueue_body(reactor, conn, seq, true, true, body)
     }
 
-    /// Hand a raw protocol body to the worker pool, ordered under the
-    /// session its routing key names. The caller holds a pending-job
-    /// claim; immediate branches release it.
+    /// Route a raw protocol body: serve it on this reactor when the fast
+    /// path applies (see the module docs), otherwise hand it to the worker
+    /// pool, ordered under the session its routing key names. The caller
+    /// holds a pending-job claim; immediate branches, inline answers
+    /// included, release it.
     fn enqueue_body(
         &self,
         reactor: usize,
@@ -394,39 +427,85 @@ impl<S: WireService> Inner<S> {
         ws: bool,
         body: String,
     ) -> Option<Done> {
-        let session = self.service.route_key(&body);
-        let job = Job {
+        let job = |kind: JobKind<S::Request>| Job {
             conn,
             seq,
             reactor,
             keep_alive,
             ws,
-            kind: JobKind::Request(body),
+            kind,
         };
-        match session {
-            Some(session) => match self.mailboxes.enqueue(session, job) {
-                Enqueued::MustSchedule => {
-                    self.run_queue.push(Runnable::Turn(session));
-                    None
+        let immediate = |status: u16, body: String| {
+            self.counters.pending_jobs.fetch_sub(1, Ordering::SeqCst);
+            Some(Done {
+                conn,
+                seq,
+                status,
+                body,
+                close_after: !keep_alive,
+            })
+        };
+        let Some(session) = self.service.route_key(&body) else {
+            self.run_queue
+                .push(Runnable::Job(job(JobKind::Request(body))));
+            return None;
+        };
+        if body.len() <= INLINE_MAX_BODY && self.mailboxes.try_claim(session) {
+            // This reactor holds the session's turn token: nothing of the
+            // session is queued or running.
+            let kind = match self.try_inline(session, &body) {
+                Inline::Served(status, response) => {
+                    self.counters
+                        .inline_responses
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.finish_turn(session);
+                    return immediate(status, response);
                 }
-                Enqueued::Queued => None,
-                Enqueued::Full => {
-                    self.counters.backpressure.fetch_add(1, Ordering::Relaxed);
-                    self.counters.pending_jobs.fetch_sub(1, Ordering::SeqCst);
-                    let (status, body) = self.reject(Reject::Backpressure { session });
-                    Some(Done {
-                        conn,
-                        seq,
-                        status,
-                        body,
-                        close_after: !keep_alive,
-                    })
-                }
-            },
-            None => {
-                self.run_queue.push(Runnable::Job(job));
+                Inline::Declined => JobKind::Request(body),
+                Inline::Decoded(request) => JobKind::Decoded(request),
+            };
+            // Pass the token on: the declined request runs first.
+            self.mailboxes.enqueue_claimed(session, job(kind));
+            self.run_queue.push(Runnable::Turn(session));
+            return None;
+        }
+        match self.mailboxes.enqueue(session, job(JobKind::Request(body))) {
+            Enqueued::MustSchedule => {
+                self.run_queue.push(Runnable::Turn(session));
                 None
             }
+            Enqueued::Queued => None,
+            Enqueued::Full => {
+                self.counters.backpressure.fetch_add(1, Ordering::Relaxed);
+                let (status, body) = self.reject(Reject::Backpressure { session });
+                immediate(status, body)
+            }
+        }
+    }
+
+    /// [`WireService::try_inline`] under the workers' unwind isolation: a
+    /// panicking handler answers `500` instead of taking the reactor, the
+    /// session's token and the pending-job claim down with it.
+    fn try_inline(&self, session: u64, body: &str) -> Inline<S::Request> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.service.try_inline(session, body)
+        }))
+        .unwrap_or_else(|_| {
+            let (status, body) = self.panicked();
+            Inline::Served(status, body)
+        })
+    }
+
+    /// The response to a request whose handler panicked.
+    fn panicked(&self) -> (u16, String) {
+        self.reject(Reject::Internal("request handler panicked".into()))
+    }
+
+    /// End a turn on `session`, rescheduling its token when work queued
+    /// behind it.
+    fn finish_turn(&self, session: u64) {
+        if self.mailboxes.finish_turn(session) {
+            self.run_queue.push(Runnable::Turn(session));
         }
     }
 
@@ -455,7 +534,7 @@ impl<S: WireService> Inner<S> {
         format!(
             "{{\"v\":1,\"type\":\"server_metrics\",\"server\":{{\
              \"acceptedConnections\":{},\"rejectedConnections\":{},\
-             \"activeConnections\":{},\"requests\":{},\
+             \"activeConnections\":{},\"requests\":{},\"inlineResponses\":{},\
              \"backpressureRejections\":{},\"responses\":{},\
              \"pendingJobs\":{},\"shuttingDown\":{},\
              \"wsConnections\":{},\"pushes\":{},\"pushEvictions\":{},\
@@ -464,6 +543,7 @@ impl<S: WireService> Inner<S> {
             s.rejected_connections,
             s.active_connections,
             s.requests,
+            s.inline_responses,
             s.backpressure_rejections,
             s.responses,
             s.pending_jobs,
@@ -477,7 +557,7 @@ impl<S: WireService> Inner<S> {
         )
     }
 
-    fn execute(&self, job: Job) {
+    fn execute(&self, job: Job<S::Request>) {
         let Job {
             conn,
             seq,
@@ -507,12 +587,10 @@ impl<S: WireService> Inner<S> {
                 Ok(request) => self.service.handle_link(request, link.as_ref()),
                 Err(rejected) => rejected,
             },
+            JobKind::Decoded(request) => self.service.handle_link(request, link.as_ref()),
             JobKind::Metrics => (200, self.metrics_json()),
         }));
-        let (status, body) = handled.unwrap_or_else(|_| {
-            let reject = Reject::Internal("request handler panicked".into());
-            (reject.status(), self.service.reject_body(&reject))
-        });
+        let (status, body) = handled.unwrap_or_else(|_| self.panicked());
         let done = Done {
             conn,
             seq,
@@ -1159,9 +1237,7 @@ fn worker_loop<S: WireService>(inner: &Inner<S>) {
                 if let Some(job) = inner.mailboxes.pop(session) {
                     inner.execute(job);
                 }
-                if inner.mailboxes.finish_turn(session) {
-                    inner.run_queue.push(Runnable::Turn(session));
-                }
+                inner.finish_turn(session);
             }
         }
     }
@@ -1208,6 +1284,7 @@ impl<S: WireService> Server<S> {
                 rejected: AtomicU64::new(0),
                 active: AtomicUsize::new(0),
                 requests: AtomicU64::new(0),
+                inline_responses: AtomicU64::new(0),
                 backpressure: AtomicU64::new(0),
                 responses: AtomicU64::new(0),
                 pending_jobs: AtomicUsize::new(0),

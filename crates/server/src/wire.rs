@@ -38,7 +38,8 @@ pub trait WireService: Send + Sync + 'static {
     /// response for an undecodable one. The error body must be what the
     /// in-process entry point would return for the same input — transport
     /// and in-process callers must report identically. Runs on a worker
-    /// thread, never on a reactor.
+    /// thread; a reactor decodes only the small session-addressed bodies
+    /// it offers to [`WireService::try_inline`].
     fn parse(&self, body: &str) -> Result<Self::Request, (u16, String)>;
 
     /// Cheap scan of a *raw* body for the session routing key. This runs
@@ -67,6 +68,21 @@ pub trait WireService: Send + Sync + 'static {
         self.handle(request)
     }
 
+    /// The run-to-completion fast path: serve a small body routed to
+    /// `session` right here on the reactor thread, or decline. The server
+    /// calls it only while it holds `session`'s turn token over an empty
+    /// mailbox, so nothing of the session is queued or running. Serve only
+    /// what needs no computation (a reactor must never run a query) and
+    /// never block (take locks with `try_lock`); the answer must be the
+    /// bytes [`WireService::handle_link`] would return. Decline before
+    /// decoding when a cheap check already says no; after decoding, hand
+    /// the request back as [`Inline::Decoded`] so the worker does not
+    /// parse it again. Default: decline everything.
+    fn try_inline(&self, session: u64, body: &str) -> Inline<Self::Request> {
+        let _ = (session, body);
+        Inline::Declined
+    }
+
     /// A push-capable connection closed (or was evicted): drop any
     /// subscriptions bound to it. Default: nothing to drop.
     fn connection_closed(&self, conn: u64) {
@@ -81,6 +97,17 @@ pub trait WireService: Send + Sync + 'static {
     /// map each [`Reject`] onto the protocol's structured error space so
     /// clients switch on one set of stable codes.
     fn reject_body(&self, reject: &Reject) -> String;
+}
+
+/// What [`WireService::try_inline`] did with a request.
+#[derive(Debug)]
+pub enum Inline<R> {
+    /// Served on the reactor: `(status, response body)`.
+    Served(u16, String),
+    /// Declined without decoding: a worker parses and serves the raw body.
+    Declined,
+    /// Declined after decoding: a worker serves this request as is.
+    Decoded(R),
 }
 
 /// Everything the transport itself can reject a request for.
