@@ -1,14 +1,9 @@
-//! Big-tier benchmarks: morsel-driven parallel execution over the
-//! 10⁷-row synthetic tier (`pi2_workloads::big`), 1 thread vs 8.
+//! Big-tier benchmarks: the vectorized executor over the 10⁷-row
+//! synthetic tier (`pi2_workloads::big`).
 //!
 //! Three shapes, one query each: `engine/exec_big_filter` (selective
 //! scan and count), `engine/exec_big_agg` (dict-key grouping with null-aware
-//! aggregates), `engine/exec_big_join` (sparse-int partitioned hash join).
-//! Each runs at `t1` (parallelism forced to 1 — the single-threaded
-//! vectorized path) and `t8` (8 workers). Parallelism is set per-query via
-//! `ExecContext` overrides, so the numbers are independent of `PI2_*` env
-//! vars; the row threshold is pinned low so scaled-down runs (see below)
-//! still take the parallel path at `t8`.
+//! aggregates), `engine/exec_big_join` (sparse-int hash join).
 //!
 //! Three more entries measure the live path over the same tier, made
 //! chunked by a run of appends first: `data/append_big` (one 500-row
@@ -26,8 +21,8 @@
 //! this to bound job time); the committed flat baseline is measured at
 //! the full [`BIG_ROWS`].
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pi2_data::{Catalog, DataType, Table, Value};
+use criterion::{criterion_group, criterion_main, Criterion};
+use pi2_data::{DataType, Table, Value};
 use pi2_engine::{execute, ExecContext, IvmState};
 use pi2_sql::ast::Query;
 use pi2_sql::parse_query;
@@ -63,28 +58,13 @@ fn shapes() -> Vec<(&'static str, Query)> {
     ]
 }
 
-/// An [`ExecContext`] pinned to `width` workers regardless of environment.
-fn ctx_at(cat: &Catalog, width: usize) -> ExecContext<'_> {
-    ExecContext::new(cat)
-        .with_parallelism(width)
-        .with_parallel_row_threshold(1024)
-}
-
 fn bench_big(c: &mut Criterion) {
     let cat = big_catalog(tier_rows());
+    let ctx = ExecContext::new(&cat);
     for (name, query) in shapes() {
-        let mut group = c.benchmark_group(&format!("engine/{name}"));
-        for width in [1usize, 8] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("t{width}")),
-                &query,
-                |b, q| {
-                    let ctx = ctx_at(&cat, width);
-                    b.iter(|| std::hint::black_box(execute(q, &ctx).unwrap()))
-                },
-            );
-        }
-        group.finish();
+        c.bench_function(&format!("engine/{name}"), |b| {
+            b.iter(|| std::hint::black_box(execute(&query, &ctx).unwrap()))
+        });
     }
 }
 

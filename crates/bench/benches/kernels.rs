@@ -1,6 +1,6 @@
 //! Kernel-layer microbenchmarks: the `pi2_data::kernels` SIMD primitives
 //! over 10⁷-element slices, isolated from the engine so regressions
-//! attribute to the kernel itself rather than to planning or morsel
+//! attribute to the kernel itself rather than to planning or expression
 //! dispatch.
 //!
 //! Four shapes, mirroring the big-tier hot loops: `data/kernels_filter`

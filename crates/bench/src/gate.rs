@@ -40,13 +40,12 @@ pub const GATED_PREFIXES: [&str; 10] = [
     "service/append_dispatch/",
 ];
 
-/// Bench-name prefixes whose absolute numbers depend on the runner's core
-/// count and SIMD level (the big parallel tier, the live-path benches over
-/// it, and the kernel microbenches).
-/// Comparing these against another machine's flat baseline is meaningless
-/// — a single-core container's `t8` being flat is oversubscription, not a
-/// regression — so without a per-runner baseline entry they warn instead
-/// of failing the gate (see [`check`]).
+/// Bench-name prefixes whose absolute numbers depend on the runner's
+/// memory bandwidth and SIMD level (the 10⁷-row big tier, the live-path
+/// benches over it, and the kernel microbenches).
+/// Comparing these against another machine's flat baseline is meaningless,
+/// so without a per-runner baseline entry they warn instead of failing the
+/// gate (see [`check`]).
 pub const RUNNER_SENSITIVE_PREFIXES: [&str; 4] = [
     "engine/exec_big_",
     "engine/ivm_",
@@ -323,9 +322,9 @@ pub fn promote(
 /// `runner_backed` is the provenance set from [`runner_backed`]: a
 /// [`runner_sensitive`] bench whose committed mean did **not** come from a
 /// per-runner entry produces a non-fatal [`Finding::Warning`] instead of a
-/// regression — its baseline was measured on a different machine, and e.g.
-/// a flat `t1`→`t8` curve on a single-core container is oversubscription,
-/// not a regression. Benches whose numbers are machine-portable (and any
+/// regression — its baseline was measured on a different machine, so a
+/// slower number there says nothing about the change. Benches whose
+/// numbers are machine-portable (and any
 /// bench with a promoted per-runner mean) still fail hard.
 pub fn check(
     committed: &BTreeMap<String, f64>,

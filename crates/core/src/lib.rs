@@ -93,7 +93,6 @@ pub use pi2_server as server;
 pub use pi2_data::memo;
 pub use pi2_data::{Catalog, ColumnData, DataType, LiveCatalog, ShardedMemo, Table, Value};
 pub use pi2_difftree::{Forest, Workload};
-pub use pi2_engine::{engine_config, set_engine_config, EngineConfig};
 pub use pi2_interface::{
     global_eval_cache, CacheStats, InteractionChoice, InteractionKind, Interface, VisKind,
     WidgetKind,

@@ -434,21 +434,6 @@ impl Pi2Service {
         Pi2Service::default()
     }
 
-    /// Set the engine's intra-query worker width for every query this
-    /// process executes (`0` = one worker per available core, `1` =
-    /// single-threaded). The other parallel-execution knobs (row
-    /// threshold, morsel size) keep their current values; use
-    /// [`pi2_engine::set_engine_config`] directly to change them too.
-    /// Queries over inputs below the row threshold stay on the
-    /// single-threaded path regardless, so µs-scale warm dispatch over the
-    /// paper-scale tables is unaffected.
-    pub fn set_parallelism(&self, width: usize) {
-        pi2_engine::set_engine_config(pi2_engine::EngineConfig {
-            parallelism: width,
-            ..pi2_engine::engine_config()
-        });
-    }
-
     /// Register a workload: parse the queries, run generation, pre-warm
     /// the shared caches (input-query results + per-tree mapping
     /// artifacts), and store the generation under `name` (replacing any
@@ -682,20 +667,6 @@ mod tests {
         "SELECT a, count(*) FROM T WHERE b = 10 GROUP BY a",
         "SELECT a, count(*) FROM T WHERE b = 20 GROUP BY a",
     ];
-
-    #[test]
-    fn parallelism_knob_reaches_engine_config() {
-        let before = pi2_engine::engine_config();
-        let service = Pi2Service::new();
-        service.set_parallelism(3);
-        let cfg = pi2_engine::engine_config();
-        assert_eq!(cfg.parallelism, 3);
-        // The other knobs are left alone.
-        assert_eq!(cfg.parallel_row_threshold, before.parallel_row_threshold);
-        assert_eq!(cfg.morsel_rows, before.morsel_rows);
-        service.set_parallelism(before.parallelism);
-        assert_eq!(pi2_engine::engine_config(), before);
-    }
 
     #[test]
     fn register_open_dispatch_delta() {

@@ -1,5 +1,4 @@
-//! Word-level (u64-lane) and explicit-SIMD compute kernels, plus morsel
-//! partitioning.
+//! Word-level (u64-lane) and explicit-SIMD compute kernels.
 //!
 //! The vectorized engine's hottest inner loops — typed comparison filters,
 //! dict-code equality/IN, three-valued boolean logic, selection-vector
@@ -26,35 +25,11 @@
 //! engine — f64 summation is never reassociated ([`sum_f64`] stays
 //! sequential, and [`sum_i64`] only takes the integer-SIMD shortcut when a
 //! `count · max|v| ≤ 2⁵³` bound proves every scalar partial sum was exact).
-//!
-//! Morsel partitioning ([`morsel_ranges`]) is the unit of intra-query
-//! parallelism: fixed-size contiguous row ranges over `Arc`-shared columns,
-//! claimed dynamically by pool workers (see `pi2-engine`).
 
 use crate::column::{f64_ord_key, NullMask};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 use std::sync::OnceLock;
-
-/// Default rows per morsel. Large enough that per-morsel dispatch overhead
-/// (one atomic claim, one windowed relation) is noise against the scan work;
-/// small enough that a pool keeps load-balancing on skewed predicates.
-pub const MORSEL_ROWS: usize = 65_536;
-
-/// Split `0..len` into contiguous `(lo, hi)` morsels of at most
-/// `morsel_rows` rows (the last may be short). `morsel_rows == 0` is
-/// treated as one morsel spanning everything; `len == 0` yields no morsels.
-pub fn morsel_ranges(len: usize, morsel_rows: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    if morsel_rows == 0 {
-        return vec![(0, len)];
-    }
-    (0..len.div_ceil(morsel_rows))
-        .map(|m| (m * morsel_rows, ((m + 1) * morsel_rows).min(len)))
-        .collect()
-}
 
 // ---------------------------------------------------------------------------
 // SIMD tier selection
@@ -1368,18 +1343,6 @@ mod tests {
             m.push(every != 0 && splitmix(seed).is_multiple_of(every));
         }
         m
-    }
-
-    #[test]
-    fn morsel_ranges_cover_exactly() {
-        assert_eq!(morsel_ranges(0, 4), vec![]);
-        assert_eq!(morsel_ranges(10, 0), vec![(0, 10)]);
-        assert_eq!(morsel_ranges(10, 4), vec![(0, 4), (4, 8), (8, 10)]);
-        assert_eq!(morsel_ranges(8, 4), vec![(0, 4), (4, 8)]);
-        let ranges = morsel_ranges(1_000_003, MORSEL_ROWS);
-        assert_eq!(ranges.first().unwrap().0, 0);
-        assert_eq!(ranges.last().unwrap().1, 1_000_003);
-        assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0));
     }
 
     #[test]

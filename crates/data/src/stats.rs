@@ -39,8 +39,7 @@ impl ColumnStats {
     /// inline, and the non-null count reads the null bitmap. Only the
     /// retained distinct-value *list* (at most
     /// [`ColumnStats::DISTINCT_RETENTION_LIMIT`] entries) is ever sorted.
-    /// The column is read in place — morsel-chunked scans elsewhere never
-    /// re-materialize it here.
+    /// The column is read in place, never re-materialized.
     pub fn compute(table: &Table, idx: usize) -> ColumnStats {
         // Fold one column variant: `K: the primitive distinct key`, ordered
         // by `ord`, materialized by `val`. Returns the finished stats so

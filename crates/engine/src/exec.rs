@@ -25,7 +25,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Execution context: the catalogue (which owns the table data) and the
-/// fixed "today" used by `today()` so runs are deterministic.
+/// fixed "today" used by `today()` so runs are deterministic. Every query
+/// runs on the calling thread; the engine spawns no threads of its own.
 #[derive(Clone, Copy)]
 pub struct ExecContext<'a> {
     /// The catalog.
@@ -35,14 +36,6 @@ pub struct ExecContext<'a> {
     /// Route every (sub)query through the scalar reference interpreter
     /// instead of the vectorized executor.
     pub scalar_only: bool,
-    /// Per-query override of the engine-wide `parallelism` knob
-    /// (`Some(1)` pins this query single-threaded; see
-    /// [`crate::pool::EngineConfig`]).
-    pub parallelism: Option<usize>,
-    /// Per-query override of the engine-wide parallel row threshold.
-    pub parallel_row_threshold: Option<usize>,
-    /// Per-query override of the engine-wide morsel size.
-    pub morsel_rows: Option<usize>,
 }
 
 impl<'a> ExecContext<'a> {
@@ -54,9 +47,6 @@ impl<'a> ExecContext<'a> {
             catalog,
             today: 18_809,
             scalar_only: false,
-            parallelism: None,
-            parallel_row_threshold: None,
-            morsel_rows: None,
         }
     }
 
@@ -68,23 +58,9 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Pin this query's worker width (overrides the engine-wide knob;
-    /// `0` = one per available core).
-    pub fn with_parallelism(mut self, width: usize) -> Self {
-        self.parallelism = Some(width);
-        self
-    }
-
-    /// Override the row-count threshold below which this query stays on the
-    /// single-threaded path.
-    pub fn with_parallel_row_threshold(mut self, rows: usize) -> Self {
-        self.parallel_row_threshold = Some(rows);
-        self
-    }
-
-    /// Override the rows-per-morsel grain for this query.
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = Some(rows);
+    /// No-op, kept for source compatibility: the engine is single-threaded,
+    /// so there is no worker width to pin. Returns the context unchanged.
+    pub fn with_parallelism(self, _width: usize) -> Self {
         self
     }
 }
@@ -178,20 +154,10 @@ pub(crate) fn group_key_columns(
 /// Group `n` rows by their key columns (batch-wise hashing; equality and
 /// hashing match `Value` semantics). Groups are in first-encounter order,
 /// like the scalar interpreter's.
-pub(crate) fn build_groups(
-    keycols: &[Arc<ColumnData>],
-    n: usize,
-    ctx: &ExecContext<'_>,
-) -> GroupsAndIds {
+pub(crate) fn build_groups(keycols: &[Arc<ColumnData>], n: usize) -> GroupsAndIds {
     if keycols.is_empty() {
         // An implicit single group (no GROUP BY) aggregates even zero rows.
         return (vec![(0..n as u32).collect()], None);
-    }
-    // Parallel path: per-morsel partial tables merged in morsel order
-    // (identical first-encounter group order). Engages only over the row
-    // threshold and when every key column yields exact integer keys.
-    if let Some(groups) = crate::par::parallel_group_exact(keycols, n, ctx) {
-        return (groups, None);
     }
     let mut groups: Vec<Vec<u32>> = Vec::new();
     // Single typed key: group through a direct typed map.
@@ -291,7 +257,7 @@ pub(crate) fn build_groups(
 /// A key column whose rows reduce to exact `u64` ids: two rows of the
 /// *same* column are [`ColumnData::eq_at`]-equal iff their ids (and null
 /// flags) are equal. Strings and `Mixed` columns don't qualify.
-pub(crate) enum ExactKeyCol<'a> {
+enum ExactKeyCol<'a> {
     /// i64-valued (Int64/Date64).
     I64(&'a [i64], &'a NullMask),
     /// Floats compare by bits under `eq_at`.
@@ -303,7 +269,7 @@ pub(crate) enum ExactKeyCol<'a> {
 }
 
 impl ExactKeyCol<'_> {
-    pub(crate) fn of(c: &ColumnData) -> Option<ExactKeyCol<'_>> {
+    fn of(c: &ColumnData) -> Option<ExactKeyCol<'_>> {
         match c {
             ColumnData::Int64 { values, nulls } | ColumnData::Date64 { values, nulls } => {
                 Some(ExactKeyCol::I64(values, nulls))
@@ -317,7 +283,7 @@ impl ExactKeyCol<'_> {
 
     /// The row's exact id; `None` marks NULL.
     #[inline]
-    pub(crate) fn key(&self, i: usize) -> Option<u64> {
+    fn key(&self, i: usize) -> Option<u64> {
         match self {
             ExactKeyCol::I64(v, n) => (!n.is_null(i)).then(|| v[i] as u64),
             ExactKeyCol::F64(v, n) => (!n.is_null(i)).then(|| v[i].to_bits()),
@@ -330,7 +296,7 @@ impl ExactKeyCol<'_> {
 /// FNV-style fold of one row's exact keys (the one hashing scheme the
 /// exact-key grouping and DISTINCT paths share, so they cannot drift).
 #[inline]
-pub(crate) fn hash_exact_keys(keyers: &[ExactKeyCol<'_>], i: usize) -> u64 {
+fn hash_exact_keys(keyers: &[ExactKeyCol<'_>], i: usize) -> u64 {
     #[inline]
     fn mix(h: u64, x: u64) -> u64 {
         (h ^ x).wrapping_mul(0x100_0000_01b3)
@@ -381,7 +347,7 @@ fn exec_aggregate(
     outer: Option<&Scope<'_>>,
 ) -> Result<Table, EngineError> {
     let keycols = group_key_columns(query, rel, ctx, outer)?;
-    let (mut groups, mut gid) = build_groups(&keycols, rel.len, ctx);
+    let (mut groups, mut gid) = build_groups(&keycols, rel.len);
     let mut compacted: Option<VecRelation> = None;
     if let Some(h) = &query.having {
         let keep = eval_grouped_vec(h, rel, &groups, gid.as_deref(), ctx, outer)?;
@@ -548,7 +514,7 @@ pub(crate) fn exec_projection(
         let descs: Vec<bool> = query.order_by.iter().map(|o| o.desc).collect();
         // Stable sort on a row permutation: equal keys keep input order,
         // like the scalar interpreter's Vec::sort_by.
-        let cmp = |a: u32, b: u32| {
+        idx.sort_by(|&a, &b| {
             for (k, key) in key_vecs.iter().enumerate() {
                 let ord = vec_cmp_at(key, a as usize, b as usize);
                 let ord = if descs[k] { ord.reverse() } else { ord };
@@ -557,11 +523,7 @@ pub(crate) fn exec_projection(
                 }
             }
             std::cmp::Ordering::Equal
-        };
-        let limit = query.limit.map(|l| l as usize);
-        if !crate::par::parallel_sort_idx(&mut idx, &cmp, limit, ctx) {
-            idx.sort_by(|&a, &b| cmp(a, b));
-        }
+        });
     }
     if let Some(l) = query.limit {
         idx.truncate(l as usize);
@@ -748,13 +710,8 @@ pub(crate) fn apply_filter(
         if rel.len == 0 {
             break;
         }
-        let sel = match crate::par::parallel_truthy(c, &rel, ctx, outer) {
-            Some(sel) => sel?,
-            None => {
-                let v = eval_vec(c, &rel, ctx, outer)?;
-                truthy_indices(&v, rel.len)
-            }
-        };
+        let v = eval_vec(c, &rel, ctx, outer)?;
+        let sel = truthy_indices(&v, rel.len);
         if sel.len() < rel.len {
             rel = rel.gather(&sel);
         }
@@ -838,7 +795,7 @@ fn eval_from_vec<'q>(
                 ctx,
                 outer,
             )?;
-            let rel = hash_join_rel(left_rel, lc, right_rel, rc, ctx);
+            let rel = hash_join_rel(left_rel, lc, right_rel, rc);
             let residual = residual.into_iter().cloned().reduce(|a, b| Expr::Binary {
                 left: Box::new(a),
                 op: BinOp::And,
@@ -924,7 +881,6 @@ fn hash_join_rel(
     left_col: usize,
     right: VecRelation,
     right_col: usize,
-    ctx: &ExecContext<'_>,
 ) -> VecRelation {
     let lkey = Arc::clone(left.column(left_col));
     let rkey = Arc::clone(right.column(right_col));
@@ -944,20 +900,14 @@ fn hash_join_rel(
             r = next[r as usize];
         }
     }
-    // Probe driver: over the threshold, left-side morsels probe in
-    // parallel and concatenate in morsel order (identical to the
-    // sequential ascending-row scan); otherwise one inline loop. Generic
-    // so the sequential loop stays monomorphized — paper-scale joins never
-    // pay a dyn call per probed row.
+    // Probe driver: one pass over the left rows in ascending order (the
+    // scalar join's match order). Generic so each arm's loop stays
+    // monomorphized — no dyn call per probed row.
     let n_left = left.len;
-    fn run_probe<F: Fn(usize, &mut Vec<u32>, &mut Vec<u32>) + Sync>(
+    fn run_probe<F: Fn(usize, &mut Vec<u32>, &mut Vec<u32>)>(
         n_left: usize,
-        ctx: &ExecContext<'_>,
         f: F,
     ) -> (Vec<u32>, Vec<u32>) {
-        if let Some(out) = crate::par::parallel_probe(n_left, ctx, &f) {
-            return out;
-        }
         let (mut l, mut r) = (Vec::new(), Vec::new());
         for i in 0..n_left {
             f(i, &mut l, &mut r);
@@ -1010,7 +960,7 @@ fn hash_join_rel(
                         head[slot] = i as u32;
                     }
                 }
-                let (li, ri) = run_probe(n_left, ctx, |i, lidx, ridx| {
+                let (li, ri) = run_probe(n_left, |i, lidx, ridx| {
                     let v = lv[i];
                     if !ln.is_null(i) && v >= min && v <= max {
                         let r = head[(v as i128 - min as i128) as usize];
@@ -1021,32 +971,20 @@ fn hash_join_rel(
                 });
                 (lidx, ridx) = (li, ri);
             } else {
-                // Sparse keys: partitioned parallel build over the
-                // threshold (per-worker partial tables whose chains land in
-                // disjoint `next` slots), else one sequential map. Lookups
-                // route by the same key→partition function either way.
-                let heads: Vec<FastMap<i64, u32>> =
-                    match crate::par::parallel_int_build(rv, rn, &mut next, ctx) {
-                        Some(heads) => heads,
-                        None => {
-                            let mut head: FastMap<i64, u32> =
-                                FastMap::with_capacity_and_hasher(rn_rows, Default::default());
-                            for (i, v) in rv.iter().enumerate().rev() {
-                                if !rn.is_null(i) {
-                                    if let Some(&h) = head.get(v) {
-                                        next[i] = h;
-                                    }
-                                    head.insert(*v, i as u32);
-                                }
-                            }
-                            vec![head]
+                // Sparse keys: one hash map.
+                let mut head: FastMap<i64, u32> =
+                    FastMap::with_capacity_and_hasher(rn_rows, Default::default());
+                for (i, v) in rv.iter().enumerate().rev() {
+                    if !rn.is_null(i) {
+                        if let Some(&h) = head.get(v) {
+                            next[i] = h;
                         }
-                    };
-                let (li, ri) = run_probe(n_left, ctx, |i, lidx, ridx| {
+                        head.insert(*v, i as u32);
+                    }
+                }
+                let (li, ri) = run_probe(n_left, |i, lidx, ridx| {
                     if !ln.is_null(i) {
-                        let v = lv[i];
-                        let p = crate::par::int_partition(v, heads.len());
-                        if let Some(&r) = heads[p].get(&v) {
+                        if let Some(&r) = head.get(&lv[i]) {
                             probe(&next, lidx, ridx, i as u32, r);
                         }
                     }
@@ -1094,7 +1032,7 @@ fn hash_join_rel(
                         .collect(),
                 )
             };
-            let (li, ri) = run_probe(n_left, ctx, |i, lidx, ridx| {
+            let (li, ri) = run_probe(n_left, |i, lidx, ridx| {
                 if ln.is_null(i) {
                     return;
                 }
@@ -1127,7 +1065,7 @@ fn hash_join_rel(
                     head.insert(s, i as u32);
                 }
             }
-            let (li, ri) = run_probe(n_left, ctx, |i, lidx, ridx| {
+            let (li, ri) = run_probe(n_left, |i, lidx, ridx| {
                 if let Some(s) = lkey.str_at(i) {
                     if let Some(&r) = head.get(s) {
                         probe(&next, lidx, ridx, i as u32, r);
@@ -1149,7 +1087,7 @@ fn hash_join_rel(
                     head.insert(key, i as u32);
                 }
             }
-            let (li, ri) = run_probe(n_left, ctx, |i, lidx, ridx| {
+            let (li, ri) = run_probe(n_left, |i, lidx, ridx| {
                 let key = lkey.value(i);
                 if key.is_null() {
                     return;

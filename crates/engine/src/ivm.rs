@@ -682,7 +682,7 @@ impl AggState {
             return Ok(());
         }
         let keycols = group_key_columns(query, &rel, ctx, None)?;
-        let (local, local_gid) = build_groups(&keycols, rel.len, ctx);
+        let (local, local_gid) = build_groups(&keycols, rel.len);
         let mut to_carried = Vec::with_capacity(local.len());
         for idx in &local {
             let first = idx[0] as usize;

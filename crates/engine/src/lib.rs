@@ -23,8 +23,6 @@ pub mod error;
 pub mod eval;
 pub mod exec;
 pub mod ivm;
-mod par;
-pub mod pool;
 mod scalar;
 mod vector;
 
@@ -32,4 +30,3 @@ pub use analyze::{analyze_query, ColType, OutCol, QueryInfo};
 pub use error::EngineError;
 pub use exec::{execute, execute_scalar, ExecContext};
 pub use ivm::{referenced_tables, IvmState};
-pub use pool::{engine_config, set_engine_config, EngineConfig};

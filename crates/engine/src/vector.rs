@@ -48,10 +48,7 @@ pub(crate) struct LazyCol {
     base: Arc<ColumnData>,
     /// Pending row selection into `base`; `None` means the column is dense.
     sel: Option<SelVec>,
-    /// Pending contiguous window `[lo, hi)` into `base` (used by worker
-    /// morsels); mutually exclusive with `sel`.
-    range: Option<(usize, usize)>,
-    /// The materialized (gathered/sliced) column, filled on first read.
+    /// The materialized (gathered) column, filled on first read.
     cache: std::cell::OnceCell<Arc<ColumnData>>,
 }
 
@@ -61,7 +58,6 @@ impl LazyCol {
         LazyCol {
             base,
             sel: None,
-            range: None,
             cache: std::cell::OnceCell::new(),
         }
     }
@@ -71,31 +67,16 @@ impl LazyCol {
         LazyCol {
             base,
             sel: Some(sel),
-            range: None,
             cache: std::cell::OnceCell::new(),
         }
     }
 
-    /// A column viewed through a contiguous row window `[lo, hi)` of the
-    /// base: the morsel view. Materializes (only if read) through the
-    /// word-level [`ColumnData::slice`], not a per-row gather.
-    pub fn windowed(base: Arc<ColumnData>, lo: usize, hi: usize) -> LazyCol {
-        debug_assert!(lo <= hi && hi <= base.len());
-        LazyCol {
-            base,
-            sel: None,
-            range: Some((lo, hi)),
-            cache: std::cell::OnceCell::new(),
-        }
-    }
-
-    /// The materialized column (gathers/slices through the pending view
+    /// The materialized column (gathers through the pending selection
     /// once, then caches).
     fn get(&self) -> &Arc<ColumnData> {
-        match (&self.sel, self.range) {
-            (None, None) => &self.base,
-            (Some(sel), _) => self.cache.get_or_init(|| Arc::new(self.base.gather(sel))),
-            (None, Some((lo, hi))) => self.cache.get_or_init(|| Arc::new(self.base.slice(lo, hi))),
+        match &self.sel {
+            None => &self.base,
+            Some(sel) => self.cache.get_or_init(|| Arc::new(self.base.gather(sel))),
         }
     }
 
@@ -104,25 +85,9 @@ impl LazyCol {
         if let Some(c) = self.cache.get() {
             return c.value(i);
         }
-        match (&self.sel, self.range) {
-            (Some(sel), _) => self.base.value(sel[i] as usize),
-            (None, Some((lo, _))) => self.base.value(lo + i),
-            (None, None) => self.base.value(i),
-        }
-    }
-
-    /// Snapshot of the column as Send/Sync `(storage, selection)` parts, for
-    /// building worker-local morsel windows: the cached materialization when
-    /// present, else the base plus its pending selection. A range window
-    /// (only built inside workers, which never re-window) materializes.
-    pub(crate) fn parts(&self) -> (Arc<ColumnData>, Option<SelVec>) {
-        if self.range.is_some() {
-            return (Arc::clone(self.get()), None);
-        }
-        match (self.cache.get(), &self.sel) {
-            (Some(c), _) => (Arc::clone(c), None),
-            (None, Some(sel)) => (Arc::clone(&self.base), Some(Arc::clone(sel))),
-            (None, None) => (Arc::clone(&self.base), None),
+        match &self.sel {
+            Some(sel) => self.base.value(sel[i] as usize),
+            None => self.base.value(i),
         }
     }
 
@@ -134,16 +99,12 @@ impl LazyCol {
             // Already materialized: restart from the gathered column.
             return LazyCol::selected(Arc::clone(c), Arc::clone(idx));
         }
-        match (&self.sel, self.range) {
-            (Some(sel), _) => {
+        match &self.sel {
+            Some(sel) => {
                 let composed = memo.compose(sel, idx);
                 LazyCol::selected(Arc::clone(&self.base), composed)
             }
-            (None, Some((lo, _))) => LazyCol::selected(
-                Arc::clone(&self.base),
-                Arc::new(idx.iter().map(|&i| lo as u32 + i).collect()),
-            ),
-            (None, None) => LazyCol::selected(Arc::clone(&self.base), Arc::clone(idx)),
+            None => LazyCol::selected(Arc::clone(&self.base), Arc::clone(idx)),
         }
     }
 }
@@ -1277,22 +1238,12 @@ pub(crate) fn eval_grouped_vec(
                 .iter()
                 .map(|a| eval_grouped_vec(a, rel, groups, gid, ctx, outer))
                 .collect::<Result<Vec<_>, _>>()?;
-            // One closure serves both paths: the pool runs it over chunks
-            // of whole groups, the sequential fallback over [0, len).
-            let eval_range = |lo: usize, hi: usize| {
-                (lo..hi)
-                    .map(|g| {
-                        let vals: Vec<Value> = argvals.iter().map(|a| a[g].clone()).collect();
-                        apply_scalar_function(name, &vals, ctx)
-                    })
-                    .collect::<Result<Vec<Value>, EngineError>>()
-            };
-            if let Some(out) =
-                crate::par::parallel_grouped_eval(groups.len(), rel.len, ctx, &eval_range)
-            {
-                return out;
-            }
-            eval_range(0, groups.len())
+            (0..groups.len())
+                .map(|g| {
+                    let vals: Vec<Value> = argvals.iter().map(|a| a[g].clone()).collect();
+                    apply_scalar_function(name, &vals, ctx)
+                })
+                .collect()
         }
         Expr::Literal(l) => Ok(vec![literal_value(l); groups.len()]),
         Expr::Column { table, name } if rel.lookup(table.as_deref(), name).is_some() => {
@@ -1309,38 +1260,22 @@ pub(crate) fn eval_grouped_vec(
                 .collect())
         }
         // Representative-row semantics (correlated subqueries, IN, IS NULL,
-        // outer columns): one scalar evaluation per group. Representative
-        // rows materialize up front so the pool can share them (the lazy
-        // column cache is not Sync); the sequential fallback pays the same
-        // per-group row cost it always did.
-        other => {
-            let rows: Vec<Vec<Value>> = groups
-                .iter()
-                .map(|idx| match idx.first() {
+        // outer columns): one scalar evaluation per group.
+        other => groups
+            .iter()
+            .map(|idx| {
+                let row = match idx.first() {
                     Some(&i) => rel.row(i as usize),
                     None => Vec::new(),
-                })
-                .collect();
-            let cols = &rel.cols;
-            let eval_range = |lo: usize, hi: usize| {
-                (lo..hi)
-                    .map(|g| {
-                        let scope = Scope {
-                            cols,
-                            row: &rows[g],
-                            parent: outer,
-                        };
-                        eval::eval_expr(other, &scope, ctx)
-                    })
-                    .collect::<Result<Vec<Value>, EngineError>>()
-            };
-            if let Some(out) =
-                crate::par::parallel_grouped_eval(groups.len(), rel.len, ctx, &eval_range)
-            {
-                return out;
-            }
-            eval_range(0, groups.len())
-        }
+                };
+                let scope = Scope {
+                    cols: &rel.cols,
+                    row: &row,
+                    parent: outer,
+                };
+                eval::eval_expr(other, &scope, ctx)
+            })
+            .collect(),
     }
 }
 
@@ -1377,12 +1312,6 @@ fn eval_aggregate_vec(
         if let Some(out) = aggregate_fused(&lname, &col, groups.len(), gid) {
             return Ok(out);
         }
-    }
-    // Parallel path: contiguous chunks of whole groups (a group's rows are
-    // never split, so float accumulation order is untouched).
-    if let Some(out) = crate::par::parallel_aggregate_over(&lname, name, &col, groups, rel.len, ctx)
-    {
-        return out;
     }
     let mut out = Vec::with_capacity(groups.len());
     for idx in groups {

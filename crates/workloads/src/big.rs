@@ -4,14 +4,12 @@
 //! bit-identical tables.
 //!
 //! The paper-scale tables in [`crate::datasets`] top out at a few thousand
-//! rows — small enough that the engine's morsel-parallel paths never engage
-//! (they sit below the row threshold by design). This tier exists to *earn*
-//! the parallelism: scans, joins, grouping and sorts over
-//! [`BIG_ROWS`]-sized columns. Tables build column-at-a-time into typed
-//! storage (10⁷ `Vec<Value>` rows would dwarf the actual data), dictionary
-//! columns construct their sorted dictionaries directly, and every
-//! generator takes a row count so tests can run scaled-down variants of
-//! the exact same data distribution.
+//! rows. This tier measures the engine where data volume dominates:
+//! scans, joins, grouping and sorts over [`BIG_ROWS`]-sized columns.
+//! Tables build column-at-a-time into typed storage (10⁷ `Vec<Value>`
+//! rows would dwarf the actual data), dictionary columns construct their
+//! sorted dictionaries directly, and every generator takes a row count so
+//! tests can run scaled-down variants of the exact same data distribution.
 
 use pi2_data::{Catalog, Column, ColumnData, DataType, NullMask, Schema, Table};
 use std::sync::Arc;
@@ -73,8 +71,7 @@ fn dict_col(labels: &[&str], codes: Vec<u32>) -> ColumnData {
     }
 }
 
-/// US state codes for `covid_big` (sorted; 24 labels keeps grouping wide
-/// enough to spread across workers while staying realistic).
+/// US state codes for `covid_big` (sorted; 24 labels).
 const STATES: &[&str] = &[
     "AZ", "CA", "CO", "FL", "GA", "IL", "IN", "MA", "MD", "MI", "MN", "MO", "NC", "NJ", "NY", "OH",
     "OR", "PA", "TN", "TX", "UT", "VA", "WA", "WI",
@@ -165,9 +162,8 @@ pub fn sales_big(rows: usize) -> Table {
 }
 
 /// Customer ids are deliberately *sparse* (`index * 7919 + 13`): the span
-/// far exceeds the row count, so the join build takes the hash-map path —
-/// the one the partitioned parallel build accelerates — instead of the
-/// dense direct-indexed array.
+/// far exceeds the row count, so the join build takes the hash-map path
+/// instead of the dense direct-indexed array.
 #[inline]
 fn customer_id(index: u64) -> i64 {
     (index * 7919 + 13) as i64
@@ -218,8 +214,8 @@ pub fn customers_big(rows: usize) -> Table {
 
 /// The big-tier catalogue at `rows` scale: `covid_big` and `sales_big` at
 /// `rows`, plus the `orders`/`customers` join pair (customers at
-/// `rows / 50`, so the full tier's build side crosses the parallel row
-/// threshold too). Use [`BIG_ROWS`] for the full tier; tests pass small
+/// `rows / 50`, a 2·10⁵-row build side in the full tier). Use
+/// [`BIG_ROWS`] for the full tier; tests pass small
 /// counts for the identical distribution at toy scale.
 pub fn big_catalog(rows: usize) -> Catalog {
     let customers = (rows / 50).max(1);
