@@ -14,6 +14,12 @@
 //! after an append costs). Per-layer evidence for the O(delta) live path;
 //! the end-to-end claim rests on the standing benchmark's `live_append`.
 //!
+//! `data/register_big` registers the four big-tier tables into a fresh
+//! catalogue (`Catalog::add_table`: column statistics and the content
+//! fingerprint), the setup every serving process pays before its first
+//! event. No traced benchmark span covers registration, so this is its
+//! per-layer number.
+//!
 //! This lives in its own bench binary (not `engine.rs`) because the
 //! vendored criterion shim applies its CLI filter inside `bench_function`
 //! — table construction in an unrelated bench binary would still pay the
@@ -22,11 +28,11 @@
 //! the full [`BIG_ROWS`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pi2_data::{DataType, Table, Value};
+use pi2_data::{Catalog, DataType, Table, Value};
 use pi2_engine::{execute, ExecContext, IvmState};
 use pi2_sql::ast::Query;
 use pi2_sql::parse_query;
-use pi2_workloads::big::{big_catalog, SplitMix64, BIG_ROWS};
+use pi2_workloads::big::{big_catalog, big_tables, SplitMix64, BIG_ROWS};
 
 fn tier_rows() -> usize {
     std::env::var("PI2_BIG_BENCH_ROWS")
@@ -130,5 +136,20 @@ fn bench_live(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_big, bench_live);
+fn bench_register(c: &mut Criterion) {
+    // Built once: a clone shares the column storage behind `Arc`, so the
+    // timed loop pays for registration only.
+    let tables = big_tables(tier_rows());
+    c.bench_function("data/register_big", |b| {
+        b.iter(|| {
+            let mut cat = Catalog::new();
+            for (name, table, primary_key) in &tables {
+                cat.add_table(*name, table.clone(), primary_key.clone());
+            }
+            std::hint::black_box(cat)
+        })
+    });
+}
+
+criterion_group!(benches, bench_big, bench_live, bench_register);
 criterion_main!(benches);

@@ -8,14 +8,14 @@
 //! of per-runner-label overrides — see [`parse_baseline_json_for`]) and
 //! fails when any **gated** bench — `mcts/*`, `engine/exec_*`,
 //! `engine/ivm_*`, `data/kernels_*`, `data/append_big`,
-//! `service/session_throughput/*`,
+//! `data/register_big`, `service/session_throughput/*`,
 //! `service/server_throughput/*`, `service/ws_push_fanout/*`,
 //! `service/append_dispatch/*` — regresses
 //! by more than the threshold
 //! (default 25%). Ungated benches are reported but never fail the job
 //! (per-log end-to-end numbers are tracked through the emitted snapshot
 //! instead). Runner-sensitive tiers (`engine/exec_big_*`, `engine/ivm_*`,
-//! `data/append_big`, `data/kernels_*`)
+//! `data/append_big`, `data/register_big`, `data/kernels_*`)
 //! only warn when no per-runner baseline entry backs them — their numbers
 //! don't transfer across machines (see [`check`]).
 //!
@@ -27,13 +27,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Bench-name prefixes whose regressions fail the gate.
-pub const GATED_PREFIXES: [&str; 10] = [
+pub const GATED_PREFIXES: [&str; 11] = [
     "mcts/",
     "engine/exec_",
     "engine/exec_big_",
     "engine/ivm_",
     "data/kernels_",
     "data/append_big",
+    "data/register_big",
     "service/session_throughput/",
     "service/server_throughput/",
     "service/ws_push_fanout/",
@@ -41,16 +42,17 @@ pub const GATED_PREFIXES: [&str; 10] = [
 ];
 
 /// Bench-name prefixes whose absolute numbers depend on the runner's
-/// memory bandwidth and SIMD level (the 10⁷-row big tier, the live-path
-/// benches over it, and the kernel microbenches).
+/// memory bandwidth and SIMD level (the 10⁷-row big tier, its registration
+/// and the live-path benches over it, and the kernel microbenches).
 /// Comparing these against another machine's flat baseline is meaningless,
 /// so without a per-runner baseline entry they warn instead of failing the
 /// gate (see [`check`]).
-pub const RUNNER_SENSITIVE_PREFIXES: [&str; 4] = [
+pub const RUNNER_SENSITIVE_PREFIXES: [&str; 5] = [
     "engine/exec_big_",
     "engine/ivm_",
     "data/kernels_",
     "data/append_big",
+    "data/register_big",
 ];
 
 /// Default regression threshold: fail when `fresh > committed * 1.25`.
@@ -617,6 +619,7 @@ mod tests {
         assert!(is_gated("data/kernels_agg/t1"), "kernels benches are gated");
         for live in [
             "data/append_big",
+            "data/register_big",
             "engine/ivm_delta_big",
             "engine/ivm_build_big",
         ] {

@@ -32,12 +32,16 @@ impl ColumnStats {
     /// widget domains for borderline columns remain available.
     pub const DISTINCT_RETENTION_LIMIT: usize = 64;
 
-    /// Compute statistics for column `idx` of `table` in one O(rows) pass
-    /// over the typed storage: distinct values go through a primitive-keyed
-    /// hash set (not a whole-column sort/dedup, which allocated a full copy
-    /// and cost O(rows · log rows) on the 10⁷-row tier), min/max fold
-    /// inline, and the non-null count reads the null bitmap. Only the
-    /// retained distinct-value *list* (at most
+    /// Compute statistics for column `idx` of `table` in one pass over the
+    /// typed storage: distinct values go through a primitive-keyed hash set
+    /// (not a whole-column sort/dedup, which allocated a full copy and cost
+    /// O(rows · log rows) on the 10⁷-row tier), min/max fold inline, and the
+    /// non-null count reads the null bitmap. The pass is O(rows) only in
+    /// expectation: it relies on [`crate::hash::FastHasher`] spreading the
+    /// keys over buckets. Float columns key by bit pattern, and integer- or
+    /// cent-valued floats differ only in their high bits; a hash whose low
+    /// bits ignored those would make this loop O(rows²) (see
+    /// `crate::hash`). Only the retained distinct-value *list* (at most
     /// [`ColumnStats::DISTINCT_RETENTION_LIMIT`] entries) is ever sorted.
     /// The column is read in place, never re-materialized.
     pub fn compute(table: &Table, idx: usize) -> ColumnStats {
@@ -300,6 +304,28 @@ mod tests {
         assert_eq!(s.min, Some(Value::Int(0)));
         assert_eq!(s.max, Some(Value::Int(999)));
         assert!(s.distinct_values.is_none());
+        assert!(!s.unique);
+    }
+
+    /// Integer- and quarter-valued floats differ only in the high bits of
+    /// their bit patterns (the keys of the distinct set); stats stay exact.
+    #[test]
+    fn integer_and_quarter_valued_floats_get_exact_stats() {
+        let values: Vec<f64> = (0..20_000).map(|k| k as f64 * 0.25).collect();
+        let schema = crate::table::Schema::new(vec![Column::new("x", DataType::Float)]);
+        let mut doubled = values.clone();
+        doubled.extend_from_slice(&values);
+        let t = Table::from_columns(schema.clone(), vec![ColumnData::floats(values)]).unwrap();
+        let s = ColumnStats::compute(&t, 0);
+        assert_eq!(s.distinct_count, 20_000);
+        assert_eq!(s.min, Some(Value::Float(0.0)));
+        assert_eq!(s.max, Some(Value::Float(4_999.75)));
+        assert!(s.unique);
+        assert!(s.distinct_values.is_none());
+
+        let t = Table::from_columns(schema, vec![ColumnData::floats(doubled)]).unwrap();
+        let s = ColumnStats::compute(&t, 0);
+        assert_eq!(s.distinct_count, 20_000);
         assert!(!s.unique);
     }
 

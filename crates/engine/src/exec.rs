@@ -377,7 +377,7 @@ fn exec_aggregate(
                     *i = remap[*i as usize];
                 }
             }
-            compacted = Some(rel.gather(&sel));
+            compacted = Some(rel.gather(sel));
         }
     }
     let rel = compacted.as_ref().unwrap_or(rel);
@@ -713,7 +713,7 @@ pub(crate) fn apply_filter(
         let v = eval_vec(c, &rel, ctx, outer)?;
         let sel = truthy_indices(&v, rel.len);
         if sel.len() < rel.len {
-            rel = rel.gather(&sel);
+            rel = rel.gather(sel);
         }
     }
     Ok(rel)
@@ -1103,8 +1103,8 @@ fn hash_join_rel(
     drop(rkey);
 
     let len = lidx.len();
-    let l = left.gather(&lidx);
-    let r = right.gather(&ridx);
+    let l = left.gather(lidx);
+    let r = right.gather(ridx);
     let mut cols = (*l.cols).clone();
     let mut types = (*l.types).clone();
     let mut columns = l.columns;
@@ -1149,7 +1149,7 @@ fn cross_product_vec(left: VecRelation, binding: &str, right: &Table) -> VecRela
         }
     }
     let ridx: Arc<Vec<u32>> = Arc::new(ridx);
-    let left = left.gather(&lidx);
+    let left = left.gather(lidx);
     let mut columns: Vec<LazyCol> = left.columns;
     for i in 0..right.num_columns() {
         columns.push(LazyCol::selected(

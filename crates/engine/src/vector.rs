@@ -174,9 +174,11 @@ impl VecRelation {
     }
 
     /// The relation restricted to the given rows — lazily: selection
-    /// vectors compose, no cell data moves until a column is read.
-    pub fn gather(&self, idx: &[u32]) -> VecRelation {
-        let idx: SelVec = Arc::new(idx.to_vec());
+    /// vectors compose, no cell data moves until a column is read. Takes
+    /// the selection by value: it becomes the shared selection vector
+    /// without a copy.
+    pub fn gather(&self, idx: Vec<u32>) -> VecRelation {
+        let idx: SelVec = Arc::new(idx);
         let mut memo = ComposeMemo::default();
         VecRelation {
             cols: Arc::clone(&self.cols),
@@ -1203,7 +1205,7 @@ pub(crate) fn eval_grouped_vec(
                                 // short-circuited (the scalar interpreter
                                 // never evaluates them, and another group's
                                 // row could be one that errors).
-                                let sub = rel.gather(&groups[g]);
+                                let sub = rel.gather(groups[g].clone());
                                 let local: Vec<u32> = (0..sub.len as u32).collect();
                                 eval_grouped_vec(right, &sub, &[local], None, ctx, outer)
                                     .map(|mut v| v.pop().expect("one group in, one value out"))

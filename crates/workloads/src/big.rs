@@ -212,18 +212,28 @@ pub fn customers_big(rows: usize) -> Table {
     ])
 }
 
-/// The big-tier catalogue at `rows` scale: `covid_big` and `sales_big` at
-/// `rows`, plus the `orders`/`customers` join pair (customers at
-/// `rows / 50`, a 2·10⁵-row build side in the full tier). Use
-/// [`BIG_ROWS`] for the full tier; tests pass small
-/// counts for the identical distribution at toy scale.
-pub fn big_catalog(rows: usize) -> Catalog {
+/// The big-tier tables at `rows` scale, as (name, table, primary key)
+/// triples in registration order: `covid_big` and `sales_big` at `rows`,
+/// plus the `orders`/`customers` join pair (customers at `rows / 50`, a
+/// 2·10⁵-row build side in the full tier).
+pub fn big_tables(rows: usize) -> Vec<(&'static str, Table, Vec<&'static str>)> {
     let customers = (rows / 50).max(1);
+    vec![
+        ("covid_big", covid_big(rows), vec![]),
+        ("sales_big", sales_big(rows), vec![]),
+        ("orders", orders_big(rows, customers), vec!["id"]),
+        ("customers", customers_big(customers), vec!["id"]),
+    ]
+}
+
+/// The big-tier catalogue at `rows` scale: [`big_tables`], registered.
+/// Use [`BIG_ROWS`] for the full tier; tests pass small counts for the
+/// identical distribution at toy scale.
+pub fn big_catalog(rows: usize) -> Catalog {
     let mut c = Catalog::new();
-    c.add_table("covid_big", covid_big(rows), vec![]);
-    c.add_table("sales_big", sales_big(rows), vec![]);
-    c.add_table("orders", orders_big(rows, customers), vec!["id"]);
-    c.add_table("customers", customers_big(customers), vec!["id"]);
+    for (name, table, primary_key) in big_tables(rows) {
+        c.add_table(name, table, primary_key);
+    }
     c
 }
 

@@ -130,7 +130,8 @@ fn vectorized_matches_scalar_on_duplicated_filter_log() {
 
 /// Fixed queries over the big-tier catalogue at toy scale: selective
 /// filters, dict-key and multi-key grouping with null-aware aggregates,
-/// the sparse-integer hash join, and ORDER BY with and without LIMIT.
+/// the sparse-integer hash join, ORDER BY with and without LIMIT, and
+/// float-keyed grouping and DISTINCT.
 #[test]
 fn vectorized_matches_scalar_on_big_tier_shapes() {
     let cat = big_catalog(12_000);
@@ -148,6 +149,12 @@ fn vectorized_matches_scalar_on_big_tier_shapes() {
          WHERE o.customer_id = c.id AND c.score > 95 AND o.amount > 4500",
         "SELECT state, cases FROM covid_big WHERE deaths > 900 ORDER BY cases DESC LIMIT 25",
         "SELECT product, sum(quantity) FROM sales_big GROUP BY product ORDER BY sum(quantity) DESC",
+        // Float keys (cent-valued amounts and totals): bit patterns that
+        // differ only in their high bits.
+        "SELECT amount, count(*) FROM orders GROUP BY amount",
+        "SELECT DISTINCT amount FROM orders",
+        "SELECT region, amount, count(*) FROM orders GROUP BY region, amount",
+        "SELECT total, count(*) FROM sales_big GROUP BY total HAVING count(*) > 1",
     ] {
         assert_executors_agree(&cat, sql);
     }
