@@ -21,7 +21,13 @@ pub fn test_config() -> GenerationConfig {
 /// Generate an interface for one of the paper's query logs.
 #[allow(dead_code)] // not every integration-test binary calls every helper
 pub fn generate(kind: pi2_workloads::LogKind) -> pi2::Generation {
-    let log = pi2_workloads::log(kind);
+    generate_log(&pi2_workloads::log(kind))
+}
+
+/// Generate an interface for any query list over the workloads catalogue
+/// (e.g. `pi2_workloads::duplicated`).
+#[allow(dead_code)] // not every integration-test binary calls every helper
+pub fn generate_log(log: &pi2_workloads::QueryLog) -> pi2::Generation {
     let refs: Vec<&str> = log.queries.iter().map(|s| s.as_str()).collect();
     pi2::Pi2::new(pi2_workloads::catalog())
         .generate_with(&refs, &test_config())

@@ -1,5 +1,6 @@
-//! Golden interfaces: the seven paper logs, generated under
-//! `common::test_config()`, pinned as files in `tests/golden/`.
+//! Golden interfaces: the seven paper logs and `filter_x10` (the Filter
+//! log duplicated to 90 queries, the §7.3 scalability input), generated
+//! under `common::test_config()`, pinned as files in `tests/golden/`.
 //!
 //! Each `tests/golden/<log>.json` holds the log's interface spec
 //! (`pi2::json::interface_to_json`) and its §5 cost. The spec is compared
@@ -15,7 +16,8 @@
 
 mod common;
 
-use pi2_workloads::{log, LogKind};
+use pi2_workloads::logs::duplicated;
+use pi2_workloads::{log, LogKind, QueryLog};
 use std::path::PathBuf;
 
 /// Relative tolerance on the pinned cost.
@@ -24,20 +26,35 @@ const COST_RTOL: f64 = 1e-9;
 /// The key whose value (the spec) runs to the end of a golden file.
 const SPEC_KEY: &str = "\"interface\": ";
 
-fn golden_path(kind: LogKind) -> PathBuf {
+/// The Filter log duplicated to 90 queries: every query occurs ten times.
+fn filter_x10() -> QueryLog {
+    QueryLog {
+        name: "filter_x10",
+        ..duplicated(LogKind::Filter, 90)
+    }
+}
+
+/// Every pinned input, named as its golden file.
+fn inputs() -> Vec<QueryLog> {
+    let mut all: Vec<QueryLog> = LogKind::ALL.into_iter().map(log).collect();
+    all.push(filter_x10());
+    all
+}
+
+fn golden_path(log: &QueryLog) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{}.json", log(kind).name))
+        .join(format!("{}.json", log.name))
 }
 
 /// Generate one log and render its golden file: a JSON object whose last
 /// member is the spec, verbatim.
-fn render(kind: LogKind) -> String {
-    let g = common::generate(kind);
-    assert!(g.cost.is_finite(), "[{kind:?}] non-finite cost");
+fn render(log: &QueryLog) -> String {
+    let g = common::generate_log(log);
+    assert!(g.cost.is_finite(), "[{}] non-finite cost", log.name);
     format!(
         "{{\n\"log\": \"{}\",\n\"cost\": {},\n{SPEC_KEY}{}\n}}\n",
-        log(kind).name,
+        log.name,
         g.cost,
         pi2::json::interface_to_json(&g.interface)
     )
@@ -58,10 +75,15 @@ fn parse(text: &str) -> (f64, &str) {
 }
 
 fn check(kind: LogKind) {
-    let path = golden_path(kind);
+    check_log(&log(kind));
+}
+
+fn check_log(log: &QueryLog) {
+    let kind = log.name;
+    let path = golden_path(log);
     let pinned = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("{}: {e} (regenerate: see module doc)", path.display()));
-    let fresh = render(kind);
+    let fresh = render(log);
     let ((pinned_cost, pinned_spec), (cost, spec)) = (parse(&pinned), parse(&fresh));
     assert_eq!(
         spec,
@@ -110,13 +132,18 @@ fn sales_matches_golden() {
     check(LogKind::Sales);
 }
 
+#[test]
+fn filter_x10_matches_golden() {
+    check_log(&filter_x10());
+}
+
 /// Rewrite every golden file from the current code.
 #[test]
 #[ignore = "rewrites tests/golden/; run after an intended search change"]
 fn regenerate_goldens() {
-    for kind in LogKind::ALL {
-        let path = golden_path(kind);
+    for log in inputs() {
+        let path = golden_path(&log);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, render(kind)).unwrap();
+        std::fs::write(&path, render(&log)).unwrap();
     }
 }
