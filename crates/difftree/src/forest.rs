@@ -51,25 +51,47 @@ pub struct Workload {
     pub gst_fps: Vec<u64>,
     /// Analyzed schema info per query; `None` when analysis fails.
     pub infos: Vec<Option<QueryInfo>>,
+    /// Duplicate classes: `class[qi]` is the index of the first query equal
+    /// to query `qi` (so `class[qi] == qi` marks a first occurrence, and
+    /// `class[qi] <= qi` always). Equal queries have equal GSTs,
+    /// fingerprints and analyses, so per-state work evaluates first
+    /// occurrences only and copies their results to the duplicates.
+    pub class: Vec<usize>,
     /// The catalogue the queries run against.
     pub catalog: Catalog,
 }
 
 impl Workload {
-    /// Build a workload: lower every query and precompute its fingerprint
-    /// and schema analysis.
+    /// Build a workload: lower every query and precompute its fingerprint,
+    /// schema analysis and duplicate class.
     pub fn new(queries: Vec<Query>, catalog: Catalog) -> Workload {
         let gsts: Vec<DNode> = queries.iter().map(lower_query).collect();
-        let gst_fps = gsts.iter().map(structural_fingerprint).collect();
+        let gst_fps: Vec<u64> = gsts.iter().map(structural_fingerprint).collect();
         let infos = queries
             .iter()
             .map(|q| analyze_query(q, &catalog).ok())
+            .collect();
+        // Equal queries have equal GST fingerprints: compare queries only
+        // within a fingerprint's bucket of first occurrences.
+        let mut firsts: HashMap<u64, Vec<usize>> = HashMap::new();
+        let class = (0..queries.len())
+            .map(|qi| {
+                let bucket = firsts.entry(gst_fps[qi]).or_default();
+                match bucket.iter().find(|&&r| queries[r] == queries[qi]) {
+                    Some(&r) => r,
+                    None => {
+                        bucket.push(qi);
+                        qi
+                    }
+                }
+            })
             .collect();
         Workload {
             queries,
             gsts,
             gst_fps,
             infos,
+            class,
             catalog,
         }
     }
@@ -288,21 +310,27 @@ impl Forest {
     /// Bind every input query to some tree. Returns `None` if any query is
     /// inexpressible (the candidate state violates the §6.1 guarantee).
     /// Bindings are verified by resolving and comparing to the original.
+    /// The result holds one assignment per input query; only first
+    /// occurrences ([`Workload::class`]) are bound, and each duplicate gets
+    /// a copy of its first occurrence's assignment.
     ///
     /// Results are memoized per (tree fingerprint, query fingerprint) in a
-    /// thread-local cache: search states share most of their trees, ids are
-    /// tree-local, and fingerprints are precomputed, so a cache probe costs
-    /// two u64 compares instead of re-hashing the tree.
+    /// process-global cache: search states share most of their trees, ids
+    /// are tree-local, and fingerprints are precomputed, so a cache probe
+    /// costs two u64 compares instead of re-hashing the tree.
     pub fn bind_all(&self, w: &Workload) -> Option<Vec<Assignment>> {
-        let mut out = Vec::with_capacity(w.gsts.len());
-        'queries: for (qi, gst) in w.gsts.iter().enumerate() {
-            for (ti, tree) in self.trees.iter().enumerate() {
-                if let Some(binding) = bind_tree_cached(tree, gst, w.gst_fps[qi]) {
-                    out.push(Assignment { tree: ti, binding });
-                    continue 'queries;
-                }
-            }
-            return None;
+        let mut out: Vec<Assignment> = Vec::with_capacity(w.gsts.len());
+        for (qi, gst) in w.gsts.iter().enumerate() {
+            let first = w.class[qi];
+            let a = if first < qi {
+                out[first].clone()
+            } else {
+                self.trees.iter().enumerate().find_map(|(ti, tree)| {
+                    bind_tree_cached(tree, gst, w.gst_fps[qi])
+                        .map(|binding| Assignment { tree: ti, binding })
+                })?
+            };
+            out.push(a);
         }
         Some(out)
     }
@@ -353,8 +381,10 @@ impl Forest {
             .collect()
     }
 
-    /// Analyzed schema info for every input query a tree expresses
-    /// (precomputed once per workload).
+    /// Analyzed schema info for every distinct input query a tree expresses
+    /// (first occurrences only; precomputed once per workload). Result
+    /// schemas fold their inputs with idempotent joins, so duplicates would
+    /// add nothing.
     pub fn tree_infos(
         &self,
         tree_idx: usize,
@@ -364,7 +394,7 @@ impl Forest {
         assignments
             .iter()
             .enumerate()
-            .filter(|(_, a)| a.tree == tree_idx)
+            .filter(|&(qi, a)| a.tree == tree_idx && w.class[qi] == qi)
             .filter_map(|(qi, _)| w.infos[qi].clone())
             .collect()
     }
@@ -460,6 +490,34 @@ mod tests {
         catalog.add_table("T", t, vec!["p"]);
         let queries = sqls.iter().map(|s| parse_query(s).unwrap()).collect();
         Workload::new(queries, catalog)
+    }
+
+    #[test]
+    fn class_points_at_first_equal_query() {
+        let (a, b, c) = (
+            "SELECT p FROM T WHERE a = 1",
+            "SELECT p FROM T WHERE a = 2",
+            "SELECT a FROM T",
+        );
+        let w = workload(&[a, b, a, c, b]);
+        assert_eq!(w.class, vec![0, 1, 0, 3, 1]);
+        // Queries differing only in a literal stay in different classes.
+        let w = workload(&[a, b, "SELECT p FROM T WHERE a = 1.5", a]);
+        assert_eq!(w.class, vec![0, 1, 2, 0]);
+        // Duplicates are bound once and share their first occurrence's
+        // assignment.
+        let w = workload(&[a, b, a, c, b]);
+        let merged = Forest::new(vec![DNode::any(vec![
+            w.gsts[0].clone(),
+            w.gsts[1].clone(),
+            w.gsts[3].clone(),
+        ])]);
+        let assignments = merged.bind_all(&w).unwrap();
+        assert_eq!(assignments.len(), 5);
+        assert_eq!(assignments[2], assignments[0]);
+        assert_eq!(assignments[4], assignments[1]);
+        assert_ne!(assignments[0], assignments[1]);
+        assert_eq!(merged.tree_infos(0, &w, &assignments).len(), 3);
     }
 
     #[test]

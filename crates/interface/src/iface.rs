@@ -11,7 +11,7 @@ use crate::layout::{vis_size, widget_size, widget_tree_for, LayoutNode, LayoutTr
 use crate::vis::VisMapping;
 use crate::widget::{bound_value, BoundValue, WidgetCandidate, WidgetDomain, WidgetKind};
 use pi2_data::Table;
-use pi2_difftree::{Assignment, BindingMap, Forest, ResultSchema, TypeMap, Workload};
+use pi2_difftree::{Assignment, BindingMap, DNode, Forest, ResultSchema, TypeMap, Workload};
 use std::fmt;
 use std::sync::Arc;
 
@@ -169,22 +169,33 @@ impl MappingEntry {
 /// (covers, flats, choice lists in forest-global id space) are
 /// materialised per state. Binding maps and type maps stay in tree-local
 /// id space — [`MappingContext::bases`] converts between the two.
+///
+/// Per-tree query data (`per_query_maps`, `results`) holds one entry per
+/// *distinct* query ([`Workload::class`]), so per-state work scales with the
+/// distinct queries; `assignments` and `slots` hold one entry per *input*
+/// query, so the §5 cost still walks the full query sequence.
 pub struct MappingContext<'a> {
     /// The forest.
     pub forest: &'a Forest,
     /// The workload.
     pub workload: &'a Workload,
-    /// Per-query assignments (tree-local binding ids).
+    /// Per-query assignments (tree-local binding ids): one entry per input
+    /// query, duplicates included.
     pub assignments: Vec<Assignment>,
+    /// Per input query, the position of its first occurrence within
+    /// `per_query_maps[assignments[qi].tree]`.
+    slots: Vec<usize>,
     /// Global id base of each tree: global id = base + local id.
     pub bases: Vec<u32>,
     /// Inferred node types per tree (tree-local ids, cache-shared).
     pub types: Vec<Arc<TypeMap>>,
     /// The schemas.
     pub schemas: Vec<Option<ResultSchema>>,
-    /// Binding maps of the queries each tree expresses (tree-local ids).
+    /// Binding maps of the queries each tree expresses (tree-local ids):
+    /// one entry per distinct query, in first-occurrence order.
     pub per_query_maps: Vec<Vec<BindingMap>>,
-    /// Executed result tables per tree (one per expressed query, shared).
+    /// Executed result tables per tree (shared): one entry per distinct
+    /// query that executes.
     pub results: Vec<Vec<Arc<Table>>>,
     /// Candidate visualization mappings per tree (V candidates).
     pub vis_cands: Vec<Vec<VisMapping>>,
@@ -207,9 +218,18 @@ impl<'a> MappingContext<'a> {
         let n = forest.trees.len();
         let cache = global_eval_cache();
 
+        // Per-tree lists over first occurrences; a duplicate shares the
+        // slot of its first occurrence (which sits in the same tree).
         let mut per_query_maps: Vec<Vec<BindingMap>> = vec![Vec::new(); n];
         let mut queries_per_tree: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut slots = Vec::with_capacity(assignments.len());
         for (qi, a) in assignments.iter().enumerate() {
+            let first = workload.class[qi];
+            if first < qi {
+                slots.push(slots[first]);
+                continue;
+            }
+            slots.push(per_query_maps[a.tree].len());
             per_query_maps[a.tree].push(a.binding.clone());
             queries_per_tree[a.tree].push(qi);
         }
@@ -251,6 +271,7 @@ impl<'a> MappingContext<'a> {
             forest,
             workload,
             assignments,
+            slots,
             bases,
             types,
             schemas,
@@ -269,8 +290,8 @@ impl<'a> MappingContext<'a> {
         self.choice_ids.iter().map(|c| c.len()).sum()
     }
 
-    /// The §3.2.4 binding tuples of a flattened node: one tuple per input
-    /// query the tree expresses. Flat element ids are forest-global;
+    /// The §3.2.4 binding tuples of a flattened node: one tuple per distinct
+    /// input query the tree expresses. Flat element ids are forest-global;
     /// bindings are tree-local.
     pub fn binding_tuples(&self, tree: usize, flat: &FlatSchema) -> Vec<Vec<BoundValue>> {
         self.per_query_maps[tree]
@@ -359,7 +380,8 @@ impl<'a> MappingContext<'a> {
     /// Whether two interaction targets can share one event stream: targets
     /// in different trees always can (their binding queries are disjoint);
     /// same-tree targets require identical bound values in every input
-    /// query the tree expresses.
+    /// query the tree expresses (checked over its distinct queries, which
+    /// sit at the same positions in both tuple lists).
     fn targets_covary(
         &self,
         a: &crate::interaction::InteractionTarget,
@@ -487,38 +509,90 @@ impl<'a> MappingContext<'a> {
         }
     }
 
+    /// Projection ids of `tree`'s distinct queries onto the covered nodes
+    /// (`cover`, forest-global) that live in `tree`: entry `k` belongs to
+    /// `per_query_maps[tree][k]`, and two entries are equal exactly when
+    /// the two queries bind every such node alike. Each id is the slot of
+    /// the first query with that projection. `None` when no covered node
+    /// lies in `tree`.
+    ///
+    /// Each (cover, distinct query) is projected once; walks over the full
+    /// query sequence then compare ids via [`MappingContext::slots`].
+    fn projection_ids(&self, tree: usize, cover: &[u32]) -> Option<Vec<usize>> {
+        let nodes: Vec<&DNode> = cover
+            .iter()
+            .filter_map(|id| self.forest.node_in_tree(tree, *id))
+            .collect();
+        if nodes.is_empty() {
+            return None;
+        }
+        let maps = &self.per_query_maps[tree];
+        let projections: Vec<Option<BoundValue>> = maps
+            .iter()
+            .flat_map(|map| nodes.iter().map(move |n| bound_value(n, map)))
+            .collect();
+        let projection = |k: usize| &projections[k * nodes.len()..(k + 1) * nodes.len()];
+        let mut ids: Vec<usize> = Vec::with_capacity(maps.len());
+        for k in 0..maps.len() {
+            let id = (0..k)
+                .find(|&j| ids[j] == j && projection(j) == projection(k))
+                .unwrap_or(k);
+            ids.push(id);
+        }
+        Some(ids)
+    }
+
+    /// Number of manipulations an interaction covering `cover` needs over
+    /// the queries `tree` expresses, in sequence order: one per change of
+    /// the covered bindings (at least 1).
+    pub fn manip_count(&self, tree: usize, cover: &[u32]) -> usize {
+        let Some(ids) = self.projection_ids(tree, cover) else {
+            return 1;
+        };
+        let mut last = None;
+        let mut count = 0;
+        for (a, &slot) in self.assignments.iter().zip(&self.slots) {
+            if a.tree == tree && last != Some(ids[slot]) {
+                count += 1;
+                last = Some(ids[slot]);
+            }
+        }
+        count.max(1)
+    }
+
     /// The per-query manipulation sequences driving the §5 cost: for each
     /// input query in order, the interactions (by index, in DFS order)
     /// whose covered bindings change relative to the interface's previous
     /// state.
     pub fn manipulations(&self, iface: &Interface) -> Vec<crate::cost::QueryPlan> {
-        type Projection = Vec<(u32, Option<BoundValue>)>;
-        // Interface state per (interaction, target tree).
-        let mut last: std::collections::HashMap<(usize, usize), Projection> =
-            std::collections::HashMap::new();
+        let n = self.forest.trees.len();
+        // Projection ids and interface state per (interaction, target
+        // tree), at `ix * n + tree`.
+        let ids: Vec<Option<Vec<usize>>> = iface
+            .interactions
+            .iter()
+            .flat_map(|inst| {
+                (0..n).map(move |t| {
+                    if inst.targets_tree(t) {
+                        self.projection_ids(t, &inst.cover)
+                    } else {
+                        None
+                    }
+                })
+            })
+            .collect();
+        let mut last: Vec<Option<usize>> = vec![None; ids.len()];
         let mut out = Vec::with_capacity(self.assignments.len());
-        for a in &self.assignments {
+        for (a, &slot) in self.assignments.iter().zip(&self.slots) {
             let mut manipulated = Vec::new();
-            for (ix, inst) in iface.interactions.iter().enumerate() {
-                if !inst.targets_tree(a.tree) {
+            for ix in 0..iface.interactions.len() {
+                let at = ix * n + a.tree;
+                let Some(ids) = &ids[at] else {
                     continue;
-                }
-                // Project this query's binding onto the covered nodes that
-                // live in its tree.
-                let proj: Projection = inst
-                    .cover
-                    .iter()
-                    .filter_map(|id| {
-                        let n = self.forest.node_in_tree(a.tree, *id)?;
-                        Some((*id, bound_value(n, &a.binding)))
-                    })
-                    .collect();
-                if proj.is_empty() {
-                    continue;
-                }
-                if last.get(&(ix, a.tree)) != Some(&proj) {
+                };
+                if last[at] != Some(ids[slot]) {
                     manipulated.push(ix);
-                    last.insert((ix, a.tree), proj);
+                    last[at] = Some(ids[slot]);
                 }
             }
             out.push(crate::cost::QueryPlan {

@@ -76,45 +76,17 @@ fn widget_cost(
     let (a0, a1, a2) = pi2_interface::widget_poly(cand.kind);
     let d = cand.domain.size() as f64;
     let unit = a0 + a1 * d * cand.domain.reading_factor() + a2 * d * d;
-    unit * manip_count(ctx, tree, &cand.cover) as f64
+    unit * ctx.manip_count(tree, &cand.cover) as f64
 }
 
 fn vis_cost(ctx: &MappingContext<'_>, cand: &VisInteractionCandidate, params: &CostParams) -> f64 {
     let count: usize = cand
         .targets
         .iter()
-        .map(|t| manip_count(ctx, t.tree, &t.cover))
+        .map(|t| ctx.manip_count(t.tree, &t.cover))
         .max()
         .unwrap_or(1);
     params.vis_interaction_cost * count as f64
-}
-
-/// Number of manipulations an interaction covering `cover` needs across the
-/// query sequence.
-fn manip_count(ctx: &MappingContext<'_>, tree: usize, cover: &[u32]) -> usize {
-    let mut last: Option<Vec<(u32, Option<pi2_interface::BoundValue>)>> = None;
-    let mut count = 0;
-    for a in &ctx.assignments {
-        if a.tree != tree {
-            continue;
-        }
-        let proj: Vec<(u32, Option<pi2_interface::BoundValue>)> = cover
-            .iter()
-            .map(|id| {
-                (
-                    *id,
-                    ctx.forest
-                        .node_in_tree(tree, *id)
-                        .and_then(|n| pi2_interface::bound_value(n, &a.binding)),
-                )
-            })
-            .collect();
-        if last.as_ref() != Some(&proj) {
-            count += 1;
-            last = Some(proj);
-        }
-    }
-    count.max(1)
 }
 
 /// The layout-independent per-V cost: view-switch attention and table
@@ -693,6 +665,143 @@ mod tests {
         let base_cost = ctx.cost(&iface, &opts.params);
         let (_, optimised) = optimise_layout(&ctx, iface, &opts);
         assert!(optimised <= base_cost + 1e-9);
+    }
+
+    /// The per-input-query §5 walk that `MappingContext::manipulations`
+    /// replaced: re-project every query's binding onto every cover.
+    fn manipulations_reference(
+        ctx: &MappingContext<'_>,
+        iface: &Interface,
+    ) -> Vec<pi2_interface::cost::QueryPlan> {
+        type Projection = Vec<(u32, Option<pi2_interface::BoundValue>)>;
+        let mut last: HashMap<(usize, usize), Projection> = HashMap::new();
+        let mut out = Vec::with_capacity(ctx.assignments.len());
+        for a in &ctx.assignments {
+            let mut manipulated = Vec::new();
+            for (ix, inst) in iface.interactions.iter().enumerate() {
+                if !inst.targets_tree(a.tree) {
+                    continue;
+                }
+                let proj: Projection = inst
+                    .cover
+                    .iter()
+                    .filter_map(|id| {
+                        let n = ctx.forest.node_in_tree(a.tree, *id)?;
+                        Some((*id, pi2_interface::bound_value(n, &a.binding)))
+                    })
+                    .collect();
+                if proj.is_empty() {
+                    continue;
+                }
+                if last.get(&(ix, a.tree)) != Some(&proj) {
+                    manipulated.push(ix);
+                    last.insert((ix, a.tree), proj);
+                }
+            }
+            out.push(pi2_interface::cost::QueryPlan {
+                view: a.tree,
+                widgets: manipulated,
+            });
+        }
+        out
+    }
+
+    /// The per-input-query manipulation count that
+    /// `MappingContext::manip_count` replaced.
+    fn manip_count_reference(ctx: &MappingContext<'_>, tree: usize, cover: &[u32]) -> usize {
+        let mut last: Option<Vec<(u32, Option<pi2_interface::BoundValue>)>> = None;
+        let mut count = 0;
+        for a in &ctx.assignments {
+            if a.tree != tree {
+                continue;
+            }
+            let proj: Vec<(u32, Option<pi2_interface::BoundValue>)> = cover
+                .iter()
+                .map(|id| {
+                    (
+                        *id,
+                        ctx.forest
+                            .node_in_tree(tree, *id)
+                            .and_then(|n| pi2_interface::bound_value(n, &a.binding)),
+                    )
+                })
+                .collect();
+            if last.as_ref() != Some(&proj) {
+                count += 1;
+                last = Some(proj);
+            }
+        }
+        count.max(1)
+    }
+
+    /// The projection-id walk (one projection per distinct query) yields
+    /// the same plans and counts as the per-input-query reference, with
+    /// duplicates adjacent, duplicates cycled, and no duplicates.
+    #[test]
+    fn distinct_query_walk_matches_per_query_reference() {
+        use pi2_difftree::{applicable_actions, apply_action, transform::canonicalize};
+        use rand::SeedableRng;
+        let (a, b, c, d) = (
+            "SELECT a, count(*) FROM T WHERE b = 10 GROUP BY a",
+            "SELECT a, count(*) FROM T WHERE b = 20 GROUP BY a",
+            "SELECT a, count(*) FROM T WHERE b = 20 AND a = 1 GROUP BY a",
+            "SELECT b, count(*) FROM T WHERE a = 2 GROUP BY b",
+        );
+        let logs: [&[&str]; 3] = [
+            &[a, a, b, b, c, d, d, a],
+            &[a, b, c, d, a, b, c, d, a, b],
+            &[a, b, c, d],
+        ];
+        let params = CostParams::default();
+        for sqls in logs {
+            let queries = sqls.iter().map(|q| parse_query(q).unwrap()).collect();
+            let w = Workload::new(queries, workload().catalog);
+            // The clustered and canonicalized states and their children.
+            let initial = crate::initial_state(&w);
+            let mut states = vec![canonicalize(&initial, &w, 48), initial];
+            for parent in states.clone() {
+                states.extend(
+                    applicable_actions(&parent, &w)
+                        .into_iter()
+                        .filter_map(|act| apply_action(&parent, &w, act)),
+                );
+            }
+            let mut manipulations = 0;
+            for state in &states {
+                let Some(ctx) = MappingContext::build(state, &w) else {
+                    continue;
+                };
+                for (t, cands) in ctx.widget_cands.iter().enumerate() {
+                    for cand in cands {
+                        assert_eq!(
+                            ctx.manip_count(t, &cand.cover),
+                            manip_count_reference(&ctx, t, &cand.cover)
+                        );
+                    }
+                }
+                let mut rng = rand::rngs::StdRng::seed_from_u64(state.key().seed());
+                for _ in 0..10 {
+                    let Some((iface, _)) = crate::random_interface(&ctx, &mut rng, &params) else {
+                        continue;
+                    };
+                    let plans = ctx.manipulations(&iface);
+                    assert_eq!(plans, manipulations_reference(&ctx, &iface), "{sqls:?}");
+                    manipulations += plans.iter().map(|p| p.widgets.len()).sum::<usize>();
+                    for inst in &iface.interactions {
+                        for (t, _) in inst.all_targets() {
+                            assert_eq!(
+                                ctx.manip_count(t, &inst.cover),
+                                manip_count_reference(&ctx, t, &inst.cover)
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(
+                manipulations > 0,
+                "{sqls:?}: no sampled interface manipulates"
+            );
+        }
     }
 
     #[test]

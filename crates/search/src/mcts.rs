@@ -237,14 +237,13 @@ pub fn initial_state(w: &Workload) -> Forest {
         if members.len() == 1 {
             trees.push(w.gsts[members[0]].clone());
         } else {
-            // Deduplicate identical queries (the scalability experiment
-            // replays the same log many times).
-            let mut alts: Vec<DNode> = Vec::new();
-            for qi in members {
-                if !alts.contains(&w.gsts[qi]) {
-                    alts.push(w.gsts[qi].clone());
-                }
-            }
+            // One alternative per distinct query (the scalability
+            // experiment replays the same log many times).
+            let mut alts: Vec<DNode> = members
+                .into_iter()
+                .filter(|&qi| w.class[qi] == qi)
+                .map(|qi| w.gsts[qi].clone())
+                .collect();
             if alts.len() == 1 {
                 trees.push(alts.pop().unwrap());
             } else {

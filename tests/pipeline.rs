@@ -123,6 +123,41 @@ fn initial_forest_invariant() {
     }
 }
 
+/// Per-state mapping work runs over distinct queries: on the Filter log
+/// duplicated to 90 queries, a mapping context keeps one assignment per
+/// input query but one binding map, and one binding-tuple row per
+/// flattened node, per distinct query.
+#[test]
+fn mapping_context_holds_distinct_queries() {
+    use pi2_interface::MappingContext;
+    let log = pi2_workloads::logs::duplicated(LogKind::Filter, 90);
+    let queries = log
+        .queries
+        .iter()
+        .map(|s| parse_query(s).unwrap())
+        .collect();
+    let w = Workload::new(queries, catalog());
+    let initial = pi2_search::initial_state(&w);
+    let ctx = MappingContext::build(&initial, &w).expect("initial state maps");
+    assert_eq!(ctx.assignments.len(), 90);
+    assert_eq!(ctx.per_query_maps.iter().map(Vec::len).sum::<usize>(), 9);
+    // The initial state's trees are ANY-rooted clusters with nothing to
+    // flatten; canonicalizing introduces the VAL nodes brushes bind.
+    let state = pi2_difftree::transform::canonicalize(&initial, &w, 48);
+    let ctx = MappingContext::build(&state, &w).expect("canonical state maps");
+    assert_eq!(ctx.assignments.len(), 90);
+    assert_eq!(ctx.per_query_maps.iter().map(Vec::len).sum::<usize>(), 9);
+    let mut flats = 0;
+    for (t, tree_flats) in ctx.flats.iter().enumerate() {
+        for (_, flat) in tree_flats {
+            let rows = ctx.binding_tuples(t, flat).len();
+            assert_eq!(rows, ctx.per_query_maps[t].len());
+            flats += 1;
+        }
+    }
+    assert!(flats > 0, "the canonical state has a flattened node");
+}
+
 /// The session round trip: dispatching a value event changes the SQL, and
 /// re-executing yields a valid table.
 #[test]
