@@ -172,8 +172,8 @@ impl MappingEntry {
 ///
 /// Per-tree query data (`per_query_maps`, `results`) holds one entry per
 /// *distinct* query ([`Workload::class`]), so per-state work scales with the
-/// distinct queries; `assignments` and `slots` hold one entry per *input*
-/// query, so the §5 cost still walks the full query sequence.
+/// distinct queries; `assignments` holds one entry per *input* query, so
+/// the §5 cost still walks the full query sequence.
 pub struct MappingContext<'a> {
     /// The forest.
     pub forest: &'a Forest,
@@ -517,7 +517,7 @@ impl<'a> MappingContext<'a> {
     /// lies in `tree`.
     ///
     /// Each (cover, distinct query) is projected once; walks over the full
-    /// query sequence then compare ids via [`MappingContext::slots`].
+    /// query sequence then compare ids, looked up through `slots`.
     fn projection_ids(&self, tree: usize, cover: &[u32]) -> Option<Vec<usize>> {
         let nodes: Vec<&DNode> = cover
             .iter()
