@@ -1,6 +1,10 @@
 //! Microbenchmark: Algorithm 1 (V, M mapping generation), including the
 //! ablation the design calls out — with and without the `G`-based
 //! lower-bound pruning of line 27.
+//!
+//! Both benches reuse one `MappingContext`, so after the first iteration
+//! they time a warm per-context safety memo; `mcts/evaluate_state/filter`
+//! (benches/mcts.rs) is the cold-context number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pi2_difftree::transform::canonicalize;

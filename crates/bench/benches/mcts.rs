@@ -1,8 +1,15 @@
 //! Microbenchmark: MCTS search (§6.2) at a fixed iteration budget, plus the
 //! design ablations: the variance (third) UCT term of Eq. 1, and reward
 //! estimation cost.
+//!
+//! `mcts/reward_estimate_k5` reuses one `MappingContext`, so after its first
+//! iteration it times a warm per-context safety memo.
+//! `mcts/evaluate_state/filter` builds a fresh context per iteration, so its
+//! memo starts cold as it does for every state a search evaluates (the
+//! process-wide per-tree artifact cache is warm in both).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pi2_difftree::transform::canonicalize;
 use pi2_difftree::Workload;
 use pi2_interface::{CostParams, MappingContext};
 use pi2_search::{estimate_reward, initial_state, mcts_search, MctsConfig};
@@ -43,13 +50,26 @@ fn bench_mcts(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(mcts_search(&w, &no_variance)))
     });
 
-    // Reward estimation (K = 5 mappings) on the initial state.
+    // Reward estimation (K = 5 mappings) on the initial state; the context
+    // (and its safety memo) is shared by every iteration.
     let state = initial_state(&w);
     let ctx = MappingContext::build(&state, &w).unwrap();
     let params = CostParams::default();
     c.bench_function("mcts/reward_estimate_k5", |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         b.iter(|| std::hint::black_box(estimate_reward(&ctx, &mut rng, &params, 5)))
+    });
+
+    // What a search pays per evaluated state: context build plus reward
+    // estimate on a fresh context, at the canonicalized initial state.
+    let wf = workload(LogKind::Filter);
+    let filter_state = canonicalize(&initial_state(&wf), &wf, 48);
+    c.bench_function("mcts/evaluate_state/filter", |b| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        b.iter(|| {
+            let ctx = MappingContext::build(&filter_state, &wf).unwrap();
+            std::hint::black_box(estimate_reward(&ctx, &mut rng, &params, 5))
+        })
     });
 }
 

@@ -12,8 +12,15 @@ use crate::vis::VisMapping;
 use crate::widget::{bound_value, BoundValue, WidgetCandidate, WidgetDomain, WidgetKind};
 use pi2_data::Table;
 use pi2_difftree::{Assignment, BindingMap, DNode, Forest, ResultSchema, TypeMap, Workload};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
+
+/// One view's share of [`MappingContext::safe_vis_interactions`] under one
+/// visualization mapping: its safe unmerged candidates, then its merged
+/// brushes.
+type ViewCandidates = (Vec<VisInteractionCandidate>, Vec<VisInteractionCandidate>);
 
 /// One view: a Difftree rendered by a visualization mapping.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,6 +181,11 @@ impl MappingEntry {
 /// *distinct* query ([`Workload::class`]), so per-state work scales with the
 /// distinct queries; `assignments` holds one entry per *input* query, so
 /// the §5 cost still walks the full query sequence.
+///
+/// Safety results are memoized per context (see
+/// [`MappingContext::safe_vis_interactions`]), so the public data fields
+/// must not change after [`MappingContext::build`]; only `check_safety`
+/// may be set afterwards.
 pub struct MappingContext<'a> {
     /// The forest.
     pub forest: &'a Forest,
@@ -208,6 +220,13 @@ pub struct MappingContext<'a> {
     pub choice_ids: Vec<Vec<u32>>,
     /// Skip the §4.2.2 safety check (scalability ablation).
     pub check_safety: bool,
+    /// Per (tree, index into `flats[tree]`): the flat's binding tuples,
+    /// filled on first use by the safety check or the brush merge.
+    tuples: Vec<Vec<OnceCell<Vec<Vec<BoundValue>>>>>,
+    /// Per (view, index into `vis_cands[view]`, `check_safety`): the view's
+    /// candidates under that mapping, filled on first use. The flag is part
+    /// of the key because it is a public field set after `build`.
+    view_cands: Vec<Vec<[OnceCell<ViewCandidates>; 2]>>,
 }
 
 impl<'a> MappingContext<'a> {
@@ -240,7 +259,7 @@ impl<'a> MappingContext<'a> {
         let mut results = Vec::with_capacity(n);
         let mut vis_cands = Vec::with_capacity(n);
         let mut widget_cands = Vec::with_capacity(n);
-        let mut flats = Vec::with_capacity(n);
+        let mut flats: Vec<Vec<(u32, FlatSchema)>> = Vec::with_capacity(n);
         let mut choice_ids = Vec::with_capacity(n);
 
         let mut base = 0u32;
@@ -267,6 +286,14 @@ impl<'a> MappingContext<'a> {
             choice_ids.push(art.choice_ids.iter().map(|id| id + base).collect());
             base += tree.len();
         }
+        let tuples = flats
+            .iter()
+            .map(|f| f.iter().map(|_| OnceCell::new()).collect())
+            .collect();
+        let view_cands = vis_cands
+            .iter()
+            .map(|c| c.iter().map(|_| Default::default()).collect())
+            .collect();
         Some(MappingContext {
             forest,
             workload,
@@ -282,6 +309,8 @@ impl<'a> MappingContext<'a> {
             flats,
             choice_ids,
             check_safety: true,
+            tuples,
+            view_cands,
         })
     }
 
@@ -293,6 +322,11 @@ impl<'a> MappingContext<'a> {
     /// The §3.2.4 binding tuples of a flattened node: one tuple per distinct
     /// input query the tree expresses. Flat element ids are forest-global;
     /// bindings are tree-local.
+    ///
+    /// Computed afresh on every call and kept public for callers outside
+    /// the context (`tests/pipeline.rs` reads it directly); the safety
+    /// check and the brush merge read each flat's tuples from a
+    /// per-context memo instead.
     pub fn binding_tuples(&self, tree: usize, flat: &FlatSchema) -> Vec<Vec<BoundValue>> {
         self.per_query_maps[tree]
             .iter()
@@ -310,35 +344,70 @@ impl<'a> MappingContext<'a> {
             .collect()
     }
 
+    /// The binding tuples of `flats[tree][flat]`, computed once per context.
+    fn flat_tuples(&self, tree: usize, flat: usize) -> &[Vec<BoundValue>] {
+        self.tuples[tree][flat].get_or_init(|| self.binding_tuples(tree, &self.flats[tree][flat].1))
+    }
+
     /// All *safe* visualization-interaction candidates under a chosen `V`
-    /// assignment (one `VisMapping` per tree). Recomputed per `V` because
-    /// event schemas depend on the visualization mapping (§4.2.1).
+    /// assignment (one `VisMapping` per tree).
+    ///
+    /// Event schemas depend on the visualization mapping (§4.2.1), but only
+    /// on the mapping of the view the event happens on: a view's candidates
+    /// come from its own schema and results, and the brush merge only
+    /// combines candidates of the same view. So each view's (unmerged,
+    /// merged) lists are computed once per (view, mapping, `check_safety`)
+    /// and reused by every `V` containing that mapping; a mapping not in
+    /// `vis_cands[view]` bypasses the memo. The result is every view's
+    /// unmerged candidates in view order, then every view's merged brushes
+    /// in view order — the order one candidate pass over all views followed
+    /// by one merge pass over its output yields.
     ///
     /// Same-view brushes with identical event columns are additionally
     /// offered as one *merged* candidate binding all their targets — this is
     /// how one brush cross-filters several charts (§7.1 Filter).
     pub fn safe_vis_interactions(&self, chosen_v: &[VisMapping]) -> Vec<VisInteractionCandidate> {
+        let per_view: Vec<Cow<'_, ViewCandidates>> = chosen_v
+            .iter()
+            .enumerate()
+            .map(
+                |(view, vis)| match self.vis_cands[view].iter().position(|m| m == vis) {
+                    Some(i) => Cow::Borrowed(
+                        self.view_cands[view][i][usize::from(self.check_safety)]
+                            .get_or_init(|| self.view_candidates(view, vis)),
+                    ),
+                    None => Cow::Owned(self.view_candidates(view, vis)),
+                },
+            )
+            .collect();
+        let mut out: Vec<VisInteractionCandidate> =
+            per_view.iter().flat_map(|c| c.0.iter().cloned()).collect();
+        out.extend(per_view.iter().flat_map(|c| c.1.iter().cloned()));
+        out
+    }
+
+    /// The safe candidates on `view` rendered by `vis`, and the merged
+    /// brushes built from them.
+    fn view_candidates(&self, view: usize, vis: &VisMapping) -> ViewCandidates {
+        let Some(schema) = self.schemas[view].as_ref() else {
+            return ViewCandidates::default();
+        };
         let mut out = Vec::new();
-        for (view, vis) in chosen_v.iter().enumerate() {
-            let Some(schema) = self.schemas[view].as_ref() else {
-                continue;
-            };
-            for (t, tree_flats) in self.flats.iter().enumerate() {
-                for (node_id, flat) in tree_flats {
-                    let cands = vis_interaction_candidates(view, vis, schema, t, *node_id, flat);
-                    for cand in cands {
-                        if !self.check_safety || self.is_safe(&cand, flat) {
-                            out.push(cand);
-                        }
+        for (t, tree_flats) in self.flats.iter().enumerate() {
+            for (f, (node_id, flat)) in tree_flats.iter().enumerate() {
+                let cands = vis_interaction_candidates(view, vis, schema, t, *node_id, flat);
+                for cand in cands {
+                    if !self.check_safety || self.is_safe(&cand, t, f) {
+                        out.push(cand);
                     }
                 }
             }
         }
-        // Merge same-view same-kind brushes over disjoint covers. One brush
-        // event drives every merged target with the same (lo, hi), so
-        // targets in the *same* tree are only merged when every input query
-        // binds them identically (cross-tree targets are driven by disjoint
-        // query sets — the cross-filtering case).
+        // Merge same-kind brushes over disjoint covers. One brush event
+        // drives every merged target with the same (lo, hi), so targets in
+        // the *same* tree are only merged when every input query binds them
+        // identically (cross-tree targets are driven by disjoint query sets
+        // — the cross-filtering case).
         let mut merged: Vec<VisInteractionCandidate> = Vec::new();
         for i in 0..out.len() {
             let a = &out[i];
@@ -350,8 +419,7 @@ impl<'a> MappingContext<'a> {
             }
             let mut combined = a.clone();
             for b in out.iter().skip(i + 1) {
-                if b.view == a.view
-                    && b.kind == a.kind
+                if b.kind == a.kind
                     && b.event_cols == a.event_cols
                     && b.targets.iter().all(|bt| {
                         !combined
@@ -373,8 +441,7 @@ impl<'a> MappingContext<'a> {
                 merged.push(combined);
             }
         }
-        out.extend(merged);
-        out
+        (out, merged)
     }
 
     /// Whether two interaction targets can share one event stream: targets
@@ -390,25 +457,24 @@ impl<'a> MappingContext<'a> {
         if a.tree != b.tree {
             return true;
         }
-        let flat_of = |node: u32| {
-            self.flats[a.tree]
-                .iter()
-                .find(|(id, _)| *id == node)
-                .map(|(_, f)| f)
-        };
+        let flat_of = |node: u32| self.flats[a.tree].iter().position(|(id, _)| *id == node);
         let (Some(fa), Some(fb)) = (flat_of(a.node), flat_of(b.node)) else {
             return false;
         };
-        let ta = self.binding_tuples(a.tree, fa);
-        let tb = self.binding_tuples(b.tree, fb);
-        ta == tb
+        self.flat_tuples(a.tree, fa) == self.flat_tuples(a.tree, fb)
     }
 
-    fn is_safe(&self, cand: &VisInteractionCandidate, flat: &FlatSchema) -> bool {
-        let tuples = self.binding_tuples(cand.primary().tree, flat);
+    /// The §4.2.2 check of `cand`, whose primary target is
+    /// `flats[tree][flat]`.
+    fn is_safe(&self, cand: &VisInteractionCandidate, tree: usize, flat: usize) -> bool {
         let view_results: Vec<&Table> =
             self.results[cand.view].iter().map(|t| t.as_ref()).collect();
-        interaction_is_safe(cand, flat, &tuples, &view_results)
+        interaction_is_safe(
+            cand,
+            &self.flats[tree][flat].1,
+            self.flat_tuples(tree, flat),
+            &view_results,
+        )
     }
 
     /// Instantiate an interface from chosen `V` and `M`, building the
@@ -730,5 +796,325 @@ mod tests {
         let s = iface.to_string();
         assert!(s.contains("view #0"));
         assert!(s.contains("interaction #0"));
+    }
+
+    /// `safe_vis_interactions` without the memo: every view's candidates
+    /// in one pass, then one merge pass over all of them, with binding
+    /// tuples recomputed per use. The memoized form must return exactly
+    /// this, order included.
+    fn reference_safe_vis_interactions(
+        ctx: &MappingContext<'_>,
+        chosen_v: &[VisMapping],
+    ) -> Vec<VisInteractionCandidate> {
+        let is_safe = |cand: &VisInteractionCandidate, flat: &FlatSchema| {
+            let tuples = ctx.binding_tuples(cand.primary().tree, flat);
+            let view_results: Vec<&Table> =
+                ctx.results[cand.view].iter().map(|t| t.as_ref()).collect();
+            interaction_is_safe(cand, flat, &tuples, &view_results)
+        };
+        let targets_covary =
+            |a: &crate::interaction::InteractionTarget,
+             b: &crate::interaction::InteractionTarget| {
+                if a.tree != b.tree {
+                    return true;
+                }
+                let flat_of = |node: u32| {
+                    ctx.flats[a.tree]
+                        .iter()
+                        .find(|(id, _)| *id == node)
+                        .map(|(_, f)| f)
+                };
+                let (Some(fa), Some(fb)) = (flat_of(a.node), flat_of(b.node)) else {
+                    return false;
+                };
+                ctx.binding_tuples(a.tree, fa) == ctx.binding_tuples(b.tree, fb)
+            };
+        let mut out = Vec::new();
+        for (view, vis) in chosen_v.iter().enumerate() {
+            let Some(schema) = ctx.schemas[view].as_ref() else {
+                continue;
+            };
+            for (t, tree_flats) in ctx.flats.iter().enumerate() {
+                for (node_id, flat) in tree_flats {
+                    let cands = vis_interaction_candidates(view, vis, schema, t, *node_id, flat);
+                    for cand in cands {
+                        if !ctx.check_safety || is_safe(&cand, flat) {
+                            out.push(cand);
+                        }
+                    }
+                }
+            }
+        }
+        let mut merged: Vec<VisInteractionCandidate> = Vec::new();
+        for i in 0..out.len() {
+            let a = &out[i];
+            if !matches!(
+                a.kind,
+                InteractionKind::BrushX | InteractionKind::BrushY | InteractionKind::BrushXY
+            ) {
+                continue;
+            }
+            let mut combined = a.clone();
+            for b in out.iter().skip(i + 1) {
+                if b.view == a.view
+                    && b.kind == a.kind
+                    && b.event_cols == a.event_cols
+                    && b.targets.iter().all(|bt| {
+                        !combined
+                            .targets
+                            .iter()
+                            .any(|ct| ct.cover.iter().any(|id| bt.cover.contains(id)))
+                    })
+                    && b.targets
+                        .iter()
+                        .all(|bt| combined.targets.iter().all(|ct| targets_covary(ct, bt)))
+                {
+                    combined.targets.extend(b.targets.iter().cloned());
+                }
+            }
+            if combined.targets.len() > a.targets.len() {
+                merged.push(combined);
+            }
+        }
+        out.extend(merged);
+        out
+    }
+
+    fn log_workload(queries: &[String]) -> Workload {
+        Workload::new(
+            queries.iter().map(|q| parse_query(q).unwrap()).collect(),
+            pi2_workloads::catalog(),
+        )
+    }
+
+    /// The seven paper logs and Filter duplicated to 90 queries, each with
+    /// its search states. The duplicated log takes Filter's states: its
+    /// one-tree-per-query forest cannot be mapped (a duplicate's tree
+    /// expresses no query of its own), and every Filter state expresses it.
+    fn paper_cases() -> Vec<(String, Workload, Vec<Forest>)> {
+        let mut out: Vec<(String, Workload, Vec<Forest>)> = pi2_workloads::all_logs()
+            .iter()
+            .map(|l| {
+                let w = log_workload(&l.queries);
+                let states = search_states(&w);
+                (l.name.to_string(), w, states)
+            })
+            .collect();
+        let dup = pi2_workloads::logs::duplicated(pi2_workloads::LogKind::Filter, 90);
+        let filter = out.iter().find(|(n, ..)| n == "filter").unwrap().2.clone();
+        out.push(("filter_x90".to_string(), log_workload(&dup.queries), filter));
+        out
+    }
+
+    /// Search states of `w`: the initial forest (one tree per query), the
+    /// forest its union-compatible trees merge into (first applicable
+    /// `Merge` until none applies), the canonical forms of both, and the
+    /// states along two seeded walks of applied actions from each
+    /// canonical form.
+    fn search_states(w: &Workload) -> Vec<Forest> {
+        use pi2_difftree::transform::canonicalize;
+        use pi2_difftree::{apply_action, candidate_actions, Rule};
+        let initial = Forest::from_workload(w);
+        let mut merged = initial.clone();
+        while let Some(next) = candidate_actions(&merged, w)
+            .into_iter()
+            .filter(|a| a.rule == Rule::Merge)
+            .find_map(|a| apply_action(&merged, w, a))
+        {
+            merged = next;
+        }
+        let roots = [canonicalize(&initial, w, 48), canonicalize(&merged, w, 48)];
+        let mut states = vec![initial, merged];
+        states.extend(roots.iter().cloned());
+        for (root, seed) in roots.iter().flat_map(|r| [(r, 11u64), (r, 29)]) {
+            let mut rng = seed;
+            let mut state = root.clone();
+            for _ in 0..3 {
+                let actions = candidate_actions(&state, w);
+                rng = rng
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let start = (rng >> 33) as usize;
+                let next = (0..actions.len())
+                    .find_map(|k| apply_action(&state, w, actions[(start + k) % actions.len()]));
+                let Some(next) = next else {
+                    break;
+                };
+                states.push(next.clone());
+                state = next;
+            }
+        }
+        states
+    }
+
+    /// The `V` combinations to check: the cartesian product of every
+    /// view's candidates, capped at 24 as `greedy_interface` caps its
+    /// enumeration, then every (view, mapping) once with the other views
+    /// at their first candidate.
+    fn v_combos(ctx: &MappingContext<'_>) -> Vec<Vec<VisMapping>> {
+        let mut combos: Vec<Vec<VisMapping>> = vec![vec![]];
+        for cands in &ctx.vis_cands {
+            let mut next = Vec::new();
+            'outer: for combo in &combos {
+                for c in cands {
+                    let mut v = combo.clone();
+                    v.push(c.clone());
+                    next.push(v);
+                    if next.len() >= 24 {
+                        break 'outer;
+                    }
+                }
+            }
+            combos = next;
+        }
+        let first: Vec<VisMapping> = ctx.vis_cands.iter().map(|c| c[0].clone()).collect();
+        for (view, cands) in ctx.vis_cands.iter().enumerate() {
+            for c in cands {
+                let mut v = first.clone();
+                v[view] = c.clone();
+                combos.push(v);
+            }
+        }
+        combos
+    }
+
+    /// The filled memo slots of a context: per `check_safety` value, the
+    /// filled (view, mapping index) slots with the address of their
+    /// unmerged list; and the filled (tree, flat index) tuple slots with
+    /// the address of their tuples.
+    #[allow(clippy::type_complexity)]
+    fn filled_slots(
+        ctx: &MappingContext<'_>,
+    ) -> ([Vec<(usize, usize, usize)>; 2], Vec<(usize, usize, usize)>) {
+        let mut views: [Vec<(usize, usize, usize)>; 2] = Default::default();
+        for (v, slots) in ctx.view_cands.iter().enumerate() {
+            for (i, by_flag) in slots.iter().enumerate() {
+                for (flag, cell) in by_flag.iter().enumerate() {
+                    if let Some((unmerged, _)) = cell.get() {
+                        views[flag].push((v, i, unmerged.as_ptr() as usize));
+                    }
+                }
+            }
+        }
+        let mut tuples = Vec::new();
+        for (t, slots) in ctx.tuples.iter().enumerate() {
+            for (f, cell) in slots.iter().enumerate() {
+                if let Some(tu) = cell.get() {
+                    tuples.push((t, f, tu.as_ptr() as usize));
+                }
+            }
+        }
+        (views, tuples)
+    }
+
+    /// The memoized candidates equal the reference for every checked `V`
+    /// of every search state, under both `check_safety` values set on the
+    /// same context in either order, cold and warm; a mapping outside
+    /// `vis_cands` takes the uncached path and agrees too.
+    #[test]
+    fn memoized_safe_vis_interactions_match_the_reference() {
+        let mut max_trees = 0;
+        let mut checked = 0;
+        for (name, w, states) in paper_cases() {
+            for state in states {
+                let Some(reference_ctx) = MappingContext::build(&state, &w) else {
+                    continue;
+                };
+                max_trees = max_trees.max(state.trees.len());
+                let mut combos = v_combos(&reference_ctx);
+                // A view-0 mapping that is not one of its candidates.
+                let outside = reference_ctx.vis_cands[0]
+                    .iter()
+                    .flat_map(|m| {
+                        crate::vis::VisKind::ALL.into_iter().map(|kind| VisMapping {
+                            kind,
+                            assignments: m.assignments.clone(),
+                        })
+                    })
+                    .find(|m| !reference_ctx.vis_cands[0].contains(m))
+                    .expect("some kind/assignment pair is not a candidate");
+                let mut v = combos[0].clone();
+                v[0] = outside;
+                combos.push(v);
+
+                let mut expected = Vec::new();
+                for flag in [true, false] {
+                    let mut ctx = MappingContext::build(&state, &w).unwrap();
+                    ctx.check_safety = flag;
+                    expected.push(
+                        combos
+                            .iter()
+                            .map(|v| reference_safe_vis_interactions(&ctx, v))
+                            .collect::<Vec<_>>(),
+                    );
+                }
+                for order in [[true, false], [false, true]] {
+                    let mut ctx = MappingContext::build(&state, &w).unwrap();
+                    for _pass in 0..2 {
+                        for flag in order {
+                            ctx.check_safety = flag;
+                            let want = &expected[usize::from(!flag)];
+                            for (v, want) in combos.iter().zip(want) {
+                                assert_eq!(
+                                    &ctx.safe_vis_interactions(v),
+                                    want,
+                                    "{name}, {} trees, check_safety {flag}, V {v:?}",
+                                    state.trees.len()
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(max_trees >= 3, "no state with at least 3 trees");
+        assert!(checked > 0);
+    }
+
+    /// On every multi-tree state with flattenable nodes, evaluating every
+    /// `V` fills one slot per (view, mapping) and flag and at most one
+    /// tuple slot per flat; a second pass over the same combinations
+    /// recomputes nothing.
+    #[test]
+    fn memo_fills_each_slot_once() {
+        let mut max_trees = 0;
+        for (name, w, states) in paper_cases() {
+            for state in states {
+                let Some(mut ctx) = MappingContext::build(&state, &w) else {
+                    continue;
+                };
+                let flats: usize = ctx.flats.iter().map(|f| f.len()).sum();
+                if state.trees.len() < 2 || flats == 0 {
+                    continue;
+                }
+                max_trees = max_trees.max(state.trees.len());
+                let combos = v_combos(&ctx);
+                let slots: usize = ctx.vis_cands.iter().map(|c| c.len()).sum();
+                for flag in [true, false] {
+                    ctx.check_safety = flag;
+                    for v in &combos {
+                        ctx.safe_vis_interactions(v);
+                    }
+                }
+                let (views, tuples) = filled_slots(&ctx);
+                for filled in &views {
+                    assert_eq!(
+                        filled.len(),
+                        slots,
+                        "{name}: every (view, mapping) is in some V"
+                    );
+                }
+                assert!(tuples.len() <= flats, "{name}");
+                for flag in [false, true] {
+                    ctx.check_safety = flag;
+                    for v in &combos {
+                        ctx.safe_vis_interactions(v);
+                    }
+                }
+                assert_eq!(filled_slots(&ctx), (views, tuples), "{name}");
+            }
+        }
+        assert!(max_trees >= 3, "no multi-tree state with at least 3 trees");
     }
 }
