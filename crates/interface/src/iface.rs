@@ -12,7 +12,6 @@ use crate::vis::VisMapping;
 use crate::widget::{bound_value, BoundValue, WidgetCandidate, WidgetDomain, WidgetKind};
 use pi2_data::Table;
 use pi2_difftree::{Assignment, BindingMap, DNode, Forest, ResultSchema, TypeMap, Workload};
-use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
@@ -222,11 +221,11 @@ pub struct MappingContext<'a> {
     pub check_safety: bool,
     /// Per (tree, index into `flats[tree]`): the flat's binding tuples,
     /// filled on first use by the safety check or the brush merge.
-    tuples: Vec<Vec<OnceCell<Vec<Vec<BoundValue>>>>>,
+    tuple_memo: Vec<Vec<OnceCell<Vec<Vec<BoundValue>>>>>,
     /// Per (view, index into `vis_cands[view]`, `check_safety`): the view's
     /// candidates under that mapping, filled on first use. The flag is part
     /// of the key because it is a public field set after `build`.
-    view_cands: Vec<Vec<[OnceCell<ViewCandidates>; 2]>>,
+    view_memo: Vec<Vec<[OnceCell<ViewCandidates>; 2]>>,
 }
 
 impl<'a> MappingContext<'a> {
@@ -286,11 +285,11 @@ impl<'a> MappingContext<'a> {
             choice_ids.push(art.choice_ids.iter().map(|id| id + base).collect());
             base += tree.len();
         }
-        let tuples = flats
+        let tuple_memo = flats
             .iter()
             .map(|f| f.iter().map(|_| OnceCell::new()).collect())
             .collect();
-        let view_cands = vis_cands
+        let view_memo = vis_cands
             .iter()
             .map(|c| c.iter().map(|_| Default::default()).collect())
             .collect();
@@ -309,8 +308,8 @@ impl<'a> MappingContext<'a> {
             flats,
             choice_ids,
             check_safety: true,
-            tuples,
-            view_cands,
+            tuple_memo,
+            view_memo,
         })
     }
 
@@ -346,7 +345,8 @@ impl<'a> MappingContext<'a> {
 
     /// The binding tuples of `flats[tree][flat]`, computed once per context.
     fn flat_tuples(&self, tree: usize, flat: usize) -> &[Vec<BoundValue>] {
-        self.tuples[tree][flat].get_or_init(|| self.binding_tuples(tree, &self.flats[tree][flat].1))
+        self.tuple_memo[tree][flat]
+            .get_or_init(|| self.binding_tuples(tree, &self.flats[tree][flat].1))
     }
 
     /// All *safe* visualization-interaction candidates under a chosen `V`
@@ -367,22 +367,22 @@ impl<'a> MappingContext<'a> {
     /// offered as one *merged* candidate binding all their targets — this is
     /// how one brush cross-filters several charts (§7.1 Filter).
     pub fn safe_vis_interactions(&self, chosen_v: &[VisMapping]) -> Vec<VisInteractionCandidate> {
-        let per_view: Vec<Cow<'_, ViewCandidates>> = chosen_v
-            .iter()
-            .enumerate()
-            .map(
-                |(view, vis)| match self.vis_cands[view].iter().position(|m| m == vis) {
-                    Some(i) => Cow::Borrowed(
-                        self.view_cands[view][i][usize::from(self.check_safety)]
-                            .get_or_init(|| self.view_candidates(view, vis)),
-                    ),
-                    None => Cow::Owned(self.view_candidates(view, vis)),
-                },
-            )
-            .collect();
-        let mut out: Vec<VisInteractionCandidate> =
-            per_view.iter().flat_map(|c| c.0.iter().cloned()).collect();
-        out.extend(per_view.iter().flat_map(|c| c.1.iter().cloned()));
+        let mut out = Vec::new();
+        let mut merged = Vec::new();
+        for (view, vis) in chosen_v.iter().enumerate() {
+            let fresh;
+            let (unmerged, view_merged) = match self.vis_cands[view].iter().position(|m| m == vis) {
+                Some(i) => self.view_memo[view][i][usize::from(self.check_safety)]
+                    .get_or_init(|| self.view_candidates(view, vis)),
+                None => {
+                    fresh = self.view_candidates(view, vis);
+                    &fresh
+                }
+            };
+            out.extend_from_slice(unmerged);
+            merged.extend_from_slice(view_merged);
+        }
+        out.extend(merged);
         out
     }
 
@@ -987,7 +987,7 @@ mod tests {
         ctx: &MappingContext<'_>,
     ) -> ([Vec<(usize, usize, usize)>; 2], Vec<(usize, usize, usize)>) {
         let mut views: [Vec<(usize, usize, usize)>; 2] = Default::default();
-        for (v, slots) in ctx.view_cands.iter().enumerate() {
+        for (v, slots) in ctx.view_memo.iter().enumerate() {
             for (i, by_flag) in slots.iter().enumerate() {
                 for (flag, cell) in by_flag.iter().enumerate() {
                     if let Some((unmerged, _)) = cell.get() {
@@ -997,7 +997,7 @@ mod tests {
             }
         }
         let mut tuples = Vec::new();
-        for (t, slots) in ctx.tuples.iter().enumerate() {
+        for (t, slots) in ctx.tuple_memo.iter().enumerate() {
             for (f, cell) in slots.iter().enumerate() {
                 if let Some(tu) = cell.get() {
                     tuples.push((t, f, tu.as_ptr() as usize));
