@@ -2,6 +2,10 @@
 //! design ablations: the variance (third) UCT term of Eq. 1, and reward
 //! estimation cost.
 //!
+//! `mcts/*_30iters` time one whole search per iteration. Each search owns
+//! its transposition tables, so every iteration evaluates its states again
+//! (the process-wide difftree and mapping-artifact memos stay warm).
+//!
 //! `mcts/reward_estimate_k5` reuses one `MappingContext`, so after its first
 //! iteration it times a warm per-context safety memo.
 //! `mcts/evaluate_state/filter` builds a fresh context per iteration, so its

@@ -580,14 +580,16 @@ impl Pi2Service {
             ws.sort_by(|a, b| a.name.cmp(&b.name));
             ws
         };
-        let (reward_entries, action_entries) = pi2_search::transposition_table_sizes();
         ServiceMetrics {
+            reward_table_entries: workloads.iter().map(|w| w.search.states_evaluated).sum(),
+            action_table_entries: workloads
+                .iter()
+                .map(|w| w.search.action_sets_validated)
+                .sum(),
             workloads,
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
             open_wire_sessions: self.sessions.len(),
             result_cache: global_eval_cache().result_stats(),
-            reward_table_entries: reward_entries,
-            action_table_entries: action_entries,
             push: self.push.stats(),
             live: global_eval_cache().live_stats(),
         }
@@ -636,9 +638,10 @@ pub struct ServiceMetrics {
     pub open_wire_sessions: usize,
     /// Hit/miss counters of the shared executed-result memo.
     pub result_cache: CacheStats,
-    /// Entries in the process-global MCTS reward transposition table.
+    /// MCTS reward-table entries, summed over the registered workloads'
+    /// searches (each search owns its table).
     pub reward_table_entries: usize,
-    /// Entries in the process-global validated-action table.
+    /// Validated-action-table entries, summed the same way.
     pub action_table_entries: usize,
     /// Shared-session subscription counters (protocol v2 push).
     pub push: PushStats,
@@ -759,5 +762,9 @@ mod tests {
         assert_eq!(m.workloads[0].warmed_queries, 2);
         assert!(m.sessions_opened >= 1);
         assert!(m.result_cache.hits + m.result_cache.misses > 0);
+        let search = &m.workloads[0].search;
+        assert!(search.states_evaluated > 0);
+        assert_eq!(m.reward_table_entries, search.states_evaluated);
+        assert_eq!(m.action_table_entries, search.action_sets_validated);
     }
 }

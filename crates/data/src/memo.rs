@@ -1,12 +1,13 @@
 //! A generic, cap-checked, lock-sharded memo table.
 //!
-//! One utility behind every process-wide cache in the workspace: the MCTS
-//! reward/action transposition tables (`pi2-search`), the mapping-artifact
-//! and executed-result caches (`pi2-interface`), and the bind / schema
-//! signature / type-inference memos (`pi2-difftree`). All of them share the
-//! same shape — hash-sharded `Mutex<HashMap>`s, a per-shard entry cap that
-//! clears a shard instead of growing without bound, and "first writer wins"
-//! insertion (every writer would store the same value, because cached
+//! One utility behind every process-wide cache in the workspace — the
+//! mapping-artifact and executed-result caches (`pi2-interface`) and the
+//! bind / schema signature / type-inference memos (`pi2-difftree`) — and
+//! behind each MCTS search's own reward/action transposition tables
+//! (`pi2-search`, uncapped and dropped with the search). All of them share
+//! the same shape — hash-sharded `Mutex<HashMap>`s, a per-shard entry cap
+//! that clears a shard instead of growing without bound, and "first writer
+//! wins" insertion (every writer would store the same value, because cached
 //! computations are pure functions of their key).
 //!
 //! The utility lives in `pi2-data` because it is the one crate every other

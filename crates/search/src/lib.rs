@@ -21,5 +21,5 @@ pub mod random;
 pub use mapping::{
     best_interface, generate_top_k, optimise_layout, MappingOptions, ScoredMapping, WidgetDp,
 };
-pub use mcts::{initial_state, mcts_search, transposition_table_sizes, MctsConfig, SearchStats};
+pub use mcts::{initial_state, mcts_search, MctsConfig, SearchStats};
 pub use random::{estimate_reward, greedy_interface, random_interface};

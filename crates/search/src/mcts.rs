@@ -24,17 +24,17 @@
 //! untouched tree with their parent.
 //!
 //! Reward estimates live in a **lock-sharded transposition table shared by
-//! all `p` workers** (and, with the workload/config fingerprint in the key,
-//! by repeated searches in one process), so each state's K-mapping estimate
-//! is computed once per process. The estimate's sampling RNG is seeded from
-//! `cfg.seed ⊕ ForestKey` — a reward is a pure function of (state, config),
-//! so a table hit returns exactly the value the worker would have computed
-//! itself. Combined with schedule-independent per-worker stopping (each
-//! worker runs to its *own* early stop or the iteration cap), the search is
-//! deterministic for a given [`MctsConfig`], worker count included: the
-//! same config returns the same forest run over run. Different worker
-//! counts explore different trajectories and may return different
-//! forests.
+//! all `p` workers** of one search, so each state's K-mapping estimate is
+//! computed once per search. The table is dropped when the search returns:
+//! a repeated search starts with empty tables. The estimate's sampling RNG
+//! is seeded from `cfg.seed ⊕ ForestKey` — a reward is a pure function of
+//! (state, config), so a table hit returns exactly the value the worker
+//! would have computed itself. Combined with schedule-independent
+//! per-worker stopping (each worker runs to its *own* early stop or the
+//! iteration cap), the search is deterministic for a given [`MctsConfig`],
+//! worker count included: the same config returns the same forest run over
+//! run. Different worker counts explore different trajectories and may
+//! return different forests.
 
 use crate::random::estimate_reward;
 use parking_lot::Mutex;
@@ -48,9 +48,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// MCTS parameters. The paper's defaults: early stop `es = 30`, `p = 3`
@@ -112,68 +111,25 @@ pub struct SearchStats {
     pub duration: Duration,
     /// Best (un-normalised) reward = −min estimated cost.
     pub best_reward: f64,
-    /// Reward estimates this search computed (transposition-table misses;
-    /// hits are shared across workers and earlier searches).
+    /// Reward estimates this search computed (its reward-table entries;
+    /// workers share each estimate, so a state counts once).
     pub states_evaluated: usize,
+    /// Expansion action sets this search validated (its action-table
+    /// entries).
+    pub action_sets_validated: usize,
 }
 
-/// Cap per shard: a runaway session cannot grow the process-global tables
-/// without bound (entries are cheap; ~1M total across shards).
-const MAX_TT_ENTRIES_PER_SHARD: usize = 65_536;
-
-/// Lock-sharded map shared by all workers (and all searches), keyed by
-/// (state key, search-context fingerprint). The generic cap-checked memo
-/// from `pi2-data` — the same utility behind the mapping-artifact and
-/// difftree caches.
-type Sharded<V> = ShardedMemo<(ForestKey, u64), V>;
-
-/// The process-global transposition tables. Rewards and validated action
-/// sets are pure functions of (state, workload, config), so they are shared
-/// across parallel workers *and* across search invocations — repeated
-/// generations over the same workload re-derive nothing.
-struct SearchCaches {
-    /// Reward transposition table: state → estimated reward.
-    rewards: Sharded<f64>,
-    /// Validated expansion actions per state.
-    actions: Sharded<Arc<Vec<Action>>>,
-}
-
-fn search_caches() -> &'static SearchCaches {
-    static CACHES: OnceLock<SearchCaches> = OnceLock::new();
-    CACHES.get_or_init(|| SearchCaches {
-        rewards: ShardedMemo::new(MAX_TT_ENTRIES_PER_SHARD),
-        actions: ShardedMemo::new(MAX_TT_ENTRIES_PER_SHARD),
-    })
-}
-
-/// Current entry counts of the process-global transposition tables
-/// `(reward estimates, validated action sets)` — the session service
-/// surfaces these in its metrics so operators can watch what repeated
-/// registrations are actually sharing.
-pub fn transposition_table_sizes() -> (usize, usize) {
-    let caches = search_caches();
-    (caches.rewards.len(), caches.actions.len())
-}
-
-/// Fingerprint of everything besides the state that a reward depends on:
-/// the workload (queries + catalogue) and the reward-relevant config.
-fn context_fingerprint(w: &Workload, cfg: &MctsConfig) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    w.catalog.fingerprint().hash(&mut h);
-    w.gst_fps.hash(&mut h);
-    cfg.seed.hash(&mut h);
-    cfg.k_mappings.hash(&mut h);
-    cfg.check_safety.hash(&mut h);
-    // Cost parameters feed the estimate; hash their raw bits.
-    format!("{:?}", cfg.params).hash(&mut h);
-    h.finish()
-}
-
-/// Shared coordination state for one parallel search: the best state found
-/// so far (reward/action tables live in [`search_caches`]).
+/// Shared state of one parallel search: the best state found so far and
+/// the transposition tables. Rewards and validated action sets are pure
+/// functions of (state, workload, config), and one search has one workload
+/// and one config, so the tables are keyed by state alone. They are shared
+/// by the search's workers and dropped when it returns.
 struct Shared {
     best: Mutex<(f64, Option<Arc<Forest>>)>,
-    computed: AtomicUsize,
+    /// Reward transposition table: state → estimated reward.
+    rewards: ShardedMemo<ForestKey, f64>,
+    /// Validated expansion actions per state.
+    actions: ShardedMemo<ForestKey, Arc<Vec<Action>>>,
 }
 
 /// Merge a worker's best into the shared best under a *total*,
@@ -190,9 +146,11 @@ fn merge_best(best: &mut (f64, Option<Arc<Forest>>), reward: f64, state: &Arc<Fo
 
 impl Shared {
     fn new() -> Shared {
+        // Uncapped: one search's states bound the tables.
         Shared {
             best: Mutex::new((f64::NEG_INFINITY, None)),
-            computed: AtomicUsize::new(0),
+            rewards: ShardedMemo::new(usize::MAX),
+            actions: ShardedMemo::new(usize::MAX),
         }
     }
 }
@@ -318,8 +276,6 @@ struct Worker<'w> {
     /// different action sequences shares one node and its statistics.
     index: HashMap<(ForestKey, bool), usize>,
     shared: &'w Shared,
-    /// Fingerprint qualifying transposition entries (workload + config).
-    ctx_fp: u64,
     /// Normalisation scale: |reward of the initial state|.
     scale: f64,
     best: (f64, Arc<Forest>),
@@ -336,7 +292,6 @@ impl<'w> Worker<'w> {
         seeds: &[Arc<Forest>],
     ) -> Worker<'w> {
         let root_key = root_state.key();
-        let ctx_fp = context_fingerprint(workload, &cfg);
         let mut w = Worker {
             workload,
             cfg,
@@ -352,7 +307,6 @@ impl<'w> Worker<'w> {
             }],
             index: HashMap::from([((root_key, false), 0)]),
             shared,
-            ctx_fp,
             scale: 1.0,
             best: (f64::NEG_INFINITY, Arc::clone(&root_state)),
             stale: 0,
@@ -373,35 +327,22 @@ impl<'w> Worker<'w> {
 
     /// Reward of a state: −min cost over K mappings sampled with a
     /// state-seeded RNG; unmappable states get a strongly negative reward.
-    /// Estimates are shared across workers and searches through the
+    /// Estimates are shared across the search's workers through the
     /// transposition table, and every sighting of an improvement updates
     /// this worker's best state (Cadiaplayer max-reward tracking).
     fn evaluate(&mut self, state: &Arc<Forest>) -> f64 {
         let key = state.key();
-        let tables = search_caches();
-        let r = match tables.rewards.get(&(key, self.ctx_fp)) {
-            Some(r) => r,
-            None => {
-                let r = match MappingContext::build(state, self.workload) {
-                    Some(mut ctx) => {
-                        ctx.check_safety = self.cfg.check_safety;
-                        let mut reward_rng = StdRng::seed_from_u64(self.cfg.seed ^ key.seed());
-                        estimate_reward(
-                            &ctx,
-                            &mut reward_rng,
-                            &self.cfg.params,
-                            self.cfg.k_mappings,
-                        )
+        let r = self.shared.rewards.get_or_insert_with(&key, || {
+            match MappingContext::build(state, self.workload) {
+                Some(mut ctx) => {
+                    ctx.check_safety = self.cfg.check_safety;
+                    let mut reward_rng = StdRng::seed_from_u64(self.cfg.seed ^ key.seed());
+                    estimate_reward(&ctx, &mut reward_rng, &self.cfg.params, self.cfg.k_mappings)
                         .unwrap_or(-1e9)
-                    }
-                    None => -1e9,
-                };
-                if tables.rewards.insert((key, self.ctx_fp), r) {
-                    self.shared.computed.fetch_add(1, Ordering::Relaxed);
                 }
-                r
+                None => -1e9,
             }
-        };
+        });
         if r > self.best.0 {
             self.best = (r, Arc::clone(state));
             self.stale = 0;
@@ -409,18 +350,11 @@ impl<'w> Worker<'w> {
         r
     }
 
-    /// Validated expansion actions for a state, computed once per process.
+    /// Validated expansion actions for a state, computed once per search.
     fn expansion_actions(&self, state: &Forest) -> Arc<Vec<Action>> {
-        let key = state.key();
-        let tables = search_caches();
-        if let Some(hit) = tables.actions.get(&(key, self.ctx_fp)) {
-            return hit;
-        }
-        let actions = Arc::new(applicable_actions(state, self.workload));
-        tables
-            .actions
-            .insert((key, self.ctx_fp), Arc::clone(&actions));
-        actions
+        self.shared.actions.get_or_insert_with(&state.key(), || {
+            Arc::new(applicable_actions(state, self.workload))
+        })
     }
 
     /// Eq. 1: mean + exploration + variance, on normalised rewards.
@@ -623,7 +557,8 @@ pub fn mcts_search(workload: &Workload, cfg: &MctsConfig) -> (Forest, SearchStat
             iterations: total_iterations.load(Ordering::SeqCst),
             duration: start.elapsed(),
             best_reward: reward,
-            states_evaluated: shared.computed.load(Ordering::SeqCst),
+            states_evaluated: shared.rewards.len(),
+            action_sets_validated: shared.actions.len(),
         },
     )
 }
@@ -714,23 +649,31 @@ mod tests {
         let (s2, st2) = mcts_search(&w, &cfg);
         assert_eq!(s1, s2);
         assert_eq!(st1.best_reward, st2.best_reward);
+        // Each search owns its tables, so a repeat evaluates every state again.
+        assert_eq!(st1.states_evaluated, st2.states_evaluated);
+        assert!(st2.states_evaluated > 0);
     }
 
     #[test]
     fn multi_worker_search_is_deterministic() {
-        // Rewards are pure functions of (state, config) — the shared
+        // Rewards are pure functions of (state, config) — the search's
         // transposition table cannot leak cross-worker timing into results,
         // so even parallel searches return one deterministic best forest.
         let w = workload();
-        let cfg = MctsConfig {
-            workers: 3,
-            max_iterations: 30,
-            ..quick_cfg()
-        };
-        let (s1, st1) = mcts_search(&w, &cfg);
-        let (s2, st2) = mcts_search(&w, &cfg);
-        assert_eq!(s1, s2);
-        assert_eq!(st1.best_reward, st2.best_reward);
+        for workers in [2, 3] {
+            let cfg = MctsConfig {
+                workers,
+                max_iterations: 30,
+                ..quick_cfg()
+            };
+            let (s1, st1) = mcts_search(&w, &cfg);
+            let (s2, st2) = mcts_search(&w, &cfg);
+            assert_eq!(s1, s2);
+            assert_eq!(st1.best_reward, st2.best_reward);
+            // Each search owns its tables, so a repeat evaluates every state again.
+            assert_eq!(st1.states_evaluated, st2.states_evaluated);
+            assert!(st2.states_evaluated > 0);
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Search determinism across the state-representation refactor.
 //!
 //! Rewards are pure functions of (state fingerprint, config seed), so the
-//! shared transposition table cannot leak cross-worker timing into results:
-//! the same `MctsConfig` must return an identical best forest on every run,
-//! single- or multi-worker, warm or cold caches.
+//! transposition table a search's workers share cannot leak cross-worker
+//! timing into results: the same `MctsConfig` must return an identical best
+//! forest on every run, single- or multi-worker. Each search owns its
+//! tables, so every run starts them cold.
 
 mod common;
 
@@ -23,8 +24,9 @@ fn workload(kind: LogKind) -> Workload {
 }
 
 /// The pinned test configuration with one worker returns bit-identical
-/// results run over run (this also exercises warm transposition tables on
-/// the second run — cache hits must not change outcomes).
+/// results run over run (the second run rebuilds its transposition tables
+/// from scratch, while the process-wide difftree and mapping memos are warm
+/// — memo hits must not change outcomes).
 #[test]
 fn single_worker_search_is_reproducible() {
     for kind in [LogKind::Explore, LogKind::Abstract] {
