@@ -6,7 +6,7 @@
 //! Difftrees directly corresponds to the input queries, any reachable set
 //! of Difftrees can also express those queries." We enforce this
 //! *operationally*: every candidate transform is validated by re-binding all
-//! input queries ([`Forest::bind_all`]), and resolutions are checked to
+//! input queries ([`Forest::bound_trees`]), and resolutions are checked to
 //! reproduce the bound query exactly.
 //!
 //! # State representation
@@ -25,6 +25,14 @@
 //! are therefore stable under edits to *sibling* trees. Layers that need
 //! forest-global ids (interface covers, exact-cover bookkeeping) offset
 //! local ids by [`Forest::base`].
+//!
+//! # Validation
+//!
+//! A transform's validity needs only *which* tree expresses each query, not
+//! the bindings themselves: [`Forest::bound_trees`] answers that from the
+//! binding cache, whose entries are `Arc`-shared so a hit copies a pointer.
+//! [`Forest::bind_all`] applies the same first-tree-that-binds rule and
+//! clones the bindings out for the layers that read them (mapping, sessions).
 
 use crate::bind::{bind_query, resolve, Binding, BindingMap};
 use crate::gst::{lower_query, DNode};
@@ -326,11 +334,33 @@ impl Forest {
                 out[first].clone()
             } else {
                 self.trees.iter().enumerate().find_map(|(ti, tree)| {
-                    bind_tree_cached(tree, gst, w.gst_fps[qi])
-                        .map(|binding| Assignment { tree: ti, binding })
+                    bind_tree_cached(tree, gst, w.gst_fps[qi]).map(|binding| Assignment {
+                        tree: ti,
+                        binding: BindingMap::clone(&binding),
+                    })
                 })?
             };
             out.push(a);
+        }
+        Some(out)
+    }
+
+    /// The tree column of [`bind_all`](Forest::bind_all): for each input
+    /// query, the index of the first tree that expresses it, or `None` if
+    /// any query is inexpressible. This is the §6.1 validity check of a
+    /// transform; it reads the binding cache without copying a binding.
+    pub fn bound_trees(&self, w: &Workload) -> Option<Vec<usize>> {
+        let mut out: Vec<usize> = Vec::with_capacity(w.gsts.len());
+        for (qi, gst) in w.gsts.iter().enumerate() {
+            let first = w.class[qi];
+            let t = if first < qi {
+                out[first]
+            } else {
+                self.trees
+                    .iter()
+                    .position(|tree| bind_tree_cached(tree, gst, w.gst_fps[qi]).is_some())?
+            };
+            out.push(t);
         }
         Some(out)
     }
@@ -382,19 +412,14 @@ impl Forest {
     }
 
     /// Analyzed schema info for every distinct input query a tree expresses
-    /// (first occurrences only; precomputed once per workload). Result
-    /// schemas fold their inputs with idempotent joins, so duplicates would
-    /// add nothing.
-    pub fn tree_infos(
-        &self,
-        tree_idx: usize,
-        w: &Workload,
-        assignments: &[Assignment],
-    ) -> Vec<QueryInfo> {
-        assignments
+    /// (first occurrences only; precomputed once per workload). `trees` is
+    /// [`bound_trees`](Forest::bound_trees)' result. Result schemas fold
+    /// their inputs with idempotent joins, so duplicates would add nothing.
+    pub fn tree_infos(&self, tree_idx: usize, w: &Workload, trees: &[usize]) -> Vec<QueryInfo> {
+        trees
             .iter()
             .enumerate()
-            .filter(|&(qi, a)| a.tree == tree_idx && w.class[qi] == qi)
+            .filter(|&(qi, &t)| t == tree_idx && w.class[qi] == qi)
             .filter_map(|(qi, _)| w.infos[qi].clone())
             .collect()
     }
@@ -405,9 +430,9 @@ impl Forest {
         &self,
         tree_idx: usize,
         w: &Workload,
-        assignments: &[Assignment],
+        trees: &[usize],
     ) -> Option<ResultSchema> {
-        let infos = self.tree_infos(tree_idx, w, assignments);
+        let infos = self.tree_infos(tree_idx, w, trees);
         if infos.is_empty() {
             return None;
         }
@@ -419,12 +444,14 @@ impl Forest {
 /// tree-local (the tree root is id 0), so cache entries transfer between
 /// forests sharing the tree without any id shifting. The memo is
 /// process-global and lock-sharded ([`pi2_data::ShardedMemo`]): binds are
-/// pure functions of (tree, query), so search workers share hits.
-fn bind_tree_cached(tree: &Tree, gst: &DNode, gst_fp: u64) -> Option<BindingMap> {
+/// pure functions of (tree, query), so search workers share hits. Entries
+/// are `Arc`-shared, so a hit copies a pointer under the shard lock.
+fn bind_tree_cached(tree: &Tree, gst: &DNode, gst_fp: u64) -> Option<Arc<BindingMap>> {
     use pi2_data::ShardedMemo;
     use std::sync::OnceLock;
     /// (tree fp, tree size, query gst fp) → verified tree-local binding.
-    static BIND_CACHE: OnceLock<ShardedMemo<(u64, u32, u64), Option<BindingMap>>> = OnceLock::new();
+    type BindMemo = ShardedMemo<(u64, u32, u64), Option<Arc<BindingMap>>>;
+    static BIND_CACHE: OnceLock<BindMemo> = OnceLock::new();
     let cache =
         BIND_CACHE.get_or_init(|| ShardedMemo::new(200_000 / pi2_data::memo::DEFAULT_SHARDS));
     let key = (tree.fp, tree.size, gst_fp);
@@ -432,7 +459,7 @@ fn bind_tree_cached(tree: &Tree, gst: &DNode, gst_fp: u64) -> Option<BindingMap>
         bind_query(tree.node(), gst).and_then(|binding| {
             // Verify the round trip: resolve must reproduce the query.
             match resolve(tree.node(), &binding) {
-                Ok(resolved) if &resolved == gst => Some(binding),
+                Ok(resolved) if &resolved == gst => Some(Arc::new(binding)),
                 _ => None,
             }
         })
@@ -517,7 +544,30 @@ mod tests {
         assert_eq!(assignments[2], assignments[0]);
         assert_eq!(assignments[4], assignments[1]);
         assert_ne!(assignments[0], assignments[1]);
-        assert_eq!(merged.tree_infos(0, &w, &assignments).len(), 3);
+        let trees = merged.bound_trees(&w).unwrap();
+        assert_eq!(merged.tree_infos(0, &w, &trees).len(), 3);
+    }
+
+    #[test]
+    fn bound_trees_is_the_tree_column_of_bind_all() {
+        let w = workload(&[
+            "SELECT p FROM T WHERE a = 1",
+            "SELECT a FROM T",
+            "SELECT p FROM T WHERE a = 1",
+            "SELECT p FROM T WHERE a = 2",
+        ]);
+        let f = Forest::new(vec![
+            w.gsts[1].clone(),
+            DNode::any(vec![w.gsts[0].clone(), w.gsts[3].clone()]),
+        ]);
+        let trees = f.bound_trees(&w).unwrap();
+        let column: Vec<usize> = f.bind_all(&w).unwrap().iter().map(|a| a.tree).collect();
+        assert_eq!(trees, column);
+        assert_eq!(trees, vec![1, 0, 1, 1]);
+        // Inexpressible: both agree on `None`.
+        let partial = Forest::new(vec![w.gsts[1].clone()]);
+        assert!(partial.bound_trees(&w).is_none());
+        assert!(partial.bind_all(&w).is_none());
     }
 
     #[test]
@@ -584,8 +634,8 @@ mod tests {
             "SELECT a, count(*) FROM T GROUP BY a",
         ]);
         let merged = Forest::new(vec![DNode::any(w.gsts.clone())]);
-        let assignments = merged.bind_all(&w).unwrap();
-        let rs = merged.tree_result_schema(0, &w, &assignments).unwrap();
+        let trees = merged.bound_trees(&w).unwrap();
+        let rs = merged.tree_result_schema(0, &w, &trees).unwrap();
         assert_eq!(rs.cols.len(), 2);
         assert_eq!(rs.cols[0].display_name(), "p∪a");
     }

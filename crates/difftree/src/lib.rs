@@ -17,7 +17,8 @@
 //!   (§3.2.1) and type inference over trees,
 //! * [`schema`] — node schemas (§3.2.3) and result schemas (§3.2.2),
 //! * [`transform`] — the four categories of transformation rules (§6.1,
-//!   Fig. 13) that define PI2's search space,
+//!   Fig. 13) that define PI2's search space, and the [`Transitions`] seam
+//!   the search's rule loops are written over,
 //! * [`forest`] — a set of Difftrees plus the input queries they must keep
 //!   expressing (the search state).
 
@@ -39,5 +40,8 @@ pub use schema::{
     node_schema, result_schema, type_or_schema, NodeSchema, ResultCol, ResultSchema, SchemaExpr,
     TypeOrSchema,
 };
-pub use transform::{applicable_actions, apply_action, candidate_actions, Action, Rule};
+pub use transform::{
+    applicable_actions, apply_action, candidate_actions, cross_tree_candidates, tree_candidates,
+    Action, Rule, Transitions,
+};
 pub use types::{infer_types, infer_types_cached, AttrRef, NodeType, PrimType, TypeMap};

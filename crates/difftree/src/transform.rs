@@ -12,9 +12,27 @@
 //!
 //! Every rule must preserve or increase expressiveness. Rather than proving
 //! this per rule, [`apply_action`] *validates* each application by re-binding
-//! all input queries ([`Forest::bind_all`]) and rejects the action if any
+//! all input queries ([`Forest::bound_trees`]) and rejects the action if any
 //! query becomes inexpressible — a runtime enforcement of the paper's §6.1
 //! guarantee.
+//!
+//! # Transitions
+//!
+//! A search transition is a candidate action ([`candidate_actions`], by
+//! rule preconditions only) plus its validated successor
+//! ([`apply_action`]). The [`Transitions`] trait names that pair of pure
+//! functions, and the rule loops built on it — the valid moves of a state
+//! ([`Transitions::applicable`]) and the canonicalization policy
+//! ([`Transitions::canonicalize`]) — are written once, over the trait. The
+//! free functions [`applicable_actions`] and [`canonicalize`] run them
+//! over a source that computes every transition afresh; the MCTS search
+//! runs them over per-search tables, so it applies and validates each
+//! transition once.
+//!
+//! Candidates split into cross-tree actions ([`cross_tree_candidates`]:
+//! `Merge` and `Split`, which depend on the whole forest) and node-local
+//! actions ([`tree_candidates`]), which are a function of one tree alone
+//! and can be cached per tree.
 
 use crate::forest::{structural_fingerprint, Forest, Tree, Workload};
 use crate::gst::{DNode, NodeKind, SyntaxKind};
@@ -101,35 +119,109 @@ pub struct Action {
     pub other_tree: usize,
 }
 
+/// A source of search transitions: a state's candidate actions and the
+/// validated successor of an action. Both are pure functions of (state,
+/// workload), so an implementation may answer from a table.
+pub trait Transitions {
+    /// The state's candidate actions, in [`candidate_actions`]' order.
+    fn candidates(&self, forest: &Forest) -> Arc<Vec<Action>>;
+
+    /// The validated successor of `forest` under `action`, as
+    /// [`apply_action`] returns it.
+    fn apply(&self, forest: &Forest, action: Action) -> Option<Arc<Forest>>;
+
+    /// Every valid action of a state with its successor, in candidate
+    /// order.
+    fn applicable(&self, forest: &Forest) -> Vec<(Action, Arc<Forest>)> {
+        self.candidates(forest)
+            .iter()
+            .filter_map(|&a| self.apply(forest, a).map(|next| (a, next)))
+            .collect()
+    }
+
+    /// Apply refactoring/mutation/simplification rules to a fixpoint
+    /// (bounded by `max_steps`): `Noop` and `MergeANY` to simplify,
+    /// `PushANY` to isolate differences, `ANY→VAL` to generalise literal
+    /// choices. Each step takes the first candidate, in that rule order,
+    /// with a valid successor, so the result stays inside the search space;
+    /// this is a *policy* (used by MCTS rollouts to shorten action chains),
+    /// not a new rule.
+    fn canonicalize(&self, forest: &Arc<Forest>, max_steps: usize) -> Arc<Forest> {
+        let mut state = Arc::clone(forest);
+        for _ in 0..max_steps {
+            let candidates = self.candidates(&state);
+            let next = [Rule::Noop, Rule::MergeAny, Rule::PushAny, Rule::AnyToVal]
+                .into_iter()
+                .find_map(|rule| {
+                    candidates
+                        .iter()
+                        .filter(|a| a.rule == rule)
+                        .find_map(|&a| self.apply(&state, a))
+                });
+            match next {
+                Some(s) => state = s,
+                None => break,
+            }
+        }
+        state
+    }
+}
+
+/// Transitions computed afresh on every call.
+struct Direct<'w>(&'w Workload);
+
+impl Transitions for Direct<'_> {
+    fn candidates(&self, forest: &Forest) -> Arc<Vec<Action>> {
+        Arc::new(candidate_actions(forest, self.0))
+    }
+
+    fn apply(&self, forest: &Forest, action: Action) -> Option<Arc<Forest>> {
+        apply_action(forest, self.0, action).map(Arc::new)
+    }
+}
+
 /// Enumerate all valid actions for a state. Each candidate is applied and
 /// validated (re-binding all input queries); invalid candidates are
 /// discarded, so every returned action is safe to take.
 pub fn applicable_actions(forest: &Forest, w: &Workload) -> Vec<Action> {
-    let mut out = Vec::new();
-    for action in candidate_actions(forest, w) {
-        if apply_action(forest, w, action).is_some() {
-            out.push(action);
-        }
+    Direct(w)
+        .applicable(forest)
+        .into_iter()
+        .map(|(a, _)| a)
+        .collect()
+}
+
+/// Enumerate candidate actions by rule preconditions only (no validation):
+/// the cross-tree actions first, then each tree's node-local actions in
+/// tree order.
+pub fn candidate_actions(forest: &Forest, w: &Workload) -> Vec<Action> {
+    let mut out = cross_tree_candidates(forest, w);
+    for (ti, tree) in forest.trees.iter().enumerate() {
+        out.extend(
+            tree_candidates(tree, w)
+                .into_iter()
+                .map(|a| Action { tree: ti, ..a }),
+        );
     }
     out
 }
 
-/// Enumerate candidate actions by rule preconditions only (no validation).
-pub fn candidate_actions(forest: &Forest, w: &Workload) -> Vec<Action> {
+/// The cross-tree candidates of a state: for each tree `i` in order, a
+/// `Merge` with every later union-compatible tree, then its `Split` if it
+/// is splittable.
+pub fn cross_tree_candidates(forest: &Forest, w: &Workload) -> Vec<Action> {
     let mut out = Vec::new();
-
-    // Cross-tree rules. Bind once and analyze each tree once; the pairwise
-    // merge check is then a cheap union-compatibility test.
-    let assignments = forest.bind_all(w);
-    let tree_infos: Vec<Vec<pi2_engine::QueryInfo>> = match &assignments {
-        Some(a) => (0..forest.trees.len())
-            .map(|t| forest.tree_infos(t, w, a))
+    // Bind once and analyze each tree once; the pairwise merge check is
+    // then a cheap union-compatibility test.
+    let tree_infos: Vec<Vec<pi2_engine::QueryInfo>> = match forest.bound_trees(w) {
+        Some(trees) => (0..forest.trees.len())
+            .map(|t| forest.tree_infos(t, w, &trees))
             .collect(),
         None => vec![Vec::new(); forest.trees.len()],
     };
     for i in 0..forest.trees.len() {
-        for j in 0..forest.trees.len() {
-            if i < j && merge_compatible_infos(&tree_infos[i], &tree_infos[j]) {
+        for j in i + 1..forest.trees.len() {
+            if merge_compatible_infos(&tree_infos[i], &tree_infos[j]) {
                 out.push(Action {
                     rule: Rule::Merge,
                     tree: i,
@@ -148,149 +240,101 @@ pub fn candidate_actions(forest: &Forest, w: &Workload) -> Vec<Action> {
             });
         }
     }
+    out
+}
 
-    // Node-local rules.
-    for (ti, tree) in forest.trees.iter().enumerate() {
-        let types = infer_types_cached(tree, &w.catalog);
-        let mut nodes = Vec::new();
-        tree.walk(&mut nodes);
-        for n in nodes {
-            // List-with-slots MULTI/SUBSET generalisation (Connect's
-            // `IN (ANY(1,20), ANY(2,22))` → `IN (MULTI(ANY(…)))`).
-            if let NodeKind::Syntax(k) = &n.kind {
-                if k.is_list()
-                    && n.is_dynamic()
-                    && list_slots(k, n)
-                        .and_then(|(_, slots)| slot_alternatives(&slots))
-                        .is_some_and(|items| !items.is_empty())
-                {
-                    out.push(Action {
-                        rule: Rule::AnyToMulti,
-                        tree: ti,
-                        node: n.id,
-                        other_tree: 0,
-                    });
-                    out.push(Action {
-                        rule: Rule::AnyToSubset,
-                        tree: ti,
-                        node: n.id,
-                        other_tree: 0,
-                    });
+/// The node-local candidates of one tree, a function of the tree alone.
+/// Every action carries tree index 0; the caller sets the tree's index in
+/// its forest.
+pub fn tree_candidates(tree: &Tree, w: &Workload) -> Vec<Action> {
+    let mut out = Vec::new();
+    let local = |rule: Rule, node: u32| Action {
+        rule,
+        tree: 0,
+        node,
+        other_tree: 0,
+    };
+    let types = infer_types_cached(tree, &w.catalog);
+    let mut nodes = Vec::new();
+    tree.walk(&mut nodes);
+    for n in nodes {
+        // List-with-slots MULTI/SUBSET generalisation (Connect's
+        // `IN (ANY(1,20), ANY(2,22))` → `IN (MULTI(ANY(…)))`).
+        if let NodeKind::Syntax(k) = &n.kind {
+            if k.is_list()
+                && n.is_dynamic()
+                && list_slots(k, n)
+                    .and_then(|(_, slots)| slot_alternatives(&slots))
+                    .is_some_and(|items| !items.is_empty())
+            {
+                out.push(local(Rule::AnyToMulti, n.id));
+                out.push(local(Rule::AnyToSubset, n.id));
+            }
+        }
+        if n.kind == NodeKind::Any {
+            let alts: Vec<&DNode> = non_marker_children(n);
+            let non_empty: Vec<&DNode> = alts
+                .iter()
+                .copied()
+                .filter(|c| !c.is_empty_node())
+                .collect();
+            // Noop: single distinct child, no empty alternative.
+            let distinct: std::collections::HashSet<&DNode> = non_empty.iter().copied().collect();
+            if distinct.len() == 1 && non_empty.len() == alts.len() {
+                out.push(local(Rule::Noop, n.id));
+            }
+            // MergeANY: a cascade of ANY nodes.
+            if non_empty.iter().any(|c| c.kind == NodeKind::Any) {
+                out.push(local(Rule::MergeAny, n.id));
+            }
+            // PushANY: all alternatives share a root kind.
+            if non_empty.len() >= 2 && non_empty.len() == alts.len() && same_syntax_kind(&non_empty)
+            {
+                out.push(local(Rule::PushAny, n.id));
+            }
+            // Partition: ≥3 alternatives forming ≥2 clusters, at least one
+            // non-singular.
+            if non_empty.len() >= 3 && non_empty.len() == alts.len() {
+                let clusters = cluster_children(&non_empty, w);
+                let n_clusters = clusters.iter().max().map(|m| m + 1).unwrap_or(0);
+                let has_nonsingular =
+                    (0..n_clusters).any(|c| clusters.iter().filter(|&&x| x == c).count() >= 2);
+                if n_clusters >= 2 && has_nonsingular {
+                    out.push(local(Rule::Partition, n.id));
                 }
             }
-            if n.kind == NodeKind::Any {
-                let alts: Vec<&DNode> = non_marker_children(n);
-                let non_empty: Vec<&DNode> = alts
+            // ANY→VAL: all alternatives are literals of a numeric or
+            // attribute-specialised type.
+            if !non_empty.is_empty()
+                && non_empty.len() == alts.len()
+                && non_empty
                     .iter()
-                    .copied()
-                    .filter(|c| !c.is_empty_node())
-                    .collect();
-                // Noop: single distinct child, no empty alternative.
-                let distinct: std::collections::HashSet<&DNode> =
-                    non_empty.iter().copied().collect();
-                if distinct.len() == 1 && non_empty.len() == alts.len() {
-                    out.push(Action {
-                        rule: Rule::Noop,
-                        tree: ti,
-                        node: n.id,
-                        other_tree: 0,
-                    });
+                    .all(|c| matches!(c.kind, NodeKind::Syntax(SyntaxKind::Lit(_))))
+            {
+                let ty = types.get(&n.id);
+                if ty.is_some_and(|t| t.is_num() || !t.attrs.is_empty()) {
+                    out.push(local(Rule::AnyToVal, n.id));
                 }
-                // MergeANY: a cascade of ANY nodes.
-                if non_empty.iter().any(|c| c.kind == NodeKind::Any) {
-                    out.push(Action {
-                        rule: Rule::MergeAny,
-                        tree: ti,
-                        node: n.id,
-                        other_tree: 0,
-                    });
+            }
+            // ANY→MULTI / ANY→SUBSET: alternatives are same-kind list
+            // nodes.
+            if non_empty.len() >= 2
+                && non_empty.len() == alts.len()
+                && same_syntax_kind(&non_empty)
+                && list_kind(non_empty[0]).is_some()
+            {
+                out.push(local(Rule::AnyToMulti, n.id));
+                out.push(local(Rule::AnyToSubset, n.id));
+            }
+            // PushOPT rules apply to OPT nodes (ANY with an Empty child and
+            // exactly one non-empty alternative).
+            if n.is_opt() && non_empty.len() == 1 {
+                let inner = non_empty[0];
+                if inner.is_dynamic() && !inner.is_choice() {
+                    out.push(local(Rule::PushOpt1, n.id));
                 }
-                // PushANY: all alternatives share a root kind.
-                if non_empty.len() >= 2
-                    && non_empty.len() == alts.len()
-                    && same_syntax_kind(&non_empty)
-                {
-                    out.push(Action {
-                        rule: Rule::PushAny,
-                        tree: ti,
-                        node: n.id,
-                        other_tree: 0,
-                    });
-                }
-                // Partition: ≥3 alternatives forming ≥2 clusters, at
-                // least one non-singular.
-                if non_empty.len() >= 3 && non_empty.len() == alts.len() {
-                    let clusters = cluster_children(&non_empty, w);
-                    let n_clusters = clusters.iter().max().map(|m| m + 1).unwrap_or(0);
-                    let has_nonsingular =
-                        (0..n_clusters).any(|c| clusters.iter().filter(|&&x| x == c).count() >= 2);
-                    if n_clusters >= 2 && has_nonsingular {
-                        out.push(Action {
-                            rule: Rule::Partition,
-                            tree: ti,
-                            node: n.id,
-                            other_tree: 0,
-                        });
-                    }
-                }
-                // ANY→VAL: all alternatives are literals of a numeric or
-                // attribute-specialised type.
-                if !non_empty.is_empty()
-                    && non_empty.len() == alts.len()
-                    && non_empty
-                        .iter()
-                        .all(|c| matches!(c.kind, NodeKind::Syntax(SyntaxKind::Lit(_))))
-                {
-                    let ty = types.get(&n.id);
-                    if ty.is_some_and(|t| t.is_num() || !t.attrs.is_empty()) {
-                        out.push(Action {
-                            rule: Rule::AnyToVal,
-                            tree: ti,
-                            node: n.id,
-                            other_tree: 0,
-                        });
-                    }
-                }
-                // ANY→MULTI / ANY→SUBSET: alternatives are same-kind
-                // list nodes.
-                if non_empty.len() >= 2
-                    && non_empty.len() == alts.len()
-                    && same_syntax_kind(&non_empty)
-                    && list_kind(non_empty[0]).is_some()
-                {
-                    out.push(Action {
-                        rule: Rule::AnyToMulti,
-                        tree: ti,
-                        node: n.id,
-                        other_tree: 0,
-                    });
-                    out.push(Action {
-                        rule: Rule::AnyToSubset,
-                        tree: ti,
-                        node: n.id,
-                        other_tree: 0,
-                    });
-                }
-                // PushOPT rules apply to OPT nodes (ANY with an Empty
-                // child and exactly one non-empty alternative).
-                if n.is_opt() && non_empty.len() == 1 {
-                    let inner = non_empty[0];
-                    if inner.is_dynamic() && !inner.is_choice() {
-                        out.push(Action {
-                            rule: Rule::PushOpt1,
-                            tree: ti,
-                            node: n.id,
-                            other_tree: 0,
-                        });
-                    }
-                    if list_kind(inner).is_some() && inner.children.len() >= 2 {
-                        out.push(Action {
-                            rule: Rule::PushOpt2,
-                            tree: ti,
-                            node: n.id,
-                            other_tree: 0,
-                        });
-                    }
+                if list_kind(inner).is_some() && inner.children.len() >= 2 {
+                    out.push(local(Rule::PushOpt2, n.id));
                 }
             }
         }
@@ -371,7 +415,7 @@ pub fn apply_action(forest: &Forest, w: &Workload, action: Action) -> Option<For
     }
     let next = Forest::from_trees(trees);
     // Enforce §6.1: the new state must still express every input query.
-    next.bind_all(w)?;
+    next.bound_trees(w)?;
     // Reject the identity transformation (MCTS would loop on it).
     if &next == forest {
         return None;
@@ -379,34 +423,10 @@ pub fn apply_action(forest: &Forest, w: &Workload, action: Action) -> Option<For
     Some(next)
 }
 
-/// Apply refactoring/mutation/simplification rules to a fixpoint (bounded
-/// by `max_steps`): `Noop` and `MergeANY` to simplify, `PushANY` to isolate
-/// differences, `ANY→VAL` to generalise literal choices. Every step is an
-/// ordinary validated [`apply_action`], so the result stays inside the
-/// search space; this is a *policy* (used by MCTS rollouts to shorten
-/// action chains), not a new rule.
+/// [`Transitions::canonicalize`] with every transition computed afresh.
 pub fn canonicalize(forest: &Forest, w: &Workload, max_steps: usize) -> Forest {
-    let mut state = forest.clone();
-    for _ in 0..max_steps {
-        let candidates = candidate_actions(&state, w);
-        let mut next: Option<Forest> = None;
-        for rule in [Rule::Noop, Rule::MergeAny, Rule::PushAny, Rule::AnyToVal] {
-            for a in candidates.iter().filter(|a| a.rule == rule) {
-                if let Some(s) = apply_action(&state, w, *a) {
-                    next = Some(s);
-                    break;
-                }
-            }
-            if next.is_some() {
-                break;
-            }
-        }
-        match next {
-            Some(s) => state = s,
-            None => break,
-        }
-    }
-    state
+    let state = Direct(w).canonicalize(&Arc::new(forest.clone()), max_steps);
+    Arc::unwrap_or_clone(state)
 }
 
 /// Merge precondition (Figure 13): the two trees' result schemas must be

@@ -25,8 +25,20 @@
 //!
 //! Reward estimates live in a **lock-sharded transposition table shared by
 //! all `p` workers** of one search, so each state's K-mapping estimate is
-//! computed once per search. The table is dropped when the search returns:
-//! a repeated search starts with empty tables. The estimate's sampling RNG
+//! computed once per search. Transitions are tabled the same way, on the
+//! search's [`Transitions`] source:
+//! * **candidates**: state → candidate actions (rule preconditions only);
+//! * **tree candidates**: tree → its node-local candidates, so a state
+//!   recomputes only its cross-tree `Merge`/`Split` candidates;
+//! * **successors**: (state, action) → validated successor, or `None`;
+//! * **children**: state → the successors of its valid actions, which
+//!   expansion interns directly.
+//!
+//! So every transition is applied and validated once per search, whether
+//! expansion, a rollout step, canonicalization or the scripted seed states
+//! asks for it, and all workers share the answers. The tables are uncapped
+//! and dropped when the search returns: a repeated search starts with
+//! empty tables. The estimate's sampling RNG
 //! is seeded from `cfg.seed ⊕ ForestKey` — a reward is a pure function of
 //! (state, config), so a table hit returns exactly the value the worker
 //! would have computed itself. Combined with schedule-independent
@@ -39,9 +51,9 @@
 use crate::random::estimate_reward;
 use parking_lot::Mutex;
 use pi2_data::ShardedMemo;
-use pi2_difftree::transform::canonicalize;
 use pi2_difftree::{
-    applicable_actions, apply_action, candidate_actions, Action, Forest, ForestKey, Workload,
+    applicable_actions, apply_action, cross_tree_candidates, tree_candidates, Action, Forest,
+    ForestKey, Transitions, Workload,
 };
 use pi2_interface::{CostParams, MappingContext};
 use rand::rngs::StdRng;
@@ -114,22 +126,32 @@ pub struct SearchStats {
     /// Reward estimates this search computed (its reward-table entries;
     /// workers share each estimate, so a state counts once).
     pub states_evaluated: usize,
-    /// Expansion action sets this search validated (its action-table
+    /// Expansion child sets this search validated (its children-table
     /// entries).
     pub action_sets_validated: usize,
+    /// (state, action) transitions this search applied and validated (its
+    /// successor-table entries; each is computed once per search).
+    pub successors_validated: usize,
 }
 
 /// Shared state of one parallel search: the best state found so far and
-/// the transposition tables. Rewards and validated action sets are pure
+/// the transposition tables. Rewards, candidates and successors are pure
 /// functions of (state, workload, config), and one search has one workload
-/// and one config, so the tables are keyed by state alone. They are shared
-/// by the search's workers and dropped when it returns.
-struct Shared {
+/// and one config, so the tables are keyed by state (or tree) alone. They
+/// are shared by the search's workers and dropped when it returns.
+struct Shared<'w> {
+    workload: &'w Workload,
     best: Mutex<(f64, Option<Arc<Forest>>)>,
     /// Reward transposition table: state → estimated reward.
     rewards: ShardedMemo<ForestKey, f64>,
-    /// Validated expansion actions per state.
-    actions: ShardedMemo<ForestKey, Arc<Vec<Action>>>,
+    /// Expansion children per state: the successors of its valid actions.
+    children: ShardedMemo<ForestKey, Arc<Vec<Arc<Forest>>>>,
+    /// Candidate actions per state.
+    candidates: ShardedMemo<ForestKey, Arc<Vec<Action>>>,
+    /// Node-local candidates per tree (fingerprint, size), tree index 0.
+    tree_candidates: ShardedMemo<(u64, u32), Arc<Vec<Action>>>,
+    /// Validated successor per (state, action); `None` if invalid.
+    successors: ShardedMemo<(ForestKey, Action), Option<Arc<Forest>>>,
 }
 
 /// Merge a worker's best into the shared best under a *total*,
@@ -144,14 +166,49 @@ fn merge_best(best: &mut (f64, Option<Arc<Forest>>), reward: f64, state: &Arc<Fo
     }
 }
 
-impl Shared {
-    fn new() -> Shared {
+impl<'w> Shared<'w> {
+    fn new(workload: &'w Workload) -> Shared<'w> {
         // Uncapped: one search's states bound the tables.
         Shared {
+            workload,
             best: Mutex::new((f64::NEG_INFINITY, None)),
             rewards: ShardedMemo::new(usize::MAX),
-            actions: ShardedMemo::new(usize::MAX),
+            children: ShardedMemo::new(usize::MAX),
+            candidates: ShardedMemo::new(usize::MAX),
+            tree_candidates: ShardedMemo::new(usize::MAX),
+            successors: ShardedMemo::new(usize::MAX),
         }
+    }
+
+    /// The successors of a state's valid actions, computed once per search.
+    fn expansion_children(&self, state: &Forest) -> Arc<Vec<Arc<Forest>>> {
+        self.children.get_or_insert_with(&state.key(), || {
+            Arc::new(self.applicable(state).into_iter().map(|(_, s)| s).collect())
+        })
+    }
+}
+
+impl Transitions for Shared<'_> {
+    fn candidates(&self, forest: &Forest) -> Arc<Vec<Action>> {
+        self.candidates.get_or_insert_with(&forest.key(), || {
+            let w = self.workload;
+            let mut out = cross_tree_candidates(forest, w);
+            for (ti, tree) in forest.trees.iter().enumerate() {
+                let key = (tree.fingerprint(), tree.len());
+                let local = self
+                    .tree_candidates
+                    .get_or_insert_with(&key, || Arc::new(tree_candidates(tree, w)));
+                out.extend(local.iter().map(|&a| Action { tree: ti, ..a }));
+            }
+            Arc::new(out)
+        })
+    }
+
+    fn apply(&self, forest: &Forest, action: Action) -> Option<Arc<Forest>> {
+        self.successors
+            .get_or_insert_with(&(forest.key(), action), || {
+                apply_action(forest, self.workload, action).map(Arc::new)
+            })
     }
 }
 
@@ -212,7 +269,7 @@ pub fn initial_state(w: &Workload) -> Forest {
     let f = Forest::new(trees);
     // The clustered state must still express the workload; fall back to the
     // identity state otherwise.
-    if f.bind_all(w).is_some() {
+    if f.bound_trees(w).is_some() {
         f
     } else {
         Forest::from_workload(w)
@@ -224,21 +281,22 @@ pub fn initial_state(w: &Workload) -> Forest {
 /// refinement (see [`Worker::new`]). Pure in (workload, initial state), so
 /// it is derived once per search and shared by all workers — only reward
 /// evaluation (already deduplicated by the transposition table) remains
-/// per worker.
-fn seed_states(workload: &Workload, root: &Forest) -> Vec<Arc<Forest>> {
-    let canon_root = Arc::new(canonicalize(root, workload, 48));
+/// per worker. Its transitions go through the search's tables, where the
+/// workers find them again.
+fn seed_states(shared: &Shared<'_>, root: &Arc<Forest>) -> Vec<Arc<Forest>> {
+    let canon_root = shared.canonicalize(root, 48);
 
     // Partition every ANY-rooted tree, split, then canonicalize.
-    let mut state: Forest = root.clone();
+    let mut state = Arc::clone(root);
     loop {
-        let actions = candidate_actions(&state, workload);
+        let actions = shared.candidates(&state);
         let Some(a) = actions
             .iter()
             .find(|a| a.rule == pi2_difftree::Rule::Partition && a.node == 0)
         else {
             break;
         };
-        match apply_action(&state, workload, *a) {
+        match shared.apply(&state, *a) {
             Some(next) => state = next,
             None => break,
         }
@@ -246,7 +304,7 @@ fn seed_states(workload: &Workload, root: &Forest) -> Vec<Arc<Forest>> {
     loop {
         // Split only partition results (every alternative itself an
         // ANY-rooted cluster) — not clusters down to single queries.
-        let actions = candidate_actions(&state, workload);
+        let actions = shared.candidates(&state);
         let Some(a) = actions.iter().find(|a| {
             a.rule == pi2_difftree::Rule::Split
                 && state.trees[a.tree]
@@ -256,17 +314,16 @@ fn seed_states(workload: &Workload, root: &Forest) -> Vec<Arc<Forest>> {
         }) else {
             break;
         };
-        match apply_action(&state, workload, *a) {
+        match shared.apply(&state, *a) {
             Some(next) => state = next,
             None => break,
         }
     }
-    let split_canon = Arc::new(canonicalize(&state, workload, 64));
+    let split_canon = shared.canonicalize(&state, 64);
     vec![canon_root, split_canon]
 }
 
 struct Worker<'w> {
-    workload: &'w Workload,
     cfg: MctsConfig,
     /// Drives search decisions only (expansion picks, rollout steps) —
     /// never reward sampling, which is seeded per state.
@@ -275,7 +332,7 @@ struct Worker<'w> {
     /// Arena index: (state key, terminal?) → node. Reaching a state through
     /// different action sequences shares one node and its statistics.
     index: HashMap<(ForestKey, bool), usize>,
-    shared: &'w Shared,
+    shared: &'w Shared<'w>,
     /// Normalisation scale: |reward of the initial state|.
     scale: f64,
     best: (f64, Arc<Forest>),
@@ -284,16 +341,14 @@ struct Worker<'w> {
 
 impl<'w> Worker<'w> {
     fn new(
-        workload: &'w Workload,
         cfg: MctsConfig,
         seed: u64,
-        shared: &'w Shared,
+        shared: &'w Shared<'w>,
         root_state: Arc<Forest>,
         seeds: &[Arc<Forest>],
     ) -> Worker<'w> {
         let root_key = root_state.key();
         let mut w = Worker {
-            workload,
             cfg,
             rng: StdRng::seed_from_u64(seed),
             nodes: vec![Node {
@@ -333,7 +388,7 @@ impl<'w> Worker<'w> {
     fn evaluate(&mut self, state: &Arc<Forest>) -> f64 {
         let key = state.key();
         let r = self.shared.rewards.get_or_insert_with(&key, || {
-            match MappingContext::build(state, self.workload) {
+            match MappingContext::build(state, self.shared.workload) {
                 Some(mut ctx) => {
                     ctx.check_safety = self.cfg.check_safety;
                     let mut reward_rng = StdRng::seed_from_u64(self.cfg.seed ^ key.seed());
@@ -348,13 +403,6 @@ impl<'w> Worker<'w> {
             self.stale = 0;
         }
         r
-    }
-
-    /// Validated expansion actions for a state, computed once per search.
-    fn expansion_actions(&self, state: &Forest) -> Arc<Vec<Action>> {
-        self.shared.actions.get_or_insert_with(&state.key(), || {
-            Arc::new(applicable_actions(state, self.workload))
-        })
     }
 
     /// Eq. 1: mean + exploration + variance, on normalised rewards.
@@ -419,14 +467,12 @@ impl<'w> Worker<'w> {
         // 2. Expansion.
         let start = if !self.nodes[cur].expanded && !self.nodes[cur].terminal {
             let state = Arc::clone(&self.nodes[cur].state);
-            let actions = self.expansion_actions(&state);
-            let mut child_indices = Vec::with_capacity(actions.len() + 1);
-            for a in actions.iter() {
-                if let Some(next_state) = apply_action(&state, self.workload, *a) {
-                    let ix = self.intern_node(Arc::new(next_state), false);
-                    if !child_indices.contains(&ix) {
-                        child_indices.push(ix);
-                    }
+            let children = self.shared.expansion_children(&state);
+            let mut child_indices = Vec::with_capacity(children.len() + 1);
+            for next_state in children.iter() {
+                let ix = self.intern_node(Arc::clone(next_state), false);
+                if !child_indices.contains(&ix) {
+                    child_indices.push(ix);
                 }
             }
             // The TERMINATE pseudo-rule: a terminal alias of this state.
@@ -454,7 +500,7 @@ impl<'w> Worker<'w> {
                 if self.rng.gen_bool(self.cfg.terminate_prob) {
                     break;
                 }
-                let mut candidates = candidate_actions(&state, self.workload);
+                let mut candidates = Vec::clone(&self.shared.candidates(&state));
                 // Rule-weighted shuffle: refactoring and generalisation
                 // rules are tried before structural merges/splits.
                 candidates.shuffle(&mut self.rng);
@@ -468,8 +514,8 @@ impl<'w> Worker<'w> {
                 });
                 let mut applied = false;
                 for a in candidates.into_iter().take(8) {
-                    if let Some(next) = apply_action(&state, self.workload, a) {
-                        state = Arc::new(canonicalize(&next, self.workload, 24));
+                    if let Some(next) = self.shared.apply(&state, a) {
+                        state = self.shared.canonicalize(&next, 24);
                         applied = true;
                         break;
                     }
@@ -496,13 +542,13 @@ impl<'w> Worker<'w> {
 /// found (by maximum encountered reward, Cadiaplayer-style) and statistics.
 pub fn mcts_search(workload: &Workload, cfg: &MctsConfig) -> (Forest, SearchStats) {
     let start = Instant::now();
-    let shared = Shared::new();
+    let shared = Shared::new(workload);
     let workers = cfg.workers.max(1);
     let total_iterations = AtomicUsize::new(0);
     // The initial and scripted seed states are pure in the workload —
     // derive them once instead of once per worker.
     let root_state = Arc::new(initial_state(workload));
-    let seeds = seed_states(workload, &root_state);
+    let seeds = seed_states(&shared, &root_state);
 
     std::thread::scope(|scope| {
         for wid in 0..workers {
@@ -513,8 +559,7 @@ pub fn mcts_search(workload: &Workload, cfg: &MctsConfig) -> (Forest, SearchStat
             let seeds = &seeds;
             scope.spawn(move || {
                 let seed = cfg.seed.wrapping_add(wid as u64 * 0x9e37_79b9);
-                let mut worker =
-                    Worker::new(workload, cfg.clone(), seed, shared, root_state, seeds);
+                let mut worker = Worker::new(cfg.clone(), seed, shared, root_state, seeds);
                 let mut iters = 0usize;
                 // Each worker runs to its own early stop or the iteration
                 // cap — never to a shared flag, so its trajectory (and the
@@ -558,7 +603,8 @@ pub fn mcts_search(workload: &Workload, cfg: &MctsConfig) -> (Forest, SearchStat
             duration: start.elapsed(),
             best_reward: reward,
             states_evaluated: shared.rewards.len(),
-            action_sets_validated: shared.actions.len(),
+            action_sets_validated: shared.children.len(),
+            successors_validated: shared.successors.len(),
         },
     )
 }
@@ -623,10 +669,10 @@ mod tests {
         // found state should be at least as good as the initial.
         let initial = Arc::new(Forest::from_workload(&w));
         let cfg = quick_cfg();
-        let shared = Shared::new();
+        let shared = Shared::new(&w);
         let root = Arc::new(initial_state(&w));
-        let seeds = seed_states(&w, &root);
-        let mut worker = Worker::new(&w, cfg.clone(), 1, &shared, root, &seeds);
+        let seeds = seed_states(&shared, &root);
+        let mut worker = Worker::new(cfg.clone(), 1, &shared, root, &seeds);
         let initial_reward = worker.evaluate(&initial);
         let (state, stats) = mcts_search(&w, &cfg);
         assert!(
@@ -649,9 +695,12 @@ mod tests {
         let (s2, st2) = mcts_search(&w, &cfg);
         assert_eq!(s1, s2);
         assert_eq!(st1.best_reward, st2.best_reward);
-        // Each search owns its tables, so a repeat evaluates every state again.
+        // Each search owns its tables, so a repeat evaluates every state
+        // and validates every transition again.
         assert_eq!(st1.states_evaluated, st2.states_evaluated);
         assert!(st2.states_evaluated > 0);
+        assert_eq!(st1.successors_validated, st2.successors_validated);
+        assert!(st2.successors_validated > 0);
     }
 
     #[test]
@@ -670,9 +719,12 @@ mod tests {
             let (s2, st2) = mcts_search(&w, &cfg);
             assert_eq!(s1, s2);
             assert_eq!(st1.best_reward, st2.best_reward);
-            // Each search owns its tables, so a repeat evaluates every state again.
+            // Each search owns its tables, so a repeat evaluates every
+            // state and validates every transition again.
             assert_eq!(st1.states_evaluated, st2.states_evaluated);
             assert!(st2.states_evaluated > 0);
+            assert_eq!(st1.successors_validated, st2.successors_validated);
+            assert!(st2.successors_validated > 0);
         }
     }
 
@@ -714,13 +766,131 @@ mod tests {
         assert!(actions.iter().any(|a| a.rule == pi2_difftree::Rule::Merge));
     }
 
+    /// States of `shared`'s workload: the initial state, both seed states,
+    /// and the states along two seeded 3-step walks from each of them. The
+    /// walks use the direct transitions, so the states do not depend on the
+    /// tables under test.
+    fn walk_states(shared: &Shared<'_>) -> Vec<Arc<Forest>> {
+        let w = shared.workload;
+        let root = Arc::new(initial_state(w));
+        let mut states = vec![Arc::clone(&root)];
+        states.extend(seed_states(shared, &root));
+        for start in states.clone() {
+            for seed in [11u64, 29] {
+                let mut rng = seed;
+                let mut state = Arc::clone(&start);
+                for _ in 0..3 {
+                    let actions = pi2_difftree::candidate_actions(&state, w);
+                    rng = rng
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let at = (rng >> 33) as usize;
+                    let Some(next) = (0..actions.len())
+                        .find_map(|k| apply_action(&state, w, actions[(at + k) % actions.len()]))
+                    else {
+                        break;
+                    };
+                    state = Arc::new(next);
+                    states.push(Arc::clone(&state));
+                }
+            }
+        }
+        states
+    }
+
+    /// Entry counts of the transition tables.
+    fn table_sizes(shared: &Shared<'_>) -> [usize; 4] {
+        [
+            shared.candidates.len(),
+            shared.tree_candidates.len(),
+            shared.successors.len(),
+            shared.children.len(),
+        ]
+    }
+
+    /// The search's tabled transitions equal the direct ones on the states
+    /// of the seven paper logs and Filter duplicated to 90 queries, and a
+    /// second pass over the same states adds no table entries.
+    #[test]
+    fn tabled_transitions_match_direct() {
+        use pi2_difftree::transform::canonicalize;
+        let mut logs: Vec<(String, Vec<String>)> = pi2_workloads::all_logs()
+            .into_iter()
+            .map(|l| (l.name.to_string(), l.queries))
+            .collect();
+        let dup = pi2_workloads::logs::duplicated(pi2_workloads::LogKind::Filter, 90);
+        logs.push(("filter_x90".to_string(), dup.queries));
+        for (name, sqls) in logs {
+            let queries = sqls.iter().map(|q| parse_query(q).unwrap()).collect();
+            let w = Workload::new(queries, pi2_workloads::catalog());
+            let shared = Shared::new(&w);
+            let states = walk_states(&shared);
+            let check = |state: &Arc<Forest>| {
+                let candidates = pi2_difftree::candidate_actions(state, &w);
+                assert_eq!(*shared.candidates(state), candidates, "{name}");
+                for &a in &candidates {
+                    let direct = apply_action(state, &w, a);
+                    assert_eq!(shared.apply(state, a).as_deref(), direct.as_ref(), "{name}");
+                }
+                let children: Vec<Forest> = applicable_actions(state, &w)
+                    .into_iter()
+                    .map(|a| apply_action(state, &w, a).unwrap())
+                    .collect();
+                let tabled: Vec<Forest> = shared
+                    .expansion_children(state)
+                    .iter()
+                    .map(|c| Forest::clone(c))
+                    .collect();
+                assert_eq!(tabled, children, "{name}");
+                for steps in [24, 48, 64] {
+                    let direct = canonicalize(state, &w, steps);
+                    assert_eq!(*shared.canonicalize(state, steps), direct, "{name}");
+                }
+                // `bound_trees` is the tree column of `bind_all`, and
+                // duplicates copy their first occurrence.
+                let trees = state
+                    .bound_trees(&w)
+                    .expect("search states express the log");
+                let column: Vec<usize> =
+                    state.bind_all(&w).unwrap().iter().map(|a| a.tree).collect();
+                assert_eq!(trees, column, "{name}");
+                assert!(
+                    (0..w.len()).all(|qi| trees[qi] == trees[w.class[qi]]),
+                    "{name}"
+                );
+            };
+            states.iter().for_each(check);
+            let sizes = table_sizes(&shared);
+            assert!(sizes.iter().all(|&n| n > 0), "{name}: {sizes:?}");
+            states.iter().for_each(check);
+            assert_eq!(
+                table_sizes(&shared),
+                sizes,
+                "{name}: the second pass added entries"
+            );
+            // A forest holding only the first query's tree cannot express
+            // the others.
+            let lone = Forest::new(vec![w.gsts[0].clone()]);
+            if w.class.iter().any(|&c| c != 0) {
+                assert!(lone.bound_trees(&w).is_none(), "{name}");
+                assert!(lone.bind_all(&w).is_none(), "{name}");
+            }
+            if name == "filter_x90" {
+                assert!(
+                    (0..w.len()).any(|qi| w.class[qi] < qi),
+                    "x90 has duplicates"
+                );
+            }
+        }
+    }
+
     #[test]
     fn transpositions_share_arena_nodes() {
         let w = workload();
-        let shared = Shared::new();
+        let shared = Shared::new(&w);
         let root = Arc::new(initial_state(&w));
-        let seeds = seed_states(&w, &root);
-        let mut worker = Worker::new(&w, quick_cfg(), 7, &shared, root, &seeds);
+        let seeds = seed_states(&shared, &root);
+        let mut worker = Worker::new(quick_cfg(), 7, &shared, root, &seeds);
         for _ in 0..25 {
             worker.iterate();
         }
