@@ -11,6 +11,8 @@
 //! `mcts/evaluate_state/filter` builds a fresh context per iteration, so its
 //! memo starts cold as it does for every state a search evaluates (the
 //! process-wide per-tree artifact cache is warm in both).
+//! `mcts/reward_estimate/filter_x10` does the same on Filter duplicated to
+//! 90 queries, so the §5 cost walks 90 input queries per priced interface.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pi2_difftree::transform::canonicalize;
@@ -18,11 +20,14 @@ use pi2_difftree::Workload;
 use pi2_interface::{CostParams, MappingContext};
 use pi2_search::{estimate_reward, initial_state, mcts_search, MctsConfig};
 use pi2_sql::parse_query;
-use pi2_workloads::{catalog, log, LogKind};
+use pi2_workloads::{catalog, log, logs::duplicated, LogKind};
 use rand::SeedableRng;
 
 fn workload(kind: LogKind) -> Workload {
-    let l = log(kind);
+    workload_of(log(kind))
+}
+
+fn workload_of(l: pi2_workloads::QueryLog) -> Workload {
     Workload::new(
         l.queries.iter().map(|q| parse_query(q).unwrap()).collect(),
         catalog(),
@@ -72,6 +77,17 @@ fn bench_mcts(c: &mut Criterion) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         b.iter(|| {
             let ctx = MappingContext::build(&filter_state, &wf).unwrap();
+            std::hint::black_box(estimate_reward(&ctx, &mut rng, &params, 5))
+        })
+    });
+
+    // The same on the 90-query log, where the cost walk dominates.
+    let wx = workload_of(duplicated(LogKind::Filter, 90));
+    let x10_state = canonicalize(&initial_state(&wx), &wx, 48);
+    c.bench_function("mcts/reward_estimate/filter_x10", |b| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        b.iter(|| {
+            let ctx = MappingContext::build(&x10_state, &wx).unwrap();
             std::hint::black_box(estimate_reward(&ctx, &mut rng, &params, 5))
         })
     });

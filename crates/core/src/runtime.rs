@@ -271,7 +271,7 @@ impl EventEngine<'_> {
             if a.tree != tree {
                 continue;
             }
-            for (id, b) in &a.binding {
+            for (id, b) in a.binding.iter() {
                 map.entry(*id).or_insert_with(|| b.clone());
             }
         }

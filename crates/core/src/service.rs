@@ -134,7 +134,7 @@ impl Session {
         let mut first: Vec<Option<BindingMap>> = vec![None; forest.trees.len()];
         for a in &assignments {
             if first[a.tree].is_none() {
-                first[a.tree] = Some(a.binding.clone());
+                first[a.tree] = Some(BindingMap::clone(&a.binding));
             }
         }
         let bindings: Vec<BindingMap> = first.into_iter().map(|b| b.unwrap_or_default()).collect();

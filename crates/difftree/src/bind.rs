@@ -68,16 +68,12 @@ impl std::error::Error for ResolveError {}
 /// Match a concrete (choice-free) query GST against a Difftree, returning
 /// the binding that expresses it, or `None` when the Difftree cannot.
 pub fn bind_query(difftree: &DNode, concrete: &DNode) -> Option<BindingMap> {
-    let mut map = BindingMap::new();
-    if match_node(difftree, concrete, &mut map) {
-        Some(map)
-    } else {
-        None
-    }
+    let mut out = Trail::default();
+    match_node(difftree, concrete, &mut out).then_some(out.map)
 }
 
 /// Match one Difftree node against one concrete node.
-fn match_node(delta: &DNode, conc: &DNode, out: &mut BindingMap) -> bool {
+fn match_node(delta: &DNode, conc: &DNode, out: &mut Trail) -> bool {
     match &delta.kind {
         NodeKind::Syntax(k) => {
             let NodeKind::Syntax(ck) = &conc.kind else {
@@ -102,12 +98,12 @@ fn match_node(delta: &DNode, conc: &DNode, out: &mut BindingMap) -> bool {
                     }
                     continue;
                 }
-                let mark = snapshot(out);
+                let mark = out.mark();
                 if match_node(alt, conc, out) {
                     out.insert(delta.id, Binding::Index(i));
                     return true;
                 }
-                rollback(out, mark);
+                out.rollback(mark);
             }
             false
         }
@@ -125,9 +121,9 @@ fn match_node(delta: &DNode, conc: &DNode, out: &mut BindingMap) -> bool {
             let Some(template) = delta.children.first() else {
                 return false;
             };
-            let mut sub = BindingMap::new();
+            let mut sub = Trail::default();
             if match_node(template, conc, &mut sub) {
-                out.insert(delta.id, Binding::List(vec![sub]));
+                out.insert(delta.id, Binding::List(vec![sub.map]));
                 true
             } else {
                 false
@@ -135,12 +131,12 @@ fn match_node(delta: &DNode, conc: &DNode, out: &mut BindingMap) -> bool {
         }
         NodeKind::Subset => {
             for (i, child) in delta.children.iter().enumerate() {
-                let mark = snapshot(out);
+                let mark = out.mark();
                 if match_node(child, conc, out) {
                     out.insert(delta.id, Binding::Indices(vec![i]));
                     return true;
                 }
-                rollback(out, mark);
+                out.rollback(mark);
             }
             false
         }
@@ -162,7 +158,7 @@ fn match_node(delta: &DNode, conc: &DNode, out: &mut BindingMap) -> bool {
 /// Ordered sequence matching with backtracking: `OPT` children may consume
 /// zero or one concrete element, `MULTI` any number, `SUBSET` an ordered
 /// subset, everything else exactly one.
-fn match_seq(ds: &[DNode], cs: &[DNode], out: &mut BindingMap) -> bool {
+fn match_seq(ds: &[DNode], cs: &[DNode], out: &mut Trail) -> bool {
     let Some((d, rest_d)) = ds.split_first() else {
         return cs.is_empty();
     };
@@ -172,7 +168,7 @@ fn match_seq(ds: &[DNode], cs: &[DNode], out: &mut BindingMap) -> bool {
                 if matches!(alt.kind, NodeKind::CoOpt { .. }) && alt.children.is_empty() {
                     continue;
                 }
-                let mark = snapshot(out);
+                let mark = out.mark();
                 if alt.is_empty_node() {
                     // Consume nothing.
                     if match_seq(rest_d, cs, out) {
@@ -185,7 +181,7 @@ fn match_seq(ds: &[DNode], cs: &[DNode], out: &mut BindingMap) -> bool {
                         return true;
                     }
                 }
-                rollback(out, mark);
+                out.rollback(mark);
             }
             false
         }
@@ -210,21 +206,21 @@ fn match_seq(ds: &[DNode], cs: &[DNode], out: &mut BindingMap) -> bool {
             let mut max_k = 0;
             let mut params: Vec<BindingMap> = Vec::new();
             for c in cs {
-                let mut sub = BindingMap::new();
+                let mut sub = Trail::default();
                 if match_node(template, c, &mut sub) {
-                    params.push(sub);
+                    params.push(sub.map);
                     max_k += 1;
                 } else {
                     break;
                 }
             }
             for k in (0..=max_k).rev() {
-                let mark = snapshot(out);
+                let mark = out.mark();
                 if match_seq(rest_d, &cs[k..], out) {
                     out.insert(d.id, Binding::List(params[..k].to_vec()));
                     return true;
                 }
-                rollback(out, mark);
+                out.rollback(mark);
             }
             false
         }
@@ -238,22 +234,22 @@ fn match_seq(ds: &[DNode], cs: &[DNode], out: &mut BindingMap) -> bool {
                 rest_d: &[DNode],
                 chosen: &mut Vec<usize>,
                 subset_id: u32,
-                out: &mut BindingMap,
+                out: &mut Trail,
             ) -> bool {
                 // Option A: stop choosing; the rest of the sequence matches
                 // the remaining concrete elements.
                 {
-                    let mark = snapshot(out);
+                    let mark = out.mark();
                     if match_seq(rest_d, cs, out) {
                         out.insert(subset_id, Binding::Indices(chosen.clone()));
                         return true;
                     }
-                    rollback(out, mark);
+                    out.rollback(mark);
                 }
                 // Option B: choose a further child matching the next element.
                 if let Some((c0, rest_c)) = cs.split_first() {
                     for j in ci..children.len() {
-                        let mark = snapshot(out);
+                        let mark = out.mark();
                         if match_node(&children[j], c0, out) {
                             chosen.push(j);
                             if try_subset(children, j + 1, rest_c, rest_d, chosen, subset_id, out) {
@@ -261,7 +257,7 @@ fn match_seq(ds: &[DNode], cs: &[DNode], out: &mut BindingMap) -> bool {
                             }
                             chosen.pop();
                         }
-                        rollback(out, mark);
+                        out.rollback(mark);
                     }
                 }
                 false
@@ -276,33 +272,33 @@ fn match_seq(ds: &[DNode], cs: &[DNode], out: &mut BindingMap) -> bool {
             };
             // Present: consume one element.
             if let Some((c0, rest_c)) = cs.split_first() {
-                let mark = snapshot(out);
+                let mark = out.mark();
                 if match_node(child, c0, out) && match_seq(rest_d, rest_c, out) {
                     out.insert(d.id, Binding::Index(1));
                     return true;
                 }
-                rollback(out, mark);
+                out.rollback(mark);
             }
             // Absent: consume nothing, and record the linked OPTs inside the
             // subtree as "off" so their query bindings reflect this query.
-            let mark = snapshot(out);
+            let mark = out.mark();
             if match_seq(rest_d, cs, out) {
                 out.insert(d.id, Binding::Index(0));
                 bind_linked_opts_absent(child, *group, out);
                 return true;
             }
-            rollback(out, mark);
+            out.rollback(mark);
             false
         }
         NodeKind::Syntax(_) => {
             let Some((c0, rest_c)) = cs.split_first() else {
                 return false;
             };
-            let mark = snapshot(out);
+            let mark = out.mark();
             if match_node(d, c0, out) && match_seq(rest_d, rest_c, out) {
                 true
             } else {
-                rollback(out, mark);
+                out.rollback(mark);
                 false
             }
         }
@@ -312,11 +308,11 @@ fn match_seq(ds: &[DNode], cs: &[DNode], out: &mut BindingMap) -> bool {
 /// When a `CO-OPT` subtree is matched absent, bind each linked OPT inside it
 /// (ANY nodes carrying the same group marker) to its `Empty` alternative so
 /// downstream widgets see the toggle's "off" state.
-fn bind_linked_opts_absent(node: &DNode, group: u32, out: &mut BindingMap) {
+fn bind_linked_opts_absent(node: &DNode, group: u32, out: &mut Trail) {
     if let NodeKind::Any = node.kind {
         if opt_group(node) == Some(group) {
             if let Some(empty_idx) = node.children.iter().position(|c| c.is_empty_node()) {
-                out.entry(node.id).or_insert(Binding::Index(empty_idx));
+                out.insert_absent(node.id, Binding::Index(empty_idx));
             }
         }
     }
@@ -325,16 +321,40 @@ fn bind_linked_opts_absent(node: &DNode, group: u32, out: &mut BindingMap) {
     }
 }
 
-/// Cheap rollback for the backtracking matcher: remember the key set size
-/// and inserted keys. Because ids are unique per node and each node inserts
-/// at most once, removing keys inserted after the snapshot is sufficient.
-fn snapshot(map: &BindingMap) -> Vec<u32> {
-    map.keys().copied().collect()
+/// The matcher's binding map with an insertion trail for backtracking: the
+/// trail lists the map's keys in insertion order, so a mark is the trail's
+/// length and rolling back to it removes exactly the keys inserted since
+/// (keys present at the mark survive, with their current values).
+#[derive(Default)]
+struct Trail {
+    map: BindingMap,
+    keys: Vec<u32>,
 }
 
-fn rollback(map: &mut BindingMap, keys_before: Vec<u32>) {
-    let keep: std::collections::BTreeSet<u32> = keys_before.into_iter().collect();
-    map.retain(|k, _| keep.contains(k));
+impl Trail {
+    fn insert(&mut self, id: u32, binding: Binding) {
+        if self.map.insert(id, binding).is_none() {
+            self.keys.push(id);
+        }
+    }
+
+    /// Insert unless `id` is already bound.
+    fn insert_absent(&mut self, id: u32, binding: Binding) {
+        if let std::collections::btree_map::Entry::Vacant(e) = self.map.entry(id) {
+            e.insert(binding);
+            self.keys.push(id);
+        }
+    }
+
+    fn mark(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn rollback(&mut self, mark: usize) {
+        for id in self.keys.drain(mark..) {
+            self.map.remove(&id);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -530,6 +550,22 @@ mod tests {
         );
         // Still cannot express structurally different queries.
         assert!(bind_query(&delta, &gst("SELECT p FROM T WHERE a = 5")).is_none());
+    }
+
+    /// Backtracking out of a partly matched alternative drops the bindings
+    /// it made: the first alternative's VAL matches before that
+    /// alternative fails on a later conjunct.
+    #[test]
+    fn failed_alternative_leaves_no_bindings() {
+        let mut first = gst("SELECT p FROM T WHERE a = 1 AND b = 2");
+        let lit = first.children[3].children[0].children[1].clone();
+        first.children[3].children[0].children[1] = DNode::val(vec![lit]);
+        let second = gst("SELECT p FROM T WHERE a = 1 AND b = 3");
+        let mut delta = DNode::any(vec![first, second]);
+        delta.renumber(0);
+        let m = assert_expresses(&delta, "SELECT p FROM T WHERE a = 1 AND b = 3");
+        assert_eq!(m.len(), 1, "{m:?}");
+        assert_eq!(m.get(&delta.id), Some(&Binding::Index(1)));
     }
 
     /// OPT over a WHERE conjunct makes the predicate optional.

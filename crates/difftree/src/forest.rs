@@ -32,7 +32,8 @@
 //! the bindings themselves: [`Forest::bound_trees`] answers that from the
 //! binding cache, whose entries are `Arc`-shared so a hit copies a pointer.
 //! [`Forest::bind_all`] applies the same first-tree-that-binds rule and
-//! clones the bindings out for the layers that read them (mapping, sessions).
+//! hands the layers that read the bindings (mapping, sessions) the cache's
+//! `Arc`s.
 
 use crate::bind::{bind_query, resolve, Binding, BindingMap};
 use crate::gst::{lower_query, DNode};
@@ -121,8 +122,9 @@ impl Workload {
 pub struct Assignment {
     /// Index of the tree expressing the query.
     pub tree: usize,
-    /// The query's binding over that tree's choice nodes (tree-local ids).
-    pub binding: BindingMap,
+    /// The query's binding over that tree's choice nodes (tree-local ids),
+    /// shared with the bind memo: cloning an assignment copies a pointer.
+    pub binding: Arc<BindingMap>,
 }
 
 /// One Difftree with its cached structural fingerprint and DFS-local ids.
@@ -319,8 +321,8 @@ impl Forest {
     /// inexpressible (the candidate state violates the §6.1 guarantee).
     /// Bindings are verified by resolving and comparing to the original.
     /// The result holds one assignment per input query; only first
-    /// occurrences ([`Workload::class`]) are bound, and each duplicate gets
-    /// a copy of its first occurrence's assignment.
+    /// occurrences ([`Workload::class`]) are bound, and each duplicate
+    /// shares its first occurrence's binding.
     ///
     /// Results are memoized per (tree fingerprint, query fingerprint) in a
     /// process-global cache: search states share most of their trees, ids
@@ -334,10 +336,8 @@ impl Forest {
                 out[first].clone()
             } else {
                 self.trees.iter().enumerate().find_map(|(ti, tree)| {
-                    bind_tree_cached(tree, gst, w.gst_fps[qi]).map(|binding| Assignment {
-                        tree: ti,
-                        binding: BindingMap::clone(&binding),
-                    })
+                    bind_tree_cached(tree, gst, w.gst_fps[qi])
+                        .map(|binding| Assignment { tree: ti, binding })
                 })?
             };
             out.push(a);

@@ -628,7 +628,7 @@ mod tests {
         let f = Forest::from_workload(&w);
         let assignments = f.bind_all(&w).unwrap();
         let cache = EvalCache::default();
-        let maps = [&assignments[0].binding];
+        let maps = [&*assignments[0].binding];
         let a = cache
             .tree_artifacts(&f.trees[0], &[0], &maps, &w)
             .expect("artifacts for a mappable tree");

@@ -116,70 +116,101 @@ fn interaction_box(iface: &Interface, ix: usize) -> Rect {
     }
 }
 
-/// Per-query interaction plan: the view that renders the query and the
-/// interactions (in Difftree DFS order) whose bindings must change.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryPlan {
-    /// View index rendering this query.
-    pub view: usize,
-    /// Interactions to manipulate.
-    pub widgets: Vec<usize>,
-}
-
-/// Full §5 cost over the query sequence.
+/// The §5 cost of one interface, accumulated over the query sequence in
+/// order: the caller reports each query's view ([`CostWalk::visit_view`])
+/// and then each interaction it manipulates for that query, in Difftree
+/// DFS order ([`CostWalk::manipulate`]).
 ///
 /// Expressing a query costs: a Fitts'-law *view visit* when the view that
 /// renders it differs from the previous query's view (this is what makes
 /// redundant static charts expensive — cf. the appendix's Figure 19, where
 /// one extra static chart lowers interface quality), plus, for every
 /// manipulated interaction, navigation to it and its manipulation cost.
-pub fn interface_cost(iface: &Interface, plans: &[QueryPlan], params: &CostParams) -> f64 {
-    let mut total = 0.0;
-    let mut position: Option<Rect> = None;
-    let mut current_view: Option<usize> = None;
-    // Visual search scales with the number of charts on screen (a
-    // Hick's-law-style factor): switching attention among eight charts is
-    // costlier than between two. This is what prices out degenerate
-    // one-static-chart-per-query designs.
-    let view_factor = 1.0 + 0.15 * (iface.views.len().saturating_sub(1) as f64);
-    for plan in plans {
-        if current_view != Some(plan.view) {
-            let target = iface
-                .layout
-                .vis_boxes
-                .get(plan.view)
-                .copied()
-                .unwrap_or_default();
-            let table_extra = match iface.views.get(plan.view) {
-                Some(v) if v.vis.kind == crate::vis::VisKind::Table => params.table_read,
-                _ => 0.0,
-            };
-            if let Some(prev) = position {
-                total += fitts_time(&prev, &target, params)
-                    + params.view_read * view_factor
-                    + table_extra;
-            } else {
-                // The first view visit is free except for table reading.
-                total += table_extra;
-            }
-            position = Some(target);
-            current_view = Some(plan.view);
-        }
-        for &ix in &plan.widgets {
-            total += manipulation_cost(iface, ix, params);
-            let target = interaction_box(iface, ix);
-            if let Some(prev) = position {
-                total += fitts_time(&prev, &target, params);
-            }
-            position = Some(target);
+/// Each interaction's manipulation cost and box are computed once.
+pub struct CostWalk<'a> {
+    iface: &'a Interface,
+    params: &'a CostParams,
+    /// Per interaction: its manipulation cost and bounding box.
+    interactions: Vec<(f64, Rect)>,
+    /// Visual search scales with the number of charts on screen (a
+    /// Hick's-law-style factor): switching attention among eight charts is
+    /// costlier than between two. This is what prices out degenerate
+    /// one-static-chart-per-query designs.
+    view_factor: f64,
+    total: f64,
+    position: Option<Rect>,
+    current_view: Option<usize>,
+}
+
+impl<'a> CostWalk<'a> {
+    /// A walk over `iface` that has priced no query yet.
+    pub fn new(iface: &'a Interface, params: &'a CostParams) -> Self {
+        CostWalk {
+            iface,
+            params,
+            interactions: (0..iface.interactions.len())
+                .map(|ix| {
+                    (
+                        manipulation_cost(iface, ix, params),
+                        interaction_box(iface, ix),
+                    )
+                })
+                .collect(),
+            view_factor: 1.0 + 0.15 * (iface.views.len().saturating_sub(1) as f64),
+            total: 0.0,
+            position: None,
+            current_view: None,
         }
     }
-    // Layout penalty.
-    if let Some((max_w, max_h)) = params.max_size {
-        let (w, h) = iface.layout.size;
-        total += params.alpha * ((w - max_w).max(0.0) + (h - max_h).max(0.0));
+
+    /// Start the next query, rendered by `view`.
+    pub fn visit_view(&mut self, view: usize) {
+        if self.current_view == Some(view) {
+            return;
+        }
+        let params = self.params;
+        let target = self
+            .iface
+            .layout
+            .vis_boxes
+            .get(view)
+            .copied()
+            .unwrap_or_default();
+        let table_extra = match self.iface.views.get(view) {
+            Some(v) if v.vis.kind == crate::vis::VisKind::Table => params.table_read,
+            _ => 0.0,
+        };
+        if let Some(prev) = self.position {
+            self.total += fitts_time(&prev, &target, params)
+                + params.view_read * self.view_factor
+                + table_extra;
+        } else {
+            // The first view visit is free except for table reading.
+            self.total += table_extra;
+        }
+        self.position = Some(target);
+        self.current_view = Some(view);
     }
-    total
+
+    /// Manipulate interaction `ix` for the current query.
+    pub fn manipulate(&mut self, ix: usize) {
+        let (cost, target) = self.interactions[ix];
+        self.total += cost;
+        if let Some(prev) = self.position {
+            self.total += fitts_time(&prev, &target, self.params);
+        }
+        self.position = Some(target);
+    }
+
+    /// The total over the queries walked, plus the layout penalty.
+    pub fn finish(self) -> f64 {
+        let mut total = self.total;
+        if let Some((max_w, max_h)) = self.params.max_size {
+            let (w, h) = self.iface.layout.size;
+            total += self.params.alpha * ((w - max_w).max(0.0) + (h - max_h).max(0.0));
+        }
+        total
+    }
 }
 
 #[cfg(test)]
@@ -293,8 +324,17 @@ mod tests {
         assert_eq!(fitts_time(&a, &a, &p), 0.0);
     }
 
-    fn plan(view: usize, widgets: Vec<usize>) -> QueryPlan {
-        QueryPlan { view, widgets }
+    /// The cost of expressing one query per `(view, manipulated
+    /// interactions)` pair, in order.
+    fn interface_cost(iface: &Interface, plans: &[(usize, Vec<usize>)], p: &CostParams) -> f64 {
+        let mut walk = CostWalk::new(iface, p);
+        for (view, manipulated) in plans {
+            walk.visit_view(*view);
+            for &ix in manipulated {
+                walk.manipulate(ix);
+            }
+        }
+        walk.finish()
     }
 
     #[test]
@@ -302,8 +342,8 @@ mod tests {
         let iface = widget_iface(&[(WidgetKind::Radio, 2), (WidgetKind::Slider, 0)]);
         let p = CostParams::default();
         // Example 9's pattern: w1, w2 for Q1, then w1, w2 again for Q2.
-        let one = interface_cost(&iface, &[plan(0, vec![0, 1])], &p);
-        let two = interface_cost(&iface, &[plan(0, vec![0, 1]), plan(0, vec![0, 1])], &p);
+        let one = interface_cost(&iface, &[(0, vec![0, 1])], &p);
+        let two = interface_cost(&iface, &[(0, vec![0, 1]), (0, vec![0, 1])], &p);
         assert!(two > one * 1.8, "second query pays navigation back");
     }
 
@@ -312,7 +352,7 @@ mod tests {
         let iface = widget_iface(&[(WidgetKind::Radio, 2)]);
         let p = CostParams::default();
         // Re-expressing queries on the same view with no widget changes.
-        let c = interface_cost(&iface, &[plan(0, vec![]), plan(0, vec![])], &p);
+        let c = interface_cost(&iface, &[(0, vec![]), (0, vec![])], &p);
         assert_eq!(c, 0.0);
     }
 
@@ -355,13 +395,9 @@ mod tests {
             layout,
         };
         let p = CostParams::default();
-        let single = interface_cost(&iface, &[plan(0, vec![])], &p);
+        let single = interface_cost(&iface, &[(0, vec![])], &p);
         assert_eq!(single, 0.0, "first view visit is free");
-        let alternating = interface_cost(
-            &iface,
-            &[plan(0, vec![]), plan(1, vec![]), plan(0, vec![])],
-            &p,
-        );
+        let alternating = interface_cost(&iface, &[(0, vec![]), (1, vec![]), (0, vec![])], &p);
         assert!(alternating > 0.0, "view switches pay Fitts navigation");
     }
 
@@ -372,9 +408,9 @@ mod tests {
             max_size: Some((50.0, 10.0)),
             ..CostParams::default()
         };
-        let with_penalty = interface_cost(&iface, &[plan(0, vec![0])], &p);
+        let with_penalty = interface_cost(&iface, &[(0, vec![0])], &p);
         p.max_size = None;
-        let without = interface_cost(&iface, &[plan(0, vec![0])], &p);
+        let without = interface_cost(&iface, &[(0, vec![0])], &p);
         assert!(with_penalty > without);
     }
 

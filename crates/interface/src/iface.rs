@@ -2,7 +2,7 @@
 //! precomputes everything candidate generation needs for one search state.
 
 use crate::cache::global_eval_cache;
-use crate::cost::{interface_cost, CostParams};
+use crate::cost::{CostParams, CostWalk};
 use crate::flat::FlatSchema;
 use crate::interaction::{
     interaction_is_safe, vis_interaction_candidates, InteractionKind, VisInteractionCandidate,
@@ -12,7 +12,9 @@ use crate::vis::VisMapping;
 use crate::widget::{bound_value, BoundValue, WidgetCandidate, WidgetDomain, WidgetKind};
 use pi2_data::Table;
 use pi2_difftree::{Assignment, BindingMap, DNode, Forest, ResultSchema, TypeMap, Workload};
-use std::cell::OnceCell;
+use std::borrow::Cow;
+use std::cell::{OnceCell, RefCell};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -20,6 +22,27 @@ use std::sync::Arc;
 /// visualization mapping: its safe unmerged candidates, then its merged
 /// brushes.
 type ViewCandidates = (Vec<VisInteractionCandidate>, Vec<VisInteractionCandidate>);
+
+/// One tree's projection ids (see [`MappingContext::projection_ids`]), keyed
+/// by cover.
+type ProjectionMemo = RefCell<BTreeMap<Vec<u32>, Option<Arc<[usize]>>>>;
+
+/// The safe visualization-interaction candidates under one `V`
+/// ([`MappingContext::safe_vis_interactions`]), borrowed from the context's
+/// memo where the view's mapping is one of its candidates.
+pub struct SafeVisCandidates<'c> {
+    views: Vec<Cow<'c, ViewCandidates>>,
+}
+
+impl SafeVisCandidates<'_> {
+    /// Every view's unmerged candidates in view order, then every view's
+    /// merged brushes in view order.
+    pub fn iter(&self) -> impl Iterator<Item = &VisInteractionCandidate> {
+        let unmerged = self.views.iter().flat_map(|v| &v.0);
+        let merged = self.views.iter().flat_map(|v| &v.1);
+        unmerged.chain(merged)
+    }
+}
 
 /// One view: a Difftree rendered by a visualization mapping.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,12 +202,15 @@ impl MappingEntry {
 /// Per-tree query data (`per_query_maps`, `results`) holds one entry per
 /// *distinct* query ([`Workload::class`]), so per-state work scales with the
 /// distinct queries; `assignments` holds one entry per *input* query, so
-/// the §5 cost still walks the full query sequence.
+/// the §5 cost still walks the full query sequence. Bindings are the bind
+/// memo's `Arc`s: neither the context nor a duplicate query copies one.
 ///
-/// Safety results are memoized per context (see
-/// [`MappingContext::safe_vis_interactions`]), so the public data fields
-/// must not change after [`MappingContext::build`]; only `check_safety`
-/// may be set afterwards.
+/// Three per-context memos fill on first use: each flat's binding tuples,
+/// each view's safe candidates (see
+/// [`MappingContext::safe_vis_interactions`]), and each (tree, cover)'s
+/// projection ids, which Algorithm 1's manipulation counts and the §5 cost
+/// walk both read. So the public data fields must not change after
+/// [`MappingContext::build`]; only `check_safety` may be set afterwards.
 pub struct MappingContext<'a> {
     /// The forest.
     pub forest: &'a Forest,
@@ -204,7 +230,7 @@ pub struct MappingContext<'a> {
     pub schemas: Vec<Option<ResultSchema>>,
     /// Binding maps of the queries each tree expresses (tree-local ids):
     /// one entry per distinct query, in first-occurrence order.
-    pub per_query_maps: Vec<Vec<BindingMap>>,
+    pub per_query_maps: Vec<Vec<Arc<BindingMap>>>,
     /// Executed result tables per tree (shared): one entry per distinct
     /// query that executes.
     pub results: Vec<Vec<Arc<Table>>>,
@@ -226,6 +252,9 @@ pub struct MappingContext<'a> {
     /// candidates under that mapping, filled on first use. The flag is part
     /// of the key because it is a public field set after `build`.
     view_memo: Vec<Vec<[OnceCell<ViewCandidates>; 2]>>,
+    /// Per tree, keyed by cover: the cover's projection ids in that tree
+    /// (see [`MappingContext::projection_ids`]), filled on first use.
+    projection_memo: Vec<ProjectionMemo>,
 }
 
 impl<'a> MappingContext<'a> {
@@ -238,7 +267,7 @@ impl<'a> MappingContext<'a> {
 
         // Per-tree lists over first occurrences; a duplicate shares the
         // slot of its first occurrence (which sits in the same tree).
-        let mut per_query_maps: Vec<Vec<BindingMap>> = vec![Vec::new(); n];
+        let mut per_query_maps: Vec<Vec<Arc<BindingMap>>> = vec![Vec::new(); n];
         let mut queries_per_tree: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut slots = Vec::with_capacity(assignments.len());
         for (qi, a) in assignments.iter().enumerate() {
@@ -248,7 +277,7 @@ impl<'a> MappingContext<'a> {
                 continue;
             }
             slots.push(per_query_maps[a.tree].len());
-            per_query_maps[a.tree].push(a.binding.clone());
+            per_query_maps[a.tree].push(Arc::clone(&a.binding));
             queries_per_tree[a.tree].push(qi);
         }
 
@@ -268,7 +297,7 @@ impl<'a> MappingContext<'a> {
             if queries_per_tree[t].is_empty() {
                 return None;
             }
-            let maps: Vec<&BindingMap> = per_query_maps[t].iter().collect();
+            let maps: Vec<&BindingMap> = per_query_maps[t].iter().map(|m| &**m).collect();
             let art = cache.tree_artifacts(tree, &queries_per_tree[t], &maps, workload)?;
             bases.push(base);
             types.push(Arc::clone(&art.types));
@@ -310,6 +339,7 @@ impl<'a> MappingContext<'a> {
             check_safety: true,
             tuple_memo,
             view_memo,
+            projection_memo: (0..n).map(|_| RefCell::default()).collect(),
         })
     }
 
@@ -361,29 +391,27 @@ impl<'a> MappingContext<'a> {
     /// `vis_cands[view]` bypasses the memo. The result is every view's
     /// unmerged candidates in view order, then every view's merged brushes
     /// in view order — the order one candidate pass over all views followed
-    /// by one merge pass over its output yields.
+    /// by one merge pass over its output yields. Memoized lists are
+    /// borrowed, not copied.
     ///
     /// Same-view brushes with identical event columns are additionally
     /// offered as one *merged* candidate binding all their targets — this is
     /// how one brush cross-filters several charts (§7.1 Filter).
-    pub fn safe_vis_interactions(&self, chosen_v: &[VisMapping]) -> Vec<VisInteractionCandidate> {
-        let mut out = Vec::new();
-        let mut merged = Vec::new();
-        for (view, vis) in chosen_v.iter().enumerate() {
-            let fresh;
-            let (unmerged, view_merged) = match self.vis_cands[view].iter().position(|m| m == vis) {
-                Some(i) => self.view_memo[view][i][usize::from(self.check_safety)]
-                    .get_or_init(|| self.view_candidates(view, vis)),
-                None => {
-                    fresh = self.view_candidates(view, vis);
-                    &fresh
-                }
-            };
-            out.extend_from_slice(unmerged);
-            merged.extend_from_slice(view_merged);
-        }
-        out.extend(merged);
-        out
+    pub fn safe_vis_interactions(&self, chosen_v: &[VisMapping]) -> SafeVisCandidates<'_> {
+        let views = chosen_v
+            .iter()
+            .enumerate()
+            .map(
+                |(view, vis)| match self.vis_cands[view].iter().position(|m| m == vis) {
+                    Some(i) => Cow::Borrowed(
+                        self.view_memo[view][i][usize::from(self.check_safety)]
+                            .get_or_init(|| self.view_candidates(view, vis)),
+                    ),
+                    None => Cow::Owned(self.view_candidates(view, vis)),
+                },
+            )
+            .collect();
+        SafeVisCandidates { views }
     }
 
     /// The safe candidates on `view` rendered by `vis`, and the merged
@@ -491,30 +519,34 @@ impl<'a> MappingContext<'a> {
             (t, n)
         });
         let interactions: Vec<InteractionInstance> = entries
-            .iter()
+            .into_iter()
             .map(|e| match e {
                 MappingEntry::Widget { tree, cand } => InteractionInstance {
-                    target_tree: *tree,
+                    target_tree: tree,
                     target_node: cand.target,
-                    cover: cand.cover.clone(),
+                    cover: cand.cover,
                     extra_targets: vec![],
                     choice: InteractionChoice::Widget {
                         kind: cand.kind,
-                        domain: cand.domain.clone(),
-                        label: cand.label.clone(),
+                        domain: cand.domain,
+                        label: cand.label,
                     },
                 },
-                MappingEntry::Vis(v) => InteractionInstance {
-                    target_tree: v.primary().tree,
-                    target_node: v.primary().node,
-                    cover: v.cover(),
-                    extra_targets: v.targets[1..].to_vec(),
-                    choice: InteractionChoice::Vis {
-                        view: v.view,
-                        kind: v.kind,
-                        event_cols: v.event_cols.clone(),
-                    },
-                },
+                MappingEntry::Vis(mut v) => {
+                    let cover = v.cover();
+                    let extra_targets = v.targets.split_off(1);
+                    InteractionInstance {
+                        target_tree: v.targets[0].tree,
+                        target_node: v.targets[0].node,
+                        cover,
+                        extra_targets,
+                        choice: InteractionChoice::Vis {
+                            view: v.view,
+                            kind: v.kind,
+                            event_cols: v.event_cols,
+                        },
+                    }
+                }
             })
             .collect();
 
@@ -582,9 +614,21 @@ impl<'a> MappingContext<'a> {
     /// the first query with that projection. `None` when no covered node
     /// lies in `tree`.
     ///
-    /// Each (cover, distinct query) is projected once; walks over the full
+    /// Computed once per (tree, cover) and context; walks over the full
     /// query sequence then compare ids, looked up through `slots`.
-    fn projection_ids(&self, tree: usize, cover: &[u32]) -> Option<Vec<usize>> {
+    fn projection_ids(&self, tree: usize, cover: &[u32]) -> Option<Arc<[usize]>> {
+        if let Some(ids) = self.projection_memo[tree].borrow().get(cover) {
+            return ids.clone();
+        }
+        let ids = self.project(tree, cover);
+        self.projection_memo[tree]
+            .borrow_mut()
+            .insert(cover.to_vec(), ids.clone());
+        ids
+    }
+
+    /// [`MappingContext::projection_ids`] without the memo.
+    fn project(&self, tree: usize, cover: &[u32]) -> Option<Arc<[usize]>> {
         let nodes: Vec<&DNode> = cover
             .iter()
             .filter_map(|id| self.forest.node_in_tree(tree, *id))
@@ -605,7 +649,7 @@ impl<'a> MappingContext<'a> {
                 .unwrap_or(k);
             ids.push(id);
         }
-        Some(ids)
+        Some(ids.into())
     }
 
     /// Number of manipulations an interaction covering `cover` needs over
@@ -626,53 +670,34 @@ impl<'a> MappingContext<'a> {
         count.max(1)
     }
 
-    /// The per-query manipulation sequences driving the §5 cost: for each
-    /// input query in order, the interactions (by index, in DFS order)
-    /// whose covered bindings change relative to the interface's previous
-    /// state.
-    pub fn manipulations(&self, iface: &Interface) -> Vec<crate::cost::QueryPlan> {
-        let n = self.forest.trees.len();
-        // Projection ids and interface state per (interaction, target
-        // tree), at `ix * n + tree`.
-        let ids: Vec<Option<Vec<usize>>> = iface
-            .interactions
-            .iter()
-            .flat_map(|inst| {
-                (0..n).map(move |t| {
-                    if inst.targets_tree(t) {
-                        self.projection_ids(t, &inst.cover)
-                    } else {
-                        None
+    /// Cost of a fully built interface for this workload (§5), in one walk
+    /// over the input queries: each query visits the view of its tree, then
+    /// manipulates the interactions (in DFS order) whose covered bindings
+    /// change relative to the interface's previous state.
+    pub fn cost(&self, iface: &Interface, params: &CostParams) -> f64 {
+        // Per tree, the interactions binding nodes in it (in DFS order), each
+        // with its projection ids there and the id it was last set to.
+        let mut targeting = vec![Vec::new(); self.forest.trees.len()];
+        for (ix, inst) in iface.interactions.iter().enumerate() {
+            for (t, list) in targeting.iter_mut().enumerate() {
+                if inst.targets_tree(t) {
+                    if let Some(ids) = self.projection_ids(t, &inst.cover) {
+                        list.push((ix, ids, None));
                     }
-                })
-            })
-            .collect();
-        let mut last: Vec<Option<usize>> = vec![None; ids.len()];
-        let mut out = Vec::with_capacity(self.assignments.len());
-        for (a, &slot) in self.assignments.iter().zip(&self.slots) {
-            let mut manipulated = Vec::new();
-            for ix in 0..iface.interactions.len() {
-                let at = ix * n + a.tree;
-                let Some(ids) = &ids[at] else {
-                    continue;
-                };
-                if last[at] != Some(ids[slot]) {
-                    manipulated.push(ix);
-                    last[at] = Some(ids[slot]);
                 }
             }
-            out.push(crate::cost::QueryPlan {
-                view: a.tree,
-                widgets: manipulated,
-            });
         }
-        out
-    }
-
-    /// Cost of a fully built interface for this workload (§5).
-    pub fn cost(&self, iface: &Interface, params: &CostParams) -> f64 {
-        let plans = self.manipulations(iface);
-        interface_cost(iface, &plans, params)
+        let mut walk = CostWalk::new(iface, params);
+        for (a, &slot) in self.assignments.iter().zip(&self.slots) {
+            walk.visit_view(a.tree);
+            for (ix, ids, last) in &mut targeting[a.tree] {
+                if *last != Some(ids[slot]) {
+                    *last = Some(ids[slot]);
+                    walk.manipulate(*ix);
+                }
+            }
+        }
+        walk.finish()
     }
 }
 
@@ -751,12 +776,16 @@ mod tests {
         assert_eq!(iface.views.len(), 1);
         assert_eq!(iface.interactions.len(), 1);
         assert_eq!(iface.widget_count(), 1);
-        let cost = ctx.cost(&iface, &CostParams::default());
+        let params = CostParams::default();
+        let cost = ctx.cost(&iface, &params);
         assert!(cost > 0.0);
         // Both queries change the VAL binding → 2 manipulations on view 0.
-        let manips = ctx.manipulations(&iface);
-        assert_eq!(manips.len(), 2);
-        assert!(manips.iter().all(|p| p.view == 0 && p.widgets == vec![0]));
+        let mut walk = CostWalk::new(&iface, &params);
+        for _ in 0..2 {
+            walk.visit_view(0);
+            walk.manipulate(0);
+        }
+        assert_eq!(cost.to_bits(), walk.finish().to_bits());
     }
 
     #[test]
@@ -1056,7 +1085,10 @@ mod tests {
                             let want = &expected[usize::from(!flag)];
                             for (v, want) in combos.iter().zip(want) {
                                 assert_eq!(
-                                    &ctx.safe_vis_interactions(v),
+                                    &ctx.safe_vis_interactions(v)
+                                        .iter()
+                                        .cloned()
+                                        .collect::<Vec<_>>(),
                                     want,
                                     "{name}, {} trees, check_safety {flag}, V {v:?}",
                                     state.trees.len()

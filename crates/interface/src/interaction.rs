@@ -102,10 +102,12 @@ pub struct VisInteractionCandidate {
 impl VisInteractionCandidate {
     /// All covered choice node ids across targets.
     pub fn cover(&self) -> Vec<u32> {
-        self.targets
-            .iter()
-            .flat_map(|t| t.cover.iter().copied())
-            .collect()
+        self.covered().collect()
+    }
+
+    /// [`cover`](Self::cover) without collecting it.
+    pub fn covered(&self) -> impl Iterator<Item = u32> + '_ {
+        self.targets.iter().flat_map(|t| t.cover.iter().copied())
     }
 
     /// The primary target (candidates always have at least one).

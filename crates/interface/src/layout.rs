@@ -289,40 +289,41 @@ pub fn vis_size(kind: crate::vis::VisKind) -> (f64, f64) {
 ///
 /// `widgets` maps Difftree node id → interaction index.
 pub fn widget_tree_for(tree: &DNode, widgets: &[(u32, usize, (f64, f64))]) -> Option<LayoutNode> {
-    fn go(node: &DNode, widgets: &[(u32, usize, (f64, f64))]) -> Vec<LayoutNode> {
+    fn go(node: &DNode, widgets: &[(u32, usize, (f64, f64))], out: &mut Vec<LayoutNode>) {
         // A widget on this node is a leaf; widgets on descendants nest
         // beneath it ("layout widgets" such as toggles with dependent
         // controls).
-        let own: Option<LayoutNode> =
-            widgets
-                .iter()
-                .find(|(id, _, _)| *id == node.id)
-                .map(|(_, ix, size)| LayoutNode::Widget {
-                    interaction: *ix,
-                    size: *size,
-                });
+        let Some(&(_, ix, size)) = widgets.iter().find(|(id, _, _)| *id == node.id) else {
+            for c in &node.children {
+                go(c, widgets, out);
+            }
+            return;
+        };
+        let w = LayoutNode::Widget {
+            interaction: ix,
+            size,
+        };
         let mut below: Vec<LayoutNode> = Vec::new();
         for c in &node.children {
-            below.extend(go(c, widgets));
+            go(c, widgets, &mut below);
         }
-        match own {
-            Some(w) => {
-                if below.is_empty() {
-                    vec![w]
-                } else {
-                    // The widget heads a sub-interface group.
-                    let mut children = vec![w];
-                    children.extend(below);
-                    vec![LayoutNode::Group {
-                        orientation: Orientation::Vertical,
-                        children,
-                    }]
-                }
-            }
-            None => below,
+        if below.is_empty() {
+            out.push(w);
+        } else {
+            // The widget heads a sub-interface group.
+            let mut children = vec![w];
+            children.extend(below);
+            out.push(LayoutNode::Group {
+                orientation: Orientation::Vertical,
+                children,
+            });
         }
     }
-    let mut nodes = go(tree, widgets);
+    if widgets.is_empty() {
+        return None;
+    }
+    let mut nodes = Vec::new();
+    go(tree, widgets, &mut nodes);
     match nodes.len() {
         0 => None,
         1 => Some(nodes.pop().unwrap()),

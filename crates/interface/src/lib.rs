@@ -33,10 +33,11 @@ pub mod vis;
 pub mod widget;
 
 pub use cache::{global_eval_cache, CacheStats, EvalCache, LiveStats, TreeArtifacts};
-pub use cost::{fitts_time, interface_cost, manipulation_cost, widget_poly, CostParams};
+pub use cost::{fitts_time, manipulation_cost, widget_poly, CostParams, CostWalk};
 pub use flat::{event_type_compatible, flatten_node, FlatElem, FlatSchema};
 pub use iface::{
-    InteractionChoice, InteractionInstance, Interface, MappingContext, MappingEntry, View,
+    InteractionChoice, InteractionInstance, Interface, MappingContext, MappingEntry,
+    SafeVisCandidates, View,
 };
 pub use interaction::{
     col_node_type, interaction_is_safe, vis_interaction_candidates, InteractionKind,

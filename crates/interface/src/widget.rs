@@ -671,7 +671,7 @@ mod tests {
         );
         let f = Forest::new(vec![gst]);
         let assignments = f.bind_all(&w).unwrap();
-        let maps: Vec<&BindingMap> = assignments.iter().map(|a| &a.binding).collect();
+        let maps: Vec<&BindingMap> = assignments.iter().map(|a| &*a.binding).collect();
         let types = infer_types(&f.trees[0], &cat);
         let cands = widget_candidates(&f.trees[0], &types, &maps, &cat);
         let rs = cands
@@ -699,7 +699,7 @@ mod tests {
         );
         let f = Forest::new(vec![gst]);
         let assignments = f.bind_all(&w).unwrap();
-        let maps: Vec<&BindingMap> = assignments.iter().map(|a| &a.binding).collect();
+        let maps: Vec<&BindingMap> = assignments.iter().map(|a| &*a.binding).collect();
         let types = infer_types(&f.trees[0], &cat);
         let cands = widget_candidates(&f.trees[0], &types, &maps, &cat);
         assert!(!cands.iter().any(|c| c.kind == WidgetKind::RangeSlider));

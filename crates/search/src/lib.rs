@@ -14,6 +14,8 @@
 //!   parallel workers with a synchronisation interval and early stopping
 //!   (§6.2.1).
 
+#[cfg(test)]
+mod bind_reference;
 pub mod mapping;
 pub mod mcts;
 pub mod random;

@@ -315,12 +315,12 @@ pub fn generate_top_k(ctx: &MappingContext<'_>, opts: &MappingOptions) -> Vec<Sc
         // compute icand for this V (line 22): safe vis interactions.
         let vis_cands: Vec<Candidate> = ctx
             .safe_vis_interactions(&v)
-            .into_iter()
+            .iter()
             .filter_map(|cand| {
                 let mask = cover_mask(&bits, &cand.cover())?;
-                let cost = vis_cost(ctx, &cand, &opts.params);
+                let cost = vis_cost(ctx, cand, &opts.params);
                 Some(Candidate {
-                    entry: MappingEntry::Vis(cand),
+                    entry: MappingEntry::Vis(cand.clone()),
                     mask,
                     cost,
                 })
@@ -667,12 +667,23 @@ mod tests {
         assert!(optimised <= base_cost + 1e-9);
     }
 
-    /// The per-input-query §5 walk that `MappingContext::manipulations`
-    /// replaced: re-project every query's binding onto every cover.
-    fn manipulations_reference(
-        ctx: &MappingContext<'_>,
-        iface: &Interface,
-    ) -> Vec<pi2_interface::cost::QueryPlan> {
+    /// `MappingContext` is built per evaluated state on a search worker and
+    /// must stay movable across threads.
+    const _: fn() = || {
+        fn send<T: Send>() {}
+        send::<MappingContext<'static>>();
+    };
+
+    /// One input query's step of the §5 walk: the view that renders it and
+    /// the interactions (in DFS order) whose covered bindings change.
+    struct QueryPlan {
+        view: usize,
+        widgets: Vec<usize>,
+    }
+
+    /// The per-input-query plans: re-project every query's binding onto
+    /// every cover.
+    fn manipulations_reference(ctx: &MappingContext<'_>, iface: &Interface) -> Vec<QueryPlan> {
         type Projection = Vec<(u32, Option<pi2_interface::BoundValue>)>;
         let mut last: HashMap<(usize, usize), Projection> = HashMap::new();
         let mut out = Vec::with_capacity(ctx.assignments.len());
@@ -698,12 +709,73 @@ mod tests {
                     last.insert((ix, a.tree), proj);
                 }
             }
-            out.push(pi2_interface::cost::QueryPlan {
+            out.push(QueryPlan {
                 view: a.tree,
                 widgets: manipulated,
             });
         }
         out
+    }
+
+    /// The §5 sum over per-query plans, recomputing each manipulation's
+    /// cost and box at every use.
+    fn interface_cost_reference(
+        iface: &Interface,
+        plans: &[QueryPlan],
+        params: &CostParams,
+    ) -> f64 {
+        use pi2_interface::{fitts_time, manipulation_cost, InteractionChoice, Rect};
+        let interaction_box = |ix: usize| -> Rect {
+            match &iface.interactions[ix].choice {
+                InteractionChoice::Widget { .. } => iface.layout.widget_boxes[ix],
+                InteractionChoice::Vis { view, .. } => iface
+                    .layout
+                    .vis_boxes
+                    .get(*view)
+                    .copied()
+                    .unwrap_or_default(),
+            }
+        };
+        let mut total = 0.0;
+        let mut position: Option<Rect> = None;
+        let mut current_view: Option<usize> = None;
+        let view_factor = 1.0 + 0.15 * (iface.views.len().saturating_sub(1) as f64);
+        for plan in plans {
+            if current_view != Some(plan.view) {
+                let target = iface
+                    .layout
+                    .vis_boxes
+                    .get(plan.view)
+                    .copied()
+                    .unwrap_or_default();
+                let table_extra = match iface.views.get(plan.view) {
+                    Some(v) if v.vis.kind == pi2_interface::VisKind::Table => params.table_read,
+                    _ => 0.0,
+                };
+                if let Some(prev) = position {
+                    total += fitts_time(&prev, &target, params)
+                        + params.view_read * view_factor
+                        + table_extra;
+                } else {
+                    total += table_extra;
+                }
+                position = Some(target);
+                current_view = Some(plan.view);
+            }
+            for &ix in &plan.widgets {
+                total += manipulation_cost(iface, ix, params);
+                let target = interaction_box(ix);
+                if let Some(prev) = position {
+                    total += fitts_time(&prev, &target, params);
+                }
+                position = Some(target);
+            }
+        }
+        if let Some((max_w, max_h)) = params.max_size {
+            let (w, h) = iface.layout.size;
+            total += params.alpha * ((w - max_w).max(0.0) + (h - max_h).max(0.0));
+        }
+        total
     }
 
     /// The per-input-query manipulation count that
@@ -734,12 +806,60 @@ mod tests {
         count.max(1)
     }
 
-    /// The projection-id walk (one projection per distinct query) yields
-    /// the same plans and counts as the per-input-query reference, with
-    /// duplicates adjacent, duplicates cycled, and no duplicates.
+    /// The toy logs' states: the clustered and canonicalized states and
+    /// their children.
+    fn toy_states(w: &Workload) -> Vec<Forest> {
+        use pi2_difftree::{applicable_actions, apply_action, transform::canonicalize};
+        let initial = crate::initial_state(w);
+        let mut states = vec![canonicalize(&initial, w, 48), initial];
+        for parent in states.clone() {
+            states.extend(
+                applicable_actions(&parent, w)
+                    .into_iter()
+                    .filter_map(|act| apply_action(&parent, w, act)),
+            );
+        }
+        states
+    }
+
+    /// A paper log's states: the clustered state, its canonical form, and
+    /// the states along two seeded 3-step walks of applied actions from
+    /// each of them.
+    fn walked_states(w: &Workload) -> Vec<Forest> {
+        use pi2_difftree::{apply_action, candidate_actions, transform::canonicalize};
+        let initial = crate::initial_state(w);
+        let mut states = vec![canonicalize(&initial, w, 48), initial];
+        for start in states.clone() {
+            for seed in [11u64, 29] {
+                let mut rng = seed;
+                let mut state = start.clone();
+                for _ in 0..3 {
+                    let actions = candidate_actions(&state, w);
+                    rng = rng
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let at = (rng >> 33) as usize;
+                    let Some(next) = (0..actions.len())
+                        .find_map(|k| apply_action(&state, w, actions[(at + k) % actions.len()]))
+                    else {
+                        break;
+                    };
+                    states.push(next.clone());
+                    state = next;
+                }
+            }
+        }
+        states
+    }
+
+    /// The memoized projection-id walk (one projection per distinct query
+    /// and cover) prices every sampled interface bit-identically to the
+    /// per-input-query reference sum, and its manipulation counts equal
+    /// the reference: on toy logs with duplicates adjacent, duplicates
+    /// cycled and no duplicates, and on the seven paper logs plus Filter
+    /// duplicated to 90 queries.
     #[test]
     fn distinct_query_walk_matches_per_query_reference() {
-        use pi2_difftree::{applicable_actions, apply_action, transform::canonicalize};
         use rand::SeedableRng;
         let (a, b, c, d) = (
             "SELECT a, count(*) FROM T WHERE b = 10 GROUP BY a",
@@ -747,59 +867,86 @@ mod tests {
             "SELECT a, count(*) FROM T WHERE b = 20 AND a = 1 GROUP BY a",
             "SELECT b, count(*) FROM T WHERE a = 2 GROUP BY b",
         );
-        let logs: [&[&str]; 3] = [
+        let toy: [&[&str]; 3] = [
             &[a, a, b, b, c, d, d, a],
             &[a, b, c, d, a, b, c, d, a, b],
             &[a, b, c, d],
         ];
-        let params = CostParams::default();
-        for sqls in logs {
+        let mut cases: Vec<(String, Workload, bool)> = toy
+            .iter()
+            .map(|sqls| {
+                let queries = sqls.iter().map(|q| parse_query(q).unwrap()).collect();
+                let w = Workload::new(queries, workload().catalog);
+                (format!("{sqls:?}"), w, false)
+            })
+            .collect();
+        let mut paper: Vec<(String, Vec<String>)> = pi2_workloads::all_logs()
+            .into_iter()
+            .map(|l| (l.name.to_string(), l.queries))
+            .collect();
+        let dup = pi2_workloads::logs::duplicated(pi2_workloads::LogKind::Filter, 90);
+        paper.push(("filter_x90".to_string(), dup.queries));
+        for (name, sqls) in paper {
             let queries = sqls.iter().map(|q| parse_query(q).unwrap()).collect();
-            let w = Workload::new(queries, workload().catalog);
-            // The clustered and canonicalized states and their children.
-            let initial = crate::initial_state(&w);
-            let mut states = vec![canonicalize(&initial, &w, 48), initial];
-            for parent in states.clone() {
-                states.extend(
-                    applicable_actions(&parent, &w)
-                        .into_iter()
-                        .filter_map(|act| apply_action(&parent, &w, act)),
-                );
-            }
+            let w = Workload::new(queries, pi2_workloads::catalog());
+            cases.push((name, w, true));
+        }
+        let params = CostParams::default();
+        for (name, w, walked) in &cases {
+            let states = if *walked {
+                walked_states(w)
+            } else {
+                toy_states(w)
+            };
             let mut manipulations = 0;
+            let mut priced = 0;
             for state in &states {
-                let Some(ctx) = MappingContext::build(state, &w) else {
+                let Some(ctx) = MappingContext::build(state, w) else {
                     continue;
                 };
-                for (t, cands) in ctx.widget_cands.iter().enumerate() {
-                    for cand in cands {
+                // Every cover against every tree, its own and the others.
+                let check_counts = |cover: &[u32]| {
+                    for t in 0..state.trees.len() {
                         assert_eq!(
-                            ctx.manip_count(t, &cand.cover),
-                            manip_count_reference(&ctx, t, &cand.cover)
+                            ctx.manip_count(t, cover),
+                            manip_count_reference(&ctx, t, cover),
+                            "{name}, tree {t}, cover {cover:?}"
                         );
                     }
+                };
+                for cand in ctx.widget_cands.iter().flatten() {
+                    check_counts(&cand.cover);
+                }
+                let first_v: Vec<VisMapping> = ctx.vis_cands.iter().map(|c| c[0].clone()).collect();
+                for cand in ctx.safe_vis_interactions(&first_v).iter() {
+                    check_counts(&cand.cover());
                 }
                 let mut rng = rand::rngs::StdRng::seed_from_u64(state.key().seed());
-                for _ in 0..10 {
-                    let Some((iface, _)) = crate::random_interface(&ctx, &mut rng, &params) else {
-                        continue;
-                    };
-                    let plans = ctx.manipulations(&iface);
-                    assert_eq!(plans, manipulations_reference(&ctx, &iface), "{sqls:?}");
+                let sampled =
+                    (0..10).filter_map(|_| crate::random_interface(&ctx, &mut rng, &params));
+                for (iface, cost) in crate::greedy_interface(&ctx, &params)
+                    .into_iter()
+                    .chain(sampled)
+                {
+                    let plans = manipulations_reference(&ctx, &iface);
+                    let want = interface_cost_reference(&iface, &plans, &params);
+                    assert_eq!(cost.to_bits(), want.to_bits(), "{name}: {cost} vs {want}");
+                    assert_eq!(
+                        ctx.cost(&iface, &params).to_bits(),
+                        want.to_bits(),
+                        "{name}"
+                    );
                     manipulations += plans.iter().map(|p| p.widgets.len()).sum::<usize>();
+                    priced += 1;
                     for inst in &iface.interactions {
-                        for (t, _) in inst.all_targets() {
-                            assert_eq!(
-                                ctx.manip_count(t, &inst.cover),
-                                manip_count_reference(&ctx, t, &inst.cover)
-                            );
-                        }
+                        check_counts(&inst.cover);
                     }
                 }
             }
+            assert!(priced > 0, "{name}: no state could be mapped");
             assert!(
                 manipulations > 0,
-                "{sqls:?}: no sampled interface manipulates"
+                "{name}: no sampled interface manipulates"
             );
         }
     }

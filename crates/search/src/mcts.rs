@@ -884,6 +884,47 @@ mod tests {
         }
     }
 
+    /// The trail binder returns what the snapshot binder it replaced
+    /// returned, for every (tree, distinct query) of every state
+    /// `walk_states` reaches on the seven paper logs and Filter duplicated
+    /// to 90 queries, failed binds included.
+    #[test]
+    fn trail_binder_matches_reference() {
+        let mut logs: Vec<(String, Vec<String>)> = pi2_workloads::all_logs()
+            .into_iter()
+            .map(|l| (l.name.to_string(), l.queries))
+            .collect();
+        let dup = pi2_workloads::logs::duplicated(pi2_workloads::LogKind::Filter, 90);
+        logs.push(("filter_x90".to_string(), dup.queries));
+        for (name, sqls) in logs {
+            let queries = sqls.iter().map(|q| parse_query(q).unwrap()).collect();
+            let w = Workload::new(queries, pi2_workloads::catalog());
+            let shared = Shared::new(&w);
+            let (mut bound, mut failed) = (0, 0);
+            for state in walk_states(&shared) {
+                for tree in &state.trees {
+                    for (qi, gst) in w.gsts.iter().enumerate() {
+                        if w.class[qi] != qi {
+                            continue;
+                        }
+                        let trail = pi2_difftree::bind_query(tree.node(), gst);
+                        let reference = crate::bind_reference::bind_query(tree.node(), gst);
+                        assert_eq!(trail, reference, "{name}, query {qi}");
+                        if trail.is_some() {
+                            bound += 1;
+                        } else {
+                            failed += 1;
+                        }
+                    }
+                }
+            }
+            assert!(
+                bound > 0 && failed > 0,
+                "{name}: {bound} bound, {failed} failed"
+            );
+        }
+    }
+
     #[test]
     fn transpositions_share_arena_nodes() {
         let w = workload();

@@ -1,8 +1,15 @@
 //! Random interface mappings, used by MCTS reward estimation (§6.2.1 step
 //! 4: "We estimate the reward by generating K = 5 random interface mappings,
 //! estimating their costs, and returning the negative of the minimum cost").
+//!
+//! Both samplers read the context's memoized safe-candidate lists by
+//! reference and clone only the candidates they choose; each sampled
+//! interface is priced by [`MappingContext::cost`]'s single walk over the
+//! input queries.
 
-use pi2_interface::{CostParams, Interface, MappingContext, MappingEntry};
+use pi2_interface::{
+    CostParams, Interface, MappingContext, MappingEntry, VisInteractionCandidate, VisMapping,
+};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -30,27 +37,27 @@ pub fn random_interface<R: Rng>(
 
     // Random subset of safe vis interactions (cover-disjoint,
     // conflict-free), chosen with probability 1/2 each to diversify states.
-    let mut vis = ctx.safe_vis_interactions(&v);
+    let safe = ctx.safe_vis_interactions(&v);
+    let mut vis: Vec<&VisInteractionCandidate> = safe.iter().collect();
     vis.shuffle(rng);
     for cand in vis {
         if !rng.gen_bool(0.5) {
             continue;
         }
-        let cover = cand.cover();
-        if !cover.iter().all(|k| remaining.contains(k)) {
+        if !cand.covered().all(|k| remaining.contains(&k)) {
             continue;
         }
-        let conflict = m.iter().any(|e| match (e, &cand) {
-            (MappingEntry::Vis(a), b) => a.view == b.view && a.kind.conflicts_with(b.kind),
+        let conflict = m.iter().any(|e| match e {
+            MappingEntry::Vis(a) => a.view == cand.view && a.kind.conflicts_with(cand.kind),
             _ => false,
         });
         if conflict {
             continue;
         }
-        for k in &cover {
-            remaining.remove(k);
+        for k in cand.covered() {
+            remaining.remove(&k);
         }
-        m.push(MappingEntry::Vis(cand));
+        m.push(MappingEntry::Vis(cand.clone()));
     }
 
     // Cover the rest with random widgets, processing nodes in DFS order so
@@ -87,18 +94,18 @@ pub fn random_interface<R: Rng>(
 /// sampling can miss.
 pub fn greedy_interface(ctx: &MappingContext<'_>, params: &CostParams) -> Option<(Interface, f64)> {
     // Bounded V enumeration, charts before tables.
-    let mut per_tree: Vec<Vec<pi2_interface::VisMapping>> = Vec::new();
+    let mut per_tree: Vec<Vec<&VisMapping>> = Vec::new();
     for cands in &ctx.vis_cands {
-        let mut sorted = cands.clone();
+        let mut sorted: Vec<&VisMapping> = cands.iter().collect();
         sorted.sort_by_key(|m| matches!(m.kind, pi2_interface::VisKind::Table));
         sorted.truncate(3);
         per_tree.push(sorted);
     }
-    let mut combos: Vec<Vec<pi2_interface::VisMapping>> = vec![vec![]];
+    let mut combos: Vec<Vec<VisMapping>> = vec![vec![]];
     for cands in &per_tree {
         let mut next = Vec::new();
         for combo in &combos {
-            for c in cands {
+            for &c in cands {
                 let mut v = combo.clone();
                 v.push(c.clone());
                 next.push(v);
@@ -122,11 +129,11 @@ pub fn greedy_interface(ctx: &MappingContext<'_>, params: &CostParams) -> Option
     for v in combos {
         let mut remaining = all_choices.clone();
         let mut m: Vec<MappingEntry> = Vec::new();
-        let mut vis = ctx.safe_vis_interactions(&v);
-        vis.sort_by_key(|c| std::cmp::Reverse(c.cover().len()));
+        let safe = ctx.safe_vis_interactions(&v);
+        let mut vis: Vec<&VisInteractionCandidate> = safe.iter().collect();
+        vis.sort_by_cached_key(|c| std::cmp::Reverse(c.covered().count()));
         for cand in vis {
-            let cover = cand.cover();
-            if !cover.iter().all(|k| remaining.contains(k)) {
+            if !cand.covered().all(|k| remaining.contains(&k)) {
                 continue;
             }
             let conflict = m.iter().any(|e| match e {
@@ -136,10 +143,10 @@ pub fn greedy_interface(ctx: &MappingContext<'_>, params: &CostParams) -> Option
             if conflict {
                 continue;
             }
-            for k in &cover {
-                remaining.remove(k);
+            for k in cand.covered() {
+                remaining.remove(&k);
             }
-            m.push(MappingEntry::Vis(cand));
+            m.push(MappingEntry::Vis(cand.clone()));
         }
         // Fill the rest with the cheapest widget per first-uncovered node.
         let mut ok = true;

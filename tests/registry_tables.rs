@@ -102,7 +102,7 @@ fn range_slider_constraint_is_public() {
     }
     let f = Forest::new(vec![tree]);
     let assignments = f.bind_all(&w).unwrap();
-    let maps: Vec<&pi2_difftree::BindingMap> = assignments.iter().map(|a| &a.binding).collect();
+    let maps: Vec<&pi2_difftree::BindingMap> = assignments.iter().map(|a| &*a.binding).collect();
     let types = infer_types(&f.trees[0], &c);
     let cands = pi2_interface::widget_candidates(&f.trees[0], &types, &maps, &c);
     assert!(
