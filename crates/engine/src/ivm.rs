@@ -1040,6 +1040,39 @@ mod tests {
     }
 
     #[test]
+    fn having_short_circuits_over_aggregates_match() {
+        pin_ivm("SELECT region, count(*) FROM sales GROUP BY region HAVING count(*) > 2 OR sum(amount) > 10.0");
+        pin_ivm("SELECT region, sum(qty) FROM sales GROUP BY region HAVING count(*) > 1 AND max(qty) > 3");
+        pin_ivm(
+            "SELECT region, max(amount) FROM sales GROUP BY region \
+             HAVING (count(*) > 1 OR min(qty) > 5) AND avg(amount) > 1.0",
+        );
+    }
+
+    #[test]
+    fn aggregates_only_in_order_by_match() {
+        pin_ivm("SELECT region FROM sales GROUP BY region ORDER BY avg(amount) + min(qty)");
+        pin_ivm("SELECT region, count(*) FROM sales GROUP BY region ORDER BY max(qty) DESC, sum(amount) LIMIT 2");
+    }
+
+    #[test]
+    fn aggregate_inside_scalar_function_matches() {
+        pin_ivm("SELECT region, abs(sum(amount) - 20.0), date(max(qty)) FROM sales GROUP BY region");
+    }
+
+    #[test]
+    fn lazily_evaluated_having_reads_each_groups_own_aggregates() {
+        // `date(qty)` errors on west's representative (qty NULL), which the
+        // left operand short-circuits, so the right operand is evaluated
+        // one group at a time; north (the third group, sum 5.0) must read
+        // its own `sum(amount)`, not the first group's (east, 13.0).
+        pin_ivm(
+            "SELECT region, count(*) FROM sales GROUP BY region \
+             HAVING region = 'west' OR (date(qty) IS NOT NULL AND sum(amount) > 10.0)",
+        );
+    }
+
+    #[test]
     fn projection_shape_matches() {
         pin_ivm("SELECT id, amount FROM sales WHERE region = 'east'");
     }

@@ -178,7 +178,7 @@ fn history(mut seed: u64, base_pick: usize, delta_picks: [usize; 3], poison: boo
 
 /// IVM-shaped queries over `live`; `t` is a generated threshold.
 fn live_query(pick: usize, t: i64) -> String {
-    match pick % 9 {
+    match pick % 10 {
         0 => "SELECT k, count(*), sum(x), avg(x), min(n), max(n) FROM live GROUP BY k".into(),
         1 => format!(
             "SELECT k, g, sum(x) FROM live WHERE n IS NOT NULL AND x > {t} GROUP BY k, g \
@@ -191,6 +191,13 @@ fn live_query(pick: usize, t: i64) -> String {
         6 => "SELECT DISTINCT k FROM live GROUP BY k ORDER BY k".into(),
         // `date(d)` errors on a poisoned row: in a select expression …
         7 => "SELECT g, max(date(d)), count(*) FROM live GROUP BY g".into(),
+        // An OR over aggregates in HAVING, and ORDER BY aggregates that
+        // are not in the select list.
+        8 => format!(
+            "SELECT k, count(*) FROM live GROUP BY k HAVING count(*) > {} OR max(x) < {t} \
+             ORDER BY avg(x), min(n) DESC",
+            t.rem_euclid(400)
+        ),
         // … and in one the reference only evaluates for groups HAVING
         // keeps, which the fold cannot know: it must fall back, not fail.
         _ => format!(
@@ -246,7 +253,7 @@ proptest! {
         base_pick in 0usize..3,
         delta_picks in (0usize..4, 0usize..4, 0usize..4),
         poison in 0u8..3,
-        query_picks in (0usize..9, 0usize..9),
+        query_picks in (0usize..10, 0usize..10),
         t in -100i64..190,
     ) {
         let (d0, d1, d2) = delta_picks;
