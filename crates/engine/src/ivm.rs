@@ -53,8 +53,7 @@ use crate::exec::{
     apply_filter, build_groups, coerce_row, derive_schema, exec_projection, group_key_columns,
     ExecContext,
 };
-use crate::vector::{aggregate_over, eval_vec, LazyCol, VecRelation};
-use pi2_data::column::{ColumnData, NullMask};
+use crate::vector::{eval_vec, AggSlots, LazyCol, VecRelation};
 use pi2_data::{DataType, Table, Value};
 use pi2_sql::ast::{is_aggregate_function, BinOp, Expr, Query, SelectItem, TableRef};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -179,301 +178,60 @@ pub fn supported(query: &Query, catalog: &pi2_data::Catalog) -> bool {
     ivm_table(query).is_some() && analyze_query_cached(query, catalog).is_ok()
 }
 
-/// Which aggregate an accumulator implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AggKind {
-    CountStar,
-    Count,
-    Sum,
-    Avg,
-    Min,
-    Max,
-}
-
-/// One aggregate call site in the query, in fixed traversal order.
-struct AggSite<'q> {
-    kind: AggKind,
-    arg: Option<&'q Expr>,
-}
-
-/// Run `f` over the non-null slots of a typed column, ascending.
-fn for_valid(nulls: &NullMask, len: usize, mut f: impl FnMut(usize)) {
-    if nulls.null_count() == 0 {
-        (0..len).for_each(f);
-    } else {
-        (0..len).filter(|&i| !nulls.is_null(i)).for_each(&mut f);
-    }
-}
-
-/// What one chunk's surviving rows look like to the accumulators: the
-/// chunk-local groups (row lists ascending, groups in first-encounter
-/// order), the carried group each maps to, and per row the carried group
-/// id — filled on first use, since only `count(x)`/`sum`/`avg` read it.
-struct ChunkGroups {
-    local: Vec<Vec<u32>>,
-    local_gid: Option<Vec<u32>>,
-    to_carried: Vec<u32>,
-    row_gid: std::cell::OnceCell<Vec<u32>>,
-}
-
-impl ChunkGroups {
-    fn row_gid(&self) -> &[u32] {
-        self.row_gid.get_or_init(|| match &self.local_gid {
-            Some(gid) => gid.iter().map(|&l| self.to_carried[l as usize]).collect(),
-            None => {
-                let mut out = vec![0u32; self.local.iter().map(Vec::len).sum()];
-                for (l, idx) in self.local.iter().enumerate() {
-                    for &i in idx {
-                        out[i as usize] = self.to_carried[l];
-                    }
-                }
-                out
-            }
-        })
-    }
-}
-
-/// The accumulators of one aggregate site, one slot per group (parallel
-/// to [`AggState::reprs`]). Folding mirrors `eval_aggregate` in
-/// `crate::eval` exactly: NULL arguments are skipped everywhere,
-/// `sum`/`avg` add `as_f64` values in row order onto the slot's running
-/// total (so float results are bit-identical to the reference's
-/// left-fold), `min` keeps the first minimal value and `max` the last
-/// maximal one (matching `Iterator::min`/`max` tie-breaking), and `avg`
-/// divides by the non-null count.
-#[derive(Debug, Clone)]
-enum SiteAcc {
-    /// `count(*)` / `count(x)`: rows / non-null arguments seen.
-    Count(Vec<i64>),
-    /// `sum` / `avg`: the running total, the non-null count, and whether
-    /// every non-null argument so far was an `Int` (then `sum` is one).
-    Sum {
-        total: Vec<f64>,
-        n: Vec<i64>,
-        all_int: Vec<bool>,
-    },
-    /// `min` / `max`: the extreme so far.
-    Extreme(Vec<Option<Value>>),
-}
-
-impl SiteAcc {
-    fn new(kind: AggKind) -> SiteAcc {
-        match kind {
-            AggKind::CountStar | AggKind::Count => SiteAcc::Count(Vec::new()),
-            AggKind::Sum | AggKind::Avg => SiteAcc::Sum {
-                total: Vec::new(),
-                n: Vec::new(),
-                all_int: Vec::new(),
-            },
-            AggKind::Min | AggKind::Max => SiteAcc::Extreme(Vec::new()),
-        }
-    }
-
-    /// Open the slot of a group just encountered.
-    fn push_group(&mut self) {
-        match self {
-            SiteAcc::Count(n) => n.push(0),
-            SiteAcc::Sum { total, n, all_int } => {
-                total.push(0.0);
-                n.push(0);
-                all_int.push(true);
-            }
-            SiteAcc::Extreme(v) => v.push(None),
-        }
-    }
-
-    /// The aggregate's value for group `g`; `None` asks for the value over
-    /// zero rows (the implicit single group of an empty input).
-    fn value(&self, kind: AggKind, g: Option<usize>) -> Value {
-        match (self, g) {
-            (SiteAcc::Count(_), None) => Value::Int(0),
-            (_, None) => Value::Null,
-            (SiteAcc::Count(n), Some(g)) => Value::Int(n[g]),
-            (SiteAcc::Sum { n, .. }, Some(g)) if n[g] == 0 => Value::Null,
-            (SiteAcc::Sum { total, n, all_int }, Some(g)) => {
-                if kind == AggKind::Avg {
-                    Value::Float(total[g] / n[g] as f64)
-                } else if all_int[g] {
-                    Value::Int(total[g] as i64)
-                } else {
-                    Value::Float(total[g])
-                }
-            }
-            (SiteAcc::Extreme(v), Some(g)) => v[g].clone().unwrap_or(Value::Null),
-        }
-    }
-
-    /// Fold one chunk's surviving rows (`rel`) into the slots. One
-    /// sequential pass in ascending row order for the order-sensitive
-    /// accumulators — the same additions, in the same order, as folding
-    /// the reference's per-group value lists.
-    fn fold(
-        &mut self,
-        site: &AggSite<'_>,
-        rel: &VecRelation,
-        groups: &ChunkGroups,
-        ctx: &ExecContext<'_>,
-    ) -> Result<(), EngineError> {
-        let add_group_sizes = |n: &mut [i64]| {
-            for (l, idx) in groups.local.iter().enumerate() {
-                n[groups.to_carried[l] as usize] += idx.len() as i64;
-            }
-        };
-        if site.kind == AggKind::CountStar {
-            let SiteAcc::Count(n) = self else {
-                unreachable!("count(*) accumulates a count")
-            };
-            add_group_sizes(n);
-            return Ok(());
-        }
-        let arg = site.arg.expect("AggState::new checked the argument");
-        let col = eval_vec(arg, rel, ctx, None)?.into_column(rel.len);
-        match self {
-            SiteAcc::Count(n) if col.null_count() == 0 => add_group_sizes(n),
-            SiteAcc::Count(n) => {
-                let gid = groups.row_gid();
-                (0..rel.len)
-                    .filter(|&i| !col.is_null(i))
-                    .for_each(|i| n[gid[i] as usize] += 1);
-            }
-            SiteAcc::Sum { total, n, all_int } => {
-                let gid = groups.row_gid();
-                match col.as_ref() {
-                    ColumnData::Int64 { values, nulls } => for_valid(nulls, rel.len, |i| {
-                        let g = gid[i] as usize;
-                        total[g] += values[i] as f64;
-                        n[g] += 1;
-                    }),
-                    // Date sums degrade to Float, like the reference's.
-                    ColumnData::Date64 { values, nulls } => for_valid(nulls, rel.len, |i| {
-                        let g = gid[i] as usize;
-                        total[g] += values[i] as f64;
-                        n[g] += 1;
-                        all_int[g] = false;
-                    }),
-                    ColumnData::Float64 { values, nulls } => for_valid(nulls, rel.len, |i| {
-                        let g = gid[i] as usize;
-                        total[g] += values[i];
-                        n[g] += 1;
-                        all_int[g] = false;
-                    }),
-                    other => {
-                        for (i, v) in other.iter().enumerate().filter(|(_, v)| !v.is_null()) {
-                            let g = gid[i] as usize;
-                            if let Some(f) = v.as_f64() {
-                                total[g] += f;
-                            }
-                            n[g] += 1;
-                            all_int[g] &= matches!(v, Value::Int(_));
-                        }
-                    }
-                }
-            }
-            // Order-insensitive up to ties: each chunk-local group's
-            // extreme (the kernels the flat executor uses) merges into the
-            // carried one, earlier rows winning `min` ties and later rows
-            // winning `max` ties.
-            SiteAcc::Extreme(best) => {
-                let name = if site.kind == AggKind::Min {
-                    "min"
-                } else {
-                    "max"
-                };
-                for (l, idx) in groups.local.iter().enumerate() {
-                    let v = aggregate_over(name, name, &col, idx)?;
-                    if v.is_null() {
-                        continue;
-                    }
-                    let slot = &mut best[groups.to_carried[l] as usize];
-                    let replace = slot.as_ref().is_none_or(|cur| {
-                        if site.kind == AggKind::Min {
-                            v.cmp(cur).is_lt()
-                        } else {
-                            v.cmp(cur).is_ge()
-                        }
-                    });
-                    if replace {
-                        *slot = Some(v);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// All aggregate sites of the query plus, per clause, the index of its
 /// first site — so finalize-time substitution can start its cursor at the
 /// right offset regardless of clause evaluation order.
 struct SitePlan<'q> {
-    sites: Vec<AggSite<'q>>,
+    sites: Vec<&'q Expr>,
     select_offsets: Vec<usize>,
     having_offset: usize,
     order_offsets: Vec<usize>,
 }
 
-/// Collect aggregate sites in the exact positions `eval_grouped` treats as
-/// aggregates: it recurses through unary/binary/BETWEEN operators and
-/// non-aggregate function arguments, and stops at every other node (those
-/// evaluate against the representative row). Sites hidden under stop nodes
-/// are never collected — the reference evaluator errors on them, and so
-/// does finalize, by taking the same `eval_expr` path.
-fn site_plan(query: &Query) -> SitePlan<'_> {
-    fn walk<'q>(e: &'q Expr, out: &mut Vec<AggSite<'q>>) {
-        match e {
-            Expr::Func { name, args } if is_aggregate_function(name) => {
-                let lname = name.to_ascii_lowercase();
-                if lname == "count" && matches!(args.first(), Some(Expr::Star) | None) {
-                    out.push(AggSite {
-                        kind: AggKind::CountStar,
-                        arg: None,
-                    });
-                } else {
-                    let kind = match lname.as_str() {
-                        "count" => AggKind::Count,
-                        "sum" => AggKind::Sum,
-                        "avg" => AggKind::Avg,
-                        "min" => AggKind::Min,
-                        _ => AggKind::Max,
-                    };
-                    out.push(AggSite {
-                        kind,
-                        arg: args.first(),
-                    });
-                }
-            }
-            Expr::Unary { expr, .. } => walk(expr, out),
-            Expr::Binary { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                walk(expr, out);
-                walk(low, out);
-                walk(high, out);
-            }
-            Expr::Func { args, .. } => args.iter().for_each(|a| walk(a, out)),
-            _ => {}
+/// Collect the aggregate calls inside `e`, in the exact positions
+/// `eval_grouped` treats as aggregates: it recurses through unary/binary/
+/// BETWEEN operators and non-aggregate function arguments, and stops at
+/// every other node (those evaluate against the representative row). Calls
+/// hidden under stop nodes are never collected — the reference evaluator
+/// errors on them, and so does finalize, by taking the same `eval_expr`
+/// path.
+fn agg_calls<'q>(e: &'q Expr, out: &mut Vec<&'q Expr>) {
+    match e {
+        Expr::Func { name, .. } if is_aggregate_function(name) => out.push(e),
+        Expr::Unary { expr, .. } => agg_calls(expr, out),
+        Expr::Binary { left, right, .. } => {
+            agg_calls(left, out);
+            agg_calls(right, out);
         }
+        Expr::Between {
+            expr, low, high, ..
+        } => {
+            agg_calls(expr, out);
+            agg_calls(low, out);
+            agg_calls(high, out);
+        }
+        Expr::Func { args, .. } => args.iter().for_each(|a| agg_calls(a, out)),
+        _ => {}
     }
+}
+
+fn site_plan(query: &Query) -> SitePlan<'_> {
     let mut sites = Vec::new();
     let mut select_offsets = Vec::with_capacity(query.select.len());
     for item in &query.select {
         select_offsets.push(sites.len());
         if let SelectItem::Expr { expr, .. } = item {
-            walk(expr, &mut sites);
+            agg_calls(expr, &mut sites);
         }
     }
     let having_offset = sites.len();
     if let Some(h) = &query.having {
-        walk(h, &mut sites);
+        agg_calls(h, &mut sites);
     }
     let mut order_offsets = Vec::with_capacity(query.order_by.len());
     for o in &query.order_by {
         order_offsets.push(sites.len());
-        walk(&o.expr, &mut sites);
+        agg_calls(&o.expr, &mut sites);
     }
     SitePlan {
         sites,
@@ -487,29 +245,7 @@ fn site_plan(query: &Query) -> SitePlan<'_> {
 /// cursor past a short-circuited subtree).
 fn count_sites(e: &Expr) -> usize {
     let mut v = Vec::new();
-    fn collect<'q>(e: &'q Expr, out: &mut Vec<AggSite<'q>>) {
-        match e {
-            Expr::Func { name, .. } if is_aggregate_function(name) => out.push(AggSite {
-                kind: AggKind::CountStar,
-                arg: None,
-            }),
-            Expr::Unary { expr, .. } => collect(expr, out),
-            Expr::Binary { left, right, .. } => {
-                collect(left, out);
-                collect(right, out);
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                collect(expr, out);
-                collect(low, out);
-                collect(high, out);
-            }
-            Expr::Func { args, .. } => args.iter().for_each(|a| collect(a, out)),
-            _ => {}
-        }
-    }
-    collect(e, &mut v);
+    agg_calls(e, &mut v);
     v.len()
 }
 
@@ -641,36 +377,31 @@ pub struct AggState {
     /// Each group's representative row: the first member encountered,
     /// exactly like the reference's group build.
     reprs: Vec<Vec<Value>>,
-    /// Parallel to the query's aggregate sites; each `reprs.len()` slots.
-    accs: Vec<SiteAcc>,
+    /// Parallel to the query's aggregate calls; each `reprs.len()` slots.
+    accs: Vec<AggSlots>,
 }
 
 impl AggState {
     fn new(query: &Query, ctx: &ExecContext<'_>) -> Result<AggState, EngineError> {
-        let sites = site_plan(query).sites;
         // The reference reports a missing argument even over zero rows,
         // which the fold would never look at.
-        if let Some(site) = sites
-            .iter()
-            .find(|s| s.kind != AggKind::CountStar && s.arg.is_none())
-        {
-            return Err(EngineError::BadFunction(format!(
-                "{:?} needs an argument",
-                site.kind
-            )));
-        }
+        let accs = site_plan(query)
+            .sites
+            .into_iter()
+            .map(|call| AggSlots::of(call).map(|(slots, _)| slots))
+            .collect::<Result<_, _>>()?;
         Ok(AggState {
             scan: Scan::of(query, ctx)?,
             index: HashMap::new(),
             reprs: Vec::new(),
-            accs: sites.iter().map(|s| SiteAcc::new(s.kind)).collect(),
+            accs,
         })
     }
 
     /// Fold one flat chunk: vectorized `WHERE`, group keys and grouping
     /// over the chunk (dictionary keys group on a dense code table built
     /// once for the chunk), then one carried-index lookup per chunk-local
-    /// group, then every site's accumulators.
+    /// group, then every aggregate call's slots.
     fn fold(
         &mut self,
         query: &Query,
@@ -687,26 +418,26 @@ impl AggState {
         for idx in &local {
             let first = idx[0] as usize;
             let key: Vec<Value> = keycols.iter().map(|c| c.value(first)).collect();
-            let g = match self.index.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = self.reprs.len() as u32;
-                    self.index.insert(key, g);
-                    self.reprs.push(rel.row(first));
-                    self.accs.iter_mut().for_each(SiteAcc::push_group);
-                    g
-                }
-            };
+            let g = *self.index.entry(key).or_insert_with(|| {
+                self.reprs.push(rel.row(first));
+                self.reprs.len() as u32 - 1
+            });
             to_carried.push(g);
         }
-        let groups = ChunkGroups {
-            local,
-            local_gid,
-            to_carried,
-            row_gid: std::cell::OnceCell::new(),
-        };
-        for (site, acc) in site_plan(query).sites.iter().zip(&mut self.accs) {
-            acc.fold(site, &rel, &groups, ctx)?;
+        let row_slot: Option<Vec<u32>> =
+            local_gid.map(|gid| gid.iter().map(|&l| to_carried[l as usize]).collect());
+        for (call, slots) in site_plan(query).sites.into_iter().zip(&mut self.accs) {
+            let (_, arg) = AggSlots::of(call)?;
+            let col = arg
+                .map(|a| eval_vec(a, &rel, ctx, None).map(|v| v.into_column(rel.len)))
+                .transpose()?;
+            slots.open(self.reprs.len());
+            slots.fold(
+                col.as_deref(),
+                &local,
+                Some(&to_carried),
+                row_slot.as_deref(),
+            );
         }
         Ok(())
     }
@@ -722,11 +453,11 @@ impl AggState {
         };
         let mut out_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
         for g in groups {
-            let vals: Vec<Value> = plan
-                .sites
+            // A slot never opened reads as the value over zero rows.
+            let vals: Vec<Value> = self
+                .accs
                 .iter()
-                .zip(&self.accs)
-                .map(|(site, acc)| acc.value(site.kind, g))
+                .map(|acc| acc.value(g.unwrap_or(self.reprs.len())))
                 .collect();
             let repr = Scope {
                 cols: &self.scan.cols,
@@ -1057,7 +788,9 @@ mod tests {
 
     #[test]
     fn aggregate_inside_scalar_function_matches() {
-        pin_ivm("SELECT region, abs(sum(amount) - 20.0), date(max(qty)) FROM sales GROUP BY region");
+        pin_ivm(
+            "SELECT region, abs(sum(amount) - 20.0), date(max(qty)) FROM sales GROUP BY region",
+        );
     }
 
     #[test]

@@ -1176,8 +1176,8 @@ pub(crate) fn eval_grouped_vec(
         return Ok(Vec::new());
     }
     match expr {
-        Expr::Func { name, args } if is_aggregate_function(name) => {
-            eval_aggregate_vec(name, args, rel, groups, gid, ctx, outer)
+        Expr::Func { name, .. } if is_aggregate_function(name) => {
+            eval_aggregate_vec(expr, rel, groups, gid, ctx, outer)
         }
         Expr::Unary { op, expr: inner } => {
             let vals = eval_grouped_vec(inner, rel, groups, gid, ctx, outer)?;
@@ -1282,264 +1282,312 @@ pub(crate) fn eval_grouped_vec(
 }
 
 fn eval_aggregate_vec(
-    name: &str,
-    args: &[Expr],
+    call: &Expr,
     rel: &VecRelation,
     groups: &[Vec<u32>],
     gid: Option<&[u32]>,
     ctx: &ExecContext<'_>,
     outer: Option<&Scope<'_>>,
 ) -> Result<Vec<Value>, EngineError> {
-    let lname = name.to_ascii_lowercase();
-    // count(*) counts rows including NULLs.
-    if lname == "count" && matches!(args.first(), Some(Expr::Star) | None) {
-        return Ok(groups
-            .iter()
-            .map(|idx| Value::Int(idx.len() as i64))
-            .collect());
-    }
-    let arg = args
-        .first()
-        .ok_or_else(|| EngineError::BadFunction(format!("{name} needs an argument")))?;
+    let (mut slots, arg) = AggSlots::of(call)?;
     // Evaluate the argument densely, once for all groups.
-    let argv = eval_vec(arg, rel, ctx, outer)?;
-    let col = argv.into_column(rel.len);
-    // Fused path: when grouping produced per-row group ids, sum/avg/count
-    // accumulate all groups in ONE sequential pass over the column instead
-    // of one strided gather per group — the per-group gathers each touch
-    // cache lines spread across the whole column, so at 10⁷ rows this is
-    // an order of magnitude less memory traffic. Per-group accumulation
-    // order is ascending row order, exactly the per-group fold's.
-    if let Some(gid) = gid {
-        if let Some(out) = aggregate_fused(&lname, &col, groups.len(), gid) {
-            return Ok(out);
-        }
-    }
-    let mut out = Vec::with_capacity(groups.len());
-    for idx in groups {
-        out.push(aggregate_over(&lname, name, &col, idx)?);
-    }
-    Ok(out)
+    let col = arg
+        .map(|a| eval_vec(a, rel, ctx, outer).map(|v| v.into_column(rel.len)))
+        .transpose()?;
+    slots.open(groups.len());
+    slots.fold(col.as_deref(), groups, None, gid);
+    Ok((0..groups.len()).map(|g| slots.value(g)).collect())
 }
 
-/// Single-pass grouped sum/avg/count over a typed numeric column using
-/// per-row group ids, bit-identical to [`aggregate_over`] run per group:
-/// rows accumulate into their group's slot in ascending row order — the
-/// same f64 additions, in the same order, as the per-group fold (the
-/// `sum_i64` kernel's integer fast path only engages when those additions
-/// are all exact, so its results coincide too). `None` defers to the
-/// per-group paths.
-fn aggregate_fused(
-    lname: &str,
-    col: &ColumnData,
-    n_groups: usize,
-    gid: &[u32],
-) -> Option<Vec<Value>> {
-    enum Kind {
-        Int,
-        Date,
-        Float,
-    }
-    let (kind, nulls) = match col {
-        ColumnData::Int64 { nulls, .. } => (Kind::Int, nulls),
-        ColumnData::Date64 { nulls, .. } => (Kind::Date, nulls),
-        ColumnData::Float64 { nulls, .. } => (Kind::Float, nulls),
-        _ => return None,
-    };
-    if !matches!(lname, "sum" | "avg" | "count") {
-        return None;
-    }
-    debug_assert_eq!(gid.len(), col.len());
-    if lname == "count" {
-        // Count of non-null rows per group; order-independent.
-        let mut counts = vec![0i64; n_groups];
-        for (i, &g) in gid.iter().enumerate() {
-            counts[g as usize] += !nulls.is_null(i) as i64;
+/// One aggregate call's accumulator, one slot per group: the single fold
+/// behind grouped aggregation. The flat executor folds a relation into
+/// fresh slots; `crate::ivm` folds each chunk of a table into slots it
+/// carries across chunks and appends. Folding mirrors the reference's
+/// `eval_aggregate`: NULL arguments are skipped, `sum`/`avg` add `as_f64`
+/// values onto the slot's running total in ascending row order — `(s +
+/// d₁) + d₂`, never `s + (d₁ + d₂)`, so float results are bit-identical to
+/// the reference's left fold — `min` keeps the first minimum and `max` the
+/// last maximum, and `avg` divides by the non-null count.
+#[derive(Debug, Clone)]
+pub(crate) enum AggSlots {
+    /// `count(*)` / `count(x)`: rows / non-null arguments seen.
+    Count(Vec<i64>),
+    /// `sum` / `avg`: the running total, the non-null count, and whether
+    /// every non-null argument so far was an `Int` (then `sum` is one).
+    Sum {
+        avg: bool,
+        total: Vec<f64>,
+        n: Vec<i64>,
+        all_int: Vec<bool>,
+    },
+    /// `min` / `max`: the extreme so far (NULL before the first value).
+    Extreme { min: bool, best: Vec<Value> },
+}
+
+impl AggSlots {
+    /// No slots yet for the aggregate call `call`, and the argument its
+    /// fold reads (`None` for `count(*)`).
+    pub(crate) fn of(call: &Expr) -> Result<(AggSlots, Option<&Expr>), EngineError> {
+        let Expr::Func { name, args } = call else {
+            return Err(EngineError::MisplacedAggregate(call.to_string()));
+        };
+        let lname = name.to_ascii_lowercase();
+        // count(*) counts rows including NULLs.
+        if lname == "count" && matches!(args.first(), Some(Expr::Star) | None) {
+            return Ok((AggSlots::Count(Vec::new()), None));
         }
-        return Some(counts.into_iter().map(Value::Int).collect());
+        let arg = args
+            .first()
+            .ok_or_else(|| EngineError::BadFunction(format!("{name} needs an argument")))?;
+        let slots = match lname.as_str() {
+            "count" => AggSlots::Count(Vec::new()),
+            "sum" | "avg" => AggSlots::Sum {
+                avg: lname == "avg",
+                total: Vec::new(),
+                n: Vec::new(),
+                all_int: Vec::new(),
+            },
+            "min" | "max" => AggSlots::Extreme {
+                min: lname == "min",
+                best: Vec::new(),
+            },
+            _ => return Err(EngineError::BadFunction(name.to_string())),
+        };
+        Ok((slots, Some(arg)))
     }
-    let mut totals = vec![0.0f64; n_groups];
-    let mut counts = vec![0i64; n_groups];
-    match col {
-        ColumnData::Int64 { values, nulls } | ColumnData::Date64 { values, nulls } => {
-            for (i, &v) in values.iter().enumerate() {
-                if nulls.is_null(i) {
-                    continue;
-                }
-                let g = gid[i] as usize;
-                totals[g] += v as f64;
-                counts[g] += 1;
+
+    /// Open fresh slots until there are `groups` of them.
+    pub(crate) fn open(&mut self, groups: usize) {
+        match self {
+            AggSlots::Count(n) => n.resize(groups, 0),
+            AggSlots::Sum {
+                total, n, all_int, ..
+            } => {
+                total.resize(groups, 0.0);
+                n.resize(groups, 0);
+                all_int.resize(groups, true);
             }
+            AggSlots::Extreme { best, .. } => best.resize(groups, Value::Null),
         }
-        ColumnData::Float64 { values, nulls } => {
-            for (i, &v) in values.iter().enumerate() {
-                if nulls.is_null(i) {
-                    continue;
-                }
-                let g = gid[i] as usize;
-                totals[g] += v;
-                counts[g] += 1;
-            }
-        }
-        _ => unreachable!("matched above"),
     }
-    let avg = lname == "avg";
-    Some(
-        totals
-            .into_iter()
-            .zip(counts)
-            .map(|(total, count)| {
-                if count == 0 {
-                    Value::Null
-                } else if avg {
-                    Value::Float(total / count as f64)
-                } else {
-                    match kind {
-                        Kind::Int => Value::Int(total as i64),
-                        // Date sums degrade to Float in the generic fold.
-                        Kind::Date | Kind::Float => Value::Float(total),
+
+    /// The aggregate's value in slot `s`. A slot never opened holds the
+    /// value over zero rows (the implicit single group of an empty input).
+    pub(crate) fn value(&self, s: usize) -> Value {
+        match self {
+            AggSlots::Count(n) => Value::Int(n.get(s).copied().unwrap_or(0)),
+            AggSlots::Sum {
+                avg,
+                total,
+                n,
+                all_int,
+            } => match n.get(s) {
+                None | Some(0) => Value::Null,
+                Some(&count) if *avg => Value::Float(total[s] / count as f64),
+                Some(_) if all_int[s] => Value::Int(total[s] as i64),
+                Some(_) => Value::Float(total[s]),
+            },
+            AggSlots::Extreme { best, .. } => best.get(s).cloned().unwrap_or(Value::Null),
+        }
+    }
+
+    /// Fold rows into the slots. `groups[l]` lists the rows of local group
+    /// `l` ascending, and they fold into slot `slots[l]` (slot `l` when
+    /// `slots` is `None`). `row_slot`, when given, is every row's slot:
+    /// `sum`/`avg`/`count` then take all groups in ONE sequential pass over
+    /// the column instead of one strided gather per group — the per-group
+    /// gathers each touch cache lines spread across the whole column. `arg`
+    /// is the argument column, `None` for `count(*)`.
+    pub(crate) fn fold(
+        &mut self,
+        arg: Option<&ColumnData>,
+        groups: &[Vec<u32>],
+        slots: Option<&[u32]>,
+        row_slot: Option<&[u32]>,
+    ) {
+        let slot = |l: usize| slots.map_or(l, |s| s[l] as usize);
+        let Some(col) = arg else {
+            let AggSlots::Count(n) = self else {
+                unreachable!("only count(*) folds no argument")
+            };
+            for (l, idx) in groups.iter().enumerate() {
+                n[slot(l)] += idx.len() as i64;
+            }
+            return;
+        };
+        match self {
+            AggSlots::Count(n) => match (valid_mask(col), row_slot) {
+                (Some(nulls), Some(rs)) => {
+                    for (i, &s) in rs.iter().enumerate() {
+                        n[s as usize] += !nulls.is_null(i) as i64;
                     }
                 }
-            })
-            .collect(),
-    )
-}
-
-/// One aggregate over one group's rows of a dense argument column,
-/// matching the scalar `eval_aggregate` (NULLs skipped; `sum` stays Int
-/// only when every non-null value is an Int; min/max keep the scalar
-/// iterator's first-min/last-max tie behavior).
-pub(crate) fn aggregate_over(
-    lname: &str,
-    name: &str,
-    col: &ColumnData,
-    idx: &[u32],
-) -> Result<Value, EngineError> {
-    if let Some(v) = aggregate_over_typed(lname, col, idx) {
-        return Ok(v);
-    }
-    match lname {
-        "count" => Ok(Value::Int(
-            idx.iter().filter(|&&i| !col.is_null(i as usize)).count() as i64,
-        )),
-        "min" | "max" => {
-            let want_min = lname == "min";
-            let mut best: Option<u32> = None;
-            for &i in idx {
-                if col.is_null(i as usize) {
-                    continue;
+                (Some(nulls), None) => {
+                    for (l, idx) in groups.iter().enumerate() {
+                        n[slot(l)] += kernels::count_valid(nulls, idx) as i64;
+                    }
                 }
-                best = Some(match best {
-                    None => i,
-                    Some(b) => {
-                        let ord = col.cmp_at(i as usize, col, b as usize);
-                        let replace = if want_min {
-                            ord == Ordering::Less
-                        } else {
-                            ord != Ordering::Less
-                        };
-                        if replace {
-                            i
-                        } else {
-                            b
+                (None, _) => {
+                    for (l, idx) in groups.iter().enumerate() {
+                        n[slot(l)] +=
+                            idx.iter().filter(|&&i| !col.is_null(i as usize)).count() as i64;
+                    }
+                }
+            },
+            AggSlots::Sum {
+                total, n, all_int, ..
+            } => {
+                let acc = (&mut total[..], &mut n[..], &mut all_int[..]);
+                match (col, row_slot) {
+                    (ColumnData::Int64 { values, nulls }, Some(rs)) => {
+                        add_rows::<_, true>(values, nulls, rs, |v| v as f64, acc)
+                    }
+                    // Date sums degrade to Float, like the reference's.
+                    (ColumnData::Date64 { values, nulls }, Some(rs)) => {
+                        add_rows::<_, false>(values, nulls, rs, |v| v as f64, acc)
+                    }
+                    (ColumnData::Float64 { values, nulls }, Some(rs)) => {
+                        add_rows::<_, false>(values, nulls, rs, |v| v, acc)
+                    }
+                    _ => {
+                        for (l, idx) in groups.iter().enumerate() {
+                            let s = slot(l);
+                            // A fresh slot takes the typed kernel's total:
+                            // the kernels sum from 0.0 in row order (or
+                            // prove the integer sum exact), which is what
+                            // folding onto a fresh slot gives. A carried
+                            // total continues row by row.
+                            if n[s] == 0 {
+                                if let Some((t, count)) = sum_kernel(col, idx) {
+                                    total[s] = t;
+                                    n[s] = count as i64;
+                                    all_int[s] =
+                                        count == 0 || matches!(col, ColumnData::Int64 { .. });
+                                    continue;
+                                }
+                            }
+                            for &i in idx {
+                                let i = i as usize;
+                                if col.is_null(i) {
+                                    continue;
+                                }
+                                if let Some(f) = col.numeric(i) {
+                                    total[s] += f;
+                                }
+                                n[s] += 1;
+                                all_int[s] &= match col {
+                                    ColumnData::Int64 { .. } => true,
+                                    ColumnData::Mixed(vals) => matches!(vals[i], Value::Int(_)),
+                                    _ => false,
+                                };
+                            }
                         }
                     }
-                });
-            }
-            Ok(best.map(|i| col.value(i as usize)).unwrap_or(Value::Null))
-        }
-        "sum" | "avg" => {
-            let mut count = 0usize;
-            let mut total = 0.0f64;
-            let all_int_col = matches!(col, ColumnData::Int64 { .. });
-            let mut all_int = true;
-            for &i in idx {
-                let i = i as usize;
-                if col.is_null(i) {
-                    continue;
-                }
-                count += 1;
-                if let Some(f) = col.numeric(i) {
-                    total += f;
-                }
-                if !all_int_col {
-                    all_int &=
-                        matches!(col, ColumnData::Mixed(vals) if matches!(vals[i], Value::Int(_)));
                 }
             }
-            if count == 0 {
-                return Ok(Value::Null);
-            }
-            if lname == "avg" {
-                Ok(Value::Float(total / count as f64))
-            } else if all_int_col || all_int {
-                Ok(Value::Int(total as i64))
-            } else {
-                Ok(Value::Float(total))
+            // Each group's extreme (SIMD kernels for typed columns) merges
+            // into its slot, earlier rows winning `min` ties and later rows
+            // winning `max` ties.
+            AggSlots::Extreme { min, best } => {
+                for (l, idx) in groups.iter().enumerate() {
+                    let v = extreme(col, idx, *min);
+                    let cur = &mut best[slot(l)];
+                    let replace = !v.is_null()
+                        && (cur.is_null()
+                            || if *min {
+                                v.cmp(cur).is_lt()
+                            } else {
+                                v.cmp(cur).is_ge()
+                            });
+                    if replace {
+                        *cur = v;
+                    }
+                }
             }
         }
-        _ => Err(EngineError::BadFunction(name.to_string())),
     }
 }
 
-/// Typed SIMD-kernel fast paths for [`aggregate_over`], bit-identical to
-/// the generic folds (the integer-sum and min/max kernels prove a 2⁵³
-/// exactness bound before skipping the sequential f64 accumulation; f64
-/// sums are never reassociated). `None` defers to the generic code.
-fn aggregate_over_typed(lname: &str, col: &ColumnData, idx: &[u32]) -> Option<Value> {
+/// A typed column's null mask; `None` for `Mixed`.
+fn valid_mask(col: &ColumnData) -> Option<&NullMask> {
+    match col {
+        ColumnData::Int64 { nulls, .. }
+        | ColumnData::Float64 { nulls, .. }
+        | ColumnData::Date64 { nulls, .. }
+        | ColumnData::Bool { nulls, .. }
+        | ColumnData::Utf8 { nulls, .. }
+        | ColumnData::Dict { nulls, .. } => Some(nulls),
+        ColumnData::Mixed(_) => None,
+    }
+}
+
+/// Every valid row adds `as_f64(values[i])` onto its slot `rs[i]`, in row
+/// order; `INT` says whether the values are `Int`s.
+fn add_rows<T: Copy, const INT: bool>(
+    values: &[T],
+    nulls: &NullMask,
+    rs: &[u32],
+    as_f64: impl Fn(T) -> f64,
+    (total, n, all_int): (&mut [f64], &mut [i64], &mut [bool]),
+) {
+    debug_assert_eq!(rs.len(), values.len());
+    for (i, &v) in values.iter().enumerate() {
+        if nulls.is_null(i) {
+            continue;
+        }
+        let s = rs[i] as usize;
+        total[s] += as_f64(v);
+        n[s] += 1;
+        if !INT {
+            all_int[s] = false;
+        }
+    }
+}
+
+/// The typed SIMD kernels' `(total, non-null count)` over `idx`,
+/// bit-identical to a fold from 0.0 in row order (the integer kernel only
+/// skips the sequential f64 accumulation once a 2⁵³ bound proves it exact;
+/// f64 sums are never reassociated). `None` for untyped columns.
+fn sum_kernel(col: &ColumnData, idx: &[u32]) -> Option<(f64, usize)> {
     match col {
         ColumnData::Int64 { values, nulls } | ColumnData::Date64 { values, nulls } => {
-            let is_int = matches!(col, ColumnData::Int64 { .. });
-            match lname {
-                "count" => Some(Value::Int(kernels::count_valid(nulls, idx) as i64)),
-                "min" | "max" => Some(
-                    kernels::min_max_i64(values, nulls, idx, lname == "min")
-                        .map(|v| {
-                            if is_int {
-                                Value::Int(v)
-                            } else {
-                                Value::Date(v)
-                            }
-                        })
-                        .unwrap_or(Value::Null),
-                ),
-                "sum" | "avg" => {
-                    let (total, count) = kernels::sum_i64(values, nulls, idx);
-                    if count == 0 {
-                        return Some(Value::Null);
-                    }
-                    Some(if lname == "avg" {
-                        Value::Float(total / count as f64)
-                    } else if is_int {
-                        Value::Int(total as i64)
-                    } else {
-                        // Date sums degrade to Float in the generic fold.
-                        Value::Float(total)
-                    })
-                }
-                _ => None,
-            }
+            Some(kernels::sum_i64(values, nulls, idx))
         }
-        ColumnData::Float64 { values, nulls } => match lname {
-            "count" => Some(Value::Int(kernels::count_valid(nulls, idx) as i64)),
-            "min" | "max" => Some(
-                kernels::min_max_f64(values, nulls, idx, lname == "min")
-                    .map(Value::Float)
-                    .unwrap_or(Value::Null),
-            ),
-            "sum" | "avg" => {
-                let (total, count) = kernels::sum_f64(values, nulls, idx);
-                if count == 0 {
-                    return Some(Value::Null);
-                }
-                Some(if lname == "avg" {
-                    Value::Float(total / count as f64)
-                } else {
-                    Value::Float(total)
-                })
-            }
-            _ => None,
-        },
+        ColumnData::Float64 { values, nulls } => Some(kernels::sum_f64(values, nulls, idx)),
         _ => None,
+    }
+}
+
+/// The minimum (`min`) or maximum over one group's rows, NULL when every
+/// row is NULL, with the reference's tie behaviour: `Iterator::min` keeps
+/// the first minimum and `Iterator::max` the last maximum.
+fn extreme(col: &ColumnData, idx: &[u32], min: bool) -> Value {
+    match col {
+        ColumnData::Int64 { values, nulls } => {
+            kernels::min_max_i64(values, nulls, idx, min).map_or(Value::Null, Value::Int)
+        }
+        ColumnData::Date64 { values, nulls } => {
+            kernels::min_max_i64(values, nulls, idx, min).map_or(Value::Null, Value::Date)
+        }
+        ColumnData::Float64 { values, nulls } => {
+            kernels::min_max_f64(values, nulls, idx, min).map_or(Value::Null, Value::Float)
+        }
+        _ => {
+            let mut best: Option<u32> = None;
+            for &i in idx.iter().filter(|&&i| !col.is_null(i as usize)) {
+                let replace = best.is_none_or(|b| {
+                    let ord = col.cmp_at(i as usize, col, b as usize);
+                    if min {
+                        ord == Ordering::Less
+                    } else {
+                        ord != Ordering::Less
+                    }
+                });
+                if replace {
+                    best = Some(i);
+                }
+            }
+            best.map_or(Value::Null, |i| col.value(i as usize))
+        }
     }
 }
