@@ -1665,7 +1665,7 @@ mod tests {
         }
     }
 
-    /// The scalar engine's sum loop (`aggregate_over`): sequential
+    /// The engine's sum fold (`AggSlots::fold`): sequential
     /// `total += v as f64` in idx order.
     fn ref_sum_i64(values: &[i64], nulls: &NullMask, idx: &[u32]) -> (f64, usize) {
         let mut total = 0.0;

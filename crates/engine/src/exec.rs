@@ -16,7 +16,9 @@
 use crate::analyze::{analyze_query_cached, default_name};
 use crate::error::EngineError;
 use crate::eval::Scope;
-use crate::vector::{eval_grouped_vec, eval_vec, truthy_indices, LazyCol, VecRelation, Vector};
+use crate::vector::{
+    eval_grouped_vec, eval_vec, truthy_indices, AggSlots, Aggs, LazyCol, VecRelation, Vector,
+};
 use pi2_data::column::{ColumnData, NullMask, RowInterner};
 use pi2_data::hash::FastMap;
 use pi2_data::{Catalog, Column, DataType, Schema, Table, Value};
@@ -347,18 +349,49 @@ fn exec_aggregate(
     outer: Option<&Scope<'_>>,
 ) -> Result<Table, EngineError> {
     let keycols = group_key_columns(query, rel, ctx, outer)?;
-    let (mut groups, mut gid) = build_groups(&keycols, rel.len);
+    let (groups, gid) = build_groups(&keycols, rel.len);
+    shape_aggregate(query, rel, groups, gid, None, ctx, outer)
+}
+
+/// The output-shaping half of aggregation over `rel` grouped as `groups`
+/// (with per-row group ids `gid`, when grouping produced them): `HAVING`
+/// and its compaction, the select list, `DISTINCT`, `ORDER BY`, `LIMIT`,
+/// the output schema and the columnar gather. Aggregate calls fold their
+/// arguments over each group's rows — or, given `carried` (`crate::ivm`),
+/// read group `g`'s value from slot `g` of the call's carried slots.
+pub(crate) fn shape_aggregate(
+    query: &Query,
+    rel: &VecRelation,
+    mut groups: Vec<Vec<u32>>,
+    mut gid: Option<Vec<u32>>,
+    carried: Option<&[(&Expr, &AggSlots)]>,
+    ctx: &ExecContext<'_>,
+    outer: Option<&Scope<'_>>,
+) -> Result<Table, EngineError> {
+    // Each surviving group's slot (carried slots only).
+    let mut slot: Vec<u32> = match carried {
+        Some(_) => (0..groups.len() as u32).collect(),
+        None => Vec::new(),
+    };
     let mut compacted: Option<VecRelation> = None;
     if let Some(h) = &query.having {
-        let keep = eval_grouped_vec(h, rel, &groups, gid.as_deref(), ctx, outer)?;
+        let aggs = Aggs::new(carried, &slot);
+        let keep: Vec<bool> = eval_grouped_vec(h, rel, &groups, gid.as_deref(), aggs, ctx, outer)?
+            .iter()
+            .map(|v| v.as_bool() == Some(true))
+            .collect();
         // Surviving groups are renumbered (and their rows possibly
         // remapped), so the per-row group ids no longer apply.
         gid = None;
         groups = groups
             .into_iter()
-            .zip(keep)
-            .filter(|(_, v)| v.as_bool() == Some(true))
-            .map(|(g, _)| g)
+            .zip(&keep)
+            .filter_map(|(g, &k)| k.then_some(g))
+            .collect();
+        slot = slot
+            .into_iter()
+            .zip(&keep)
+            .filter_map(|(s, &k)| k.then_some(s))
             .collect();
         // Compact to the surviving groups' rows: dense aggregate-argument
         // evaluation must never touch rows of dropped groups (the scalar
@@ -381,6 +414,7 @@ fn exec_aggregate(
         }
     }
     let rel = compacted.as_ref().unwrap_or(rel);
+    let aggs = Aggs::new(carried, &slot);
     // With no groups (empty input under GROUP BY, or HAVING dropped them
     // all) the scalar interpreter's per-group loop never runs; evaluate
     // nothing — not even `SELECT *`'s unsupported-shape error.
@@ -396,6 +430,7 @@ fn exec_aggregate(
                 rel,
                 &groups,
                 gid.as_deref(),
+                aggs,
                 ctx,
                 outer,
             )?),
@@ -404,7 +439,7 @@ fn exec_aggregate(
     let key_vals: Vec<Vec<Value>> = query
         .order_by
         .iter()
-        .map(|o| eval_grouped_vec(&o.expr, rel, &groups, gid.as_deref(), ctx, outer))
+        .map(|o| eval_grouped_vec(&o.expr, rel, &groups, gid.as_deref(), aggs, ctx, outer))
         .collect::<Result<_, _>>()?;
 
     if groups.is_empty() {

@@ -46,17 +46,14 @@
 
 use crate::analyze::analyze_query_cached;
 use crate::error::EngineError;
-use crate::eval::{
-    apply_binary, apply_scalar_function, apply_unary, eval_between, eval_expr, eval_logical, Scope,
-};
 use crate::exec::{
-    apply_filter, build_groups, coerce_row, derive_schema, exec_projection, group_key_columns,
-    ExecContext,
+    apply_filter, build_groups, exec_projection, group_key_columns, shape_aggregate, ExecContext,
 };
 use crate::vector::{eval_vec, AggSlots, LazyCol, VecRelation};
+use pi2_data::column::ColumnData;
 use pi2_data::{DataType, Table, Value};
-use pi2_sql::ast::{is_aggregate_function, BinOp, Expr, Query, SelectItem, TableRef};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use pi2_sql::ast::{is_aggregate_function, Expr, Query, SelectItem, TableRef};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Every base table the query reads, lowercased — including tables named
@@ -178,136 +175,45 @@ pub fn supported(query: &Query, catalog: &pi2_data::Catalog) -> bool {
     ivm_table(query).is_some() && analyze_query_cached(query, catalog).is_ok()
 }
 
-/// All aggregate sites of the query plus, per clause, the index of its
-/// first site — so finalize-time substitution can start its cursor at the
-/// right offset regardless of clause evaluation order.
-struct SitePlan<'q> {
-    sites: Vec<&'q Expr>,
-    select_offsets: Vec<usize>,
-    having_offset: usize,
-    order_offsets: Vec<usize>,
-}
-
-/// Collect the aggregate calls inside `e`, in the exact positions
-/// `eval_grouped` treats as aggregates: it recurses through unary/binary/
-/// BETWEEN operators and non-aggregate function arguments, and stops at
-/// every other node (those evaluate against the representative row). Calls
-/// hidden under stop nodes are never collected — the reference evaluator
-/// errors on them, and so does finalize, by taking the same `eval_expr`
-/// path.
-fn agg_calls<'q>(e: &'q Expr, out: &mut Vec<&'q Expr>) {
-    match e {
-        Expr::Func { name, .. } if is_aggregate_function(name) => out.push(e),
-        Expr::Unary { expr, .. } => agg_calls(expr, out),
-        Expr::Binary { left, right, .. } => {
-            agg_calls(left, out);
-            agg_calls(right, out);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            agg_calls(expr, out);
-            agg_calls(low, out);
-            agg_calls(high, out);
-        }
-        Expr::Func { args, .. } => args.iter().for_each(|a| agg_calls(a, out)),
-        _ => {}
-    }
-}
-
-fn site_plan(query: &Query) -> SitePlan<'_> {
-    let mut sites = Vec::new();
-    let mut select_offsets = Vec::with_capacity(query.select.len());
-    for item in &query.select {
-        select_offsets.push(sites.len());
-        if let SelectItem::Expr { expr, .. } = item {
-            agg_calls(expr, &mut sites);
-        }
-    }
-    let having_offset = sites.len();
-    if let Some(h) = &query.having {
-        agg_calls(h, &mut sites);
-    }
-    let mut order_offsets = Vec::with_capacity(query.order_by.len());
-    for o in &query.order_by {
-        order_offsets.push(sites.len());
-        agg_calls(&o.expr, &mut sites);
-    }
-    SitePlan {
-        sites,
-        select_offsets,
-        having_offset,
-        order_offsets,
-    }
-}
-
-/// Number of aggregate sites inside `e` (for advancing the substitution
-/// cursor past a short-circuited subtree).
-fn count_sites(e: &Expr) -> usize {
-    let mut v = Vec::new();
-    agg_calls(e, &mut v);
-    v.len()
-}
-
-/// `eval_grouped` with accumulator substitution: aggregate sites yield their
-/// accumulated value (advancing `cursor` in traversal order — including past
-/// subtrees skipped by logical short-circuit), everything else mirrors the
-/// reference evaluator against the group's representative row.
-fn eval_ivm(
-    e: &Expr,
-    vals: &[Value],
-    cursor: &mut usize,
-    repr: &Scope<'_>,
-    ctx: &ExecContext<'_>,
-) -> Result<Value, EngineError> {
-    match e {
-        Expr::Func { name, .. } if is_aggregate_function(name) => {
-            let v = vals[*cursor].clone();
-            *cursor += 1;
-            Ok(v)
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval_ivm(expr, vals, cursor, repr, ctx)?;
-            apply_unary(*op, v)
-        }
-        Expr::Binary { left, op, right } => {
-            if *op == BinOp::And || *op == BinOp::Or {
-                let l = eval_ivm(left, vals, cursor, repr, ctx)?;
-                let lb = if l.is_null() { None } else { l.as_bool() };
-                // Mirror the reference's short-circuit, keeping the cursor
-                // in sync with collection order by skipping the subtree.
-                if (*op == BinOp::And && lb == Some(false))
-                    || (*op == BinOp::Or && lb == Some(true))
-                {
-                    *cursor += count_sites(right);
-                    return Ok(Value::Bool(*op == BinOp::Or));
-                }
-                return eval_logical(*op, l, || eval_ivm(right, vals, cursor, repr, ctx));
+/// Every aggregate call of the query (select list, then `HAVING`, then
+/// `ORDER BY`), at exactly the positions `eval_grouped_vec` answers as
+/// aggregates: it recurses through unary/binary/BETWEEN operators and
+/// non-aggregate function arguments, and stops at every other node (those
+/// evaluate against the representative row). Calls hidden under stop nodes
+/// are never collected — both executors error on them, and so does
+/// finalize, by taking the same path.
+fn agg_calls(query: &Query) -> Vec<&Expr> {
+    fn walk<'q>(e: &'q Expr, out: &mut Vec<&'q Expr>) {
+        match e {
+            Expr::Func { name, .. } if is_aggregate_function(name) => out.push(e),
+            Expr::Unary { expr, .. } => walk(expr, out),
+            Expr::Binary { left, right, .. } => {
+                walk(left, out);
+                walk(right, out);
             }
-            let l = eval_ivm(left, vals, cursor, repr, ctx)?;
-            let r = eval_ivm(right, vals, cursor, repr, ctx)?;
-            apply_binary(*op, l, r)
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                walk(expr, out);
+                walk(low, out);
+                walk(high, out);
+            }
+            Expr::Func { args, .. } => args.iter().for_each(|a| walk(a, out)),
+            _ => {}
         }
-        Expr::Between {
-            expr,
-            negated,
-            low,
-            high,
-        } => {
-            let v = eval_ivm(expr, vals, cursor, repr, ctx)?;
-            let lo = eval_ivm(low, vals, cursor, repr, ctx)?;
-            let hi = eval_ivm(high, vals, cursor, repr, ctx)?;
-            eval_between(&v, &lo, &hi, *negated)
-        }
-        Expr::Func { name, args } => {
-            let vs = args
-                .iter()
-                .map(|a| eval_ivm(a, vals, cursor, repr, ctx))
-                .collect::<Result<Vec<_>, _>>()?;
-            apply_scalar_function(name, &vs, ctx)
-        }
-        other => eval_expr(other, repr, ctx),
     }
+    let mut out = Vec::new();
+    let select = query.select.iter().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        SelectItem::Star => None,
+    });
+    for e in select
+        .chain(query.having.iter())
+        .chain(query.order_by.iter().map(|o| &o.expr))
+    {
+        walk(e, &mut out);
+    }
+    out
 }
 
 /// How the fold sees the scanned table: the `(binding, column)` tags (as
@@ -367,33 +273,39 @@ impl Scan {
 }
 
 /// Maintained state for an aggregate-shaped query: the groups seen so far,
-/// in first-encounter order, and one accumulator column per aggregate site.
+/// in first-encounter order, and each aggregate call's carried slots.
 #[derive(Debug, Clone)]
 pub struct AggState {
     scan: Scan,
-    /// Group key values → position in `reprs`. Keyed by value, so chunks
+    /// Group key values → group (slot) number. Keyed by value, so chunks
     /// with different dictionaries (or none) meet in one index.
     index: HashMap<Vec<Value>, u32>,
-    /// Each group's representative row: the first member encountered,
-    /// exactly like the reference's group build.
-    reprs: Vec<Vec<Value>>,
-    /// Parallel to the query's aggregate calls; each `reprs.len()` slots.
+    /// One row per group, in group order, of the scanned table's columns:
+    /// the group's representative — its first member encountered, exactly
+    /// like the reference's group build. Shared with the relation
+    /// `finalize` shapes, so reading the view copies none of it.
+    reprs: Vec<Arc<ColumnData>>,
+    /// Parallel to [`agg_calls`]; each holds one slot per group.
     accs: Vec<AggSlots>,
 }
 
 impl AggState {
     fn new(query: &Query, ctx: &ExecContext<'_>) -> Result<AggState, EngineError> {
+        let scan = Scan::of(query, ctx)?;
         // The reference reports a missing argument even over zero rows,
         // which the fold would never look at.
-        let accs = site_plan(query)
-            .sites
+        let accs = agg_calls(query)
             .into_iter()
             .map(|call| AggSlots::of(call).map(|(slots, _)| slots))
             .collect::<Result<_, _>>()?;
         Ok(AggState {
-            scan: Scan::of(query, ctx)?,
+            reprs: scan
+                .types
+                .iter()
+                .map(|&t| Arc::new(ColumnData::new_typed(t)))
+                .collect(),
+            scan,
             index: HashMap::new(),
-            reprs: Vec::new(),
             accs,
         })
     }
@@ -418,20 +330,23 @@ impl AggState {
         for idx in &local {
             let first = idx[0] as usize;
             let key: Vec<Value> = keycols.iter().map(|c| c.value(first)).collect();
+            let groups = self.index.len() as u32;
             let g = *self.index.entry(key).or_insert_with(|| {
-                self.reprs.push(rel.row(first));
-                self.reprs.len() as u32 - 1
+                for (c, col) in self.reprs.iter_mut().enumerate() {
+                    Arc::make_mut(col).push(rel.cell(c, first));
+                }
+                groups
             });
             to_carried.push(g);
         }
         let row_slot: Option<Vec<u32>> =
             local_gid.map(|gid| gid.iter().map(|&l| to_carried[l as usize]).collect());
-        for (call, slots) in site_plan(query).sites.into_iter().zip(&mut self.accs) {
+        for (call, slots) in agg_calls(query).into_iter().zip(&mut self.accs) {
             let (_, arg) = AggSlots::of(call)?;
             let col = arg
                 .map(|a| eval_vec(a, &rel, ctx, None).map(|v| v.into_column(rel.len)))
                 .transpose()?;
-            slots.open(self.reprs.len());
+            slots.open(self.index.len());
             slots.fold(
                 col.as_deref(),
                 &local,
@@ -442,89 +357,22 @@ impl AggState {
         Ok(())
     }
 
+    /// The flat executor's output shaping over one representative row per
+    /// group, every aggregate call answered from its carried slots.
     fn finalize(&self, query: &Query, ctx: &ExecContext<'_>) -> Result<Table, EngineError> {
-        let plan = site_plan(query);
+        let n = self.index.len();
+        let columns = self.reprs.iter().map(|c| LazyCol::dense(Arc::clone(c)));
+        let rel = self.scan.rel(columns.collect(), n);
         // The implicit single group: no GROUP BY and zero input rows still
-        // aggregates (count(*) = 0, sum = NULL).
-        let groups: Vec<Option<usize>> = if query.group_by.is_empty() && self.reprs.is_empty() {
-            vec![None]
+        // aggregates; its slot was never opened, so it reads as the value
+        // over zero rows (count(*) = 0, sum = NULL).
+        let groups = if query.group_by.is_empty() && n == 0 {
+            vec![Vec::new()]
         } else {
-            (0..self.reprs.len()).map(Some).collect()
+            (0..n as u32).map(|g| vec![g]).collect()
         };
-        let mut out_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-        for g in groups {
-            // A slot never opened reads as the value over zero rows.
-            let vals: Vec<Value> = self
-                .accs
-                .iter()
-                .map(|acc| acc.value(g.unwrap_or(self.reprs.len())))
-                .collect();
-            let repr = Scope {
-                cols: &self.scan.cols,
-                row: g.map_or(&[][..], |g| &self.reprs[g]),
-                parent: None,
-            };
-            if let Some(h) = &query.having {
-                let mut cursor = plan.having_offset;
-                if eval_ivm(h, &vals, &mut cursor, &repr, ctx)?.as_bool() != Some(true) {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(query.select.len());
-            for (item, off) in query.select.iter().zip(&plan.select_offsets) {
-                match item {
-                    SelectItem::Star => {
-                        return Err(EngineError::Unsupported("SELECT * with GROUP BY".into()))
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        let mut cursor = *off;
-                        out.push(eval_ivm(expr, &vals, &mut cursor, &repr, ctx)?);
-                    }
-                }
-            }
-            let keys = query
-                .order_by
-                .iter()
-                .zip(&plan.order_offsets)
-                .map(|(o, off)| {
-                    let mut cursor = *off;
-                    eval_ivm(&o.expr, &vals, &mut cursor, &repr, ctx)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            out_rows.push((out, keys));
-        }
-        if query.distinct {
-            let mut seen = HashSet::new();
-            out_rows.retain(|(row, _)| seen.insert(row.clone()));
-        }
-        if !query.order_by.is_empty() {
-            let descs: Vec<bool> = query.order_by.iter().map(|o| o.desc).collect();
-            out_rows.sort_by(|(_, ka), (_, kb)| {
-                for (i, (a, b)) in ka.iter().zip(kb.iter()).enumerate() {
-                    let ord = a.cmp(b);
-                    let ord = if descs[i] { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        if let Some(l) = query.limit {
-            out_rows.truncate(l as usize);
-        }
-        let schema = derive_schema(
-            query,
-            ctx,
-            &self.scan.cols,
-            &self.scan.types,
-            out_rows.first().map(|(r, _)| r.as_slice()),
-        );
-        let mut table = Table::new(schema);
-        for (row, _) in out_rows {
-            table.push_row(coerce_row(row, &table.schema))?;
-        }
-        Ok(table)
+        let calls: Vec<(&Expr, &AggSlots)> = agg_calls(query).into_iter().zip(&self.accs).collect();
+        shape_aggregate(query, &rel, groups, None, Some(&calls), ctx, None)
     }
 }
 

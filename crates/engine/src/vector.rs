@@ -1156,6 +1156,36 @@ fn membership_vec(v: &Vector, items: &[Value], negated: bool, n: usize) -> Vecto
 // Group-level evaluation
 // ---------------------------------------------------------------------------
 
+/// Where [`eval_grouped_vec`] takes each aggregate call's per-group values.
+#[derive(Clone, Copy)]
+pub(crate) enum Aggs<'a> {
+    /// Fold the call's argument over each group's rows.
+    Fold,
+    /// Read the call's carried slots (`crate::ivm`): a call is found by its
+    /// address in the query, and group `g` reads slot `slot[g]`.
+    Carried {
+        calls: &'a [(&'a Expr, &'a AggSlots)],
+        slot: &'a [u32],
+    },
+}
+
+impl<'a> Aggs<'a> {
+    pub(crate) fn new(carried: Option<&'a [(&'a Expr, &'a AggSlots)]>, slot: &'a [u32]) -> Self {
+        carried.map_or(Aggs::Fold, |calls| Aggs::Carried { calls, slot })
+    }
+
+    /// The view of group `g` alone, renumbered to group 0.
+    fn group(self, g: usize) -> Self {
+        match self {
+            Aggs::Fold => Aggs::Fold,
+            Aggs::Carried { calls, slot } => Aggs::Carried {
+                calls,
+                slot: &slot[g..=g],
+            },
+        }
+    }
+}
+
 /// Evaluate an expression in aggregate context, producing one value per
 /// group. Aggregate arguments are evaluated densely over the whole
 /// relation once; per-group combination uses the scalar kernels (a few
@@ -1167,6 +1197,7 @@ pub(crate) fn eval_grouped_vec(
     rel: &VecRelation,
     groups: &[Vec<u32>],
     gid: Option<&[u32]>,
+    aggs: Aggs<'_>,
     ctx: &ExecContext<'_>,
     outer: Option<&Scope<'_>>,
 ) -> Result<Vec<Value>, EngineError> {
@@ -1176,19 +1207,26 @@ pub(crate) fn eval_grouped_vec(
         return Ok(Vec::new());
     }
     match expr {
-        Expr::Func { name, .. } if is_aggregate_function(name) => {
-            eval_aggregate_vec(expr, rel, groups, gid, ctx, outer)
-        }
+        Expr::Func { name, .. } if is_aggregate_function(name) => match aggs {
+            Aggs::Fold => eval_aggregate_vec(expr, rel, groups, gid, ctx, outer),
+            Aggs::Carried { calls, slot } => {
+                let (_, slots) = calls
+                    .iter()
+                    .find(|(call, _)| std::ptr::eq(*call, expr))
+                    .ok_or_else(|| EngineError::MisplacedAggregate(expr.to_string()))?;
+                Ok(slot.iter().map(|&s| slots.value(s as usize)).collect())
+            }
+        },
         Expr::Unary { op, expr: inner } => {
-            let vals = eval_grouped_vec(inner, rel, groups, gid, ctx, outer)?;
+            let vals = eval_grouped_vec(inner, rel, groups, gid, aggs, ctx, outer)?;
             vals.into_iter().map(|v| apply_unary(*op, v)).collect()
         }
         Expr::Binary { left, op, right } => {
-            let lvals = eval_grouped_vec(left, rel, groups, gid, ctx, outer)?;
+            let lvals = eval_grouped_vec(left, rel, groups, gid, aggs, ctx, outer)?;
             if *op == BinOp::And || *op == BinOp::Or {
                 // Eager right side when it evaluates cleanly; lazy per-group
                 // fallback preserves short-circuit on errors.
-                return match eval_grouped_vec(right, rel, groups, gid, ctx, outer) {
+                return match eval_grouped_vec(right, rel, groups, gid, aggs, ctx, outer) {
                     Ok(rvals) => lvals
                         .into_iter()
                         .zip(rvals)
@@ -1207,14 +1245,15 @@ pub(crate) fn eval_grouped_vec(
                                 // row could be one that errors).
                                 let sub = rel.gather(groups[g].clone());
                                 let local: Vec<u32> = (0..sub.len as u32).collect();
-                                eval_grouped_vec(right, &sub, &[local], None, ctx, outer)
+                                let aggs = aggs.group(g);
+                                eval_grouped_vec(right, &sub, &[local], None, aggs, ctx, outer)
                                     .map(|mut v| v.pop().expect("one group in, one value out"))
                             })
                         })
                         .collect(),
                 };
             }
-            let rvals = eval_grouped_vec(right, rel, groups, gid, ctx, outer)?;
+            let rvals = eval_grouped_vec(right, rel, groups, gid, aggs, ctx, outer)?;
             lvals
                 .into_iter()
                 .zip(rvals)
@@ -1227,9 +1266,9 @@ pub(crate) fn eval_grouped_vec(
             low,
             high,
         } => {
-            let v = eval_grouped_vec(inner, rel, groups, gid, ctx, outer)?;
-            let lo = eval_grouped_vec(low, rel, groups, gid, ctx, outer)?;
-            let hi = eval_grouped_vec(high, rel, groups, gid, ctx, outer)?;
+            let v = eval_grouped_vec(inner, rel, groups, gid, aggs, ctx, outer)?;
+            let lo = eval_grouped_vec(low, rel, groups, gid, aggs, ctx, outer)?;
+            let hi = eval_grouped_vec(high, rel, groups, gid, aggs, ctx, outer)?;
             v.into_iter()
                 .zip(lo.into_iter().zip(hi))
                 .map(|(v, (lo, hi))| eval_between(&v, &lo, &hi, *negated))
@@ -1238,7 +1277,7 @@ pub(crate) fn eval_grouped_vec(
         Expr::Func { name, args } => {
             let argvals = args
                 .iter()
-                .map(|a| eval_grouped_vec(a, rel, groups, gid, ctx, outer))
+                .map(|a| eval_grouped_vec(a, rel, groups, gid, aggs, ctx, outer))
                 .collect::<Result<Vec<_>, _>>()?;
             (0..groups.len())
                 .map(|g| {
