@@ -243,7 +243,13 @@ fn eval_aggregate(
                 return Ok(Value::Null);
             }
             let all_int = vals.iter().all(|v| matches!(v, Value::Int(_)));
-            let total: f64 = vals.iter().filter_map(|v| v.as_f64()).sum();
+            // Not `Iterator::sum`: for f64 it starts from -0.0, so a sum of
+            // no numbers (or of -0.0s) would come out -0.0, where every
+            // other executor's fold starts from +0.0.
+            let total = vals
+                .iter()
+                .filter_map(|v| v.as_f64())
+                .fold(0.0, |acc, f| acc + f);
             if lname == "avg" {
                 Ok(Value::Float(total / vals.len() as f64))
             } else if all_int {

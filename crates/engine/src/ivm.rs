@@ -751,6 +751,49 @@ mod tests {
     }
 
     #[test]
+    fn sums_of_no_numbers_agree_bit_for_bit_on_every_path() {
+        // Sums over strings add no numbers, and sums of -0.0s add only
+        // zeros: every path must answer +0.0, the reference included.
+        let cols = vec![("k", DataType::Str), ("z", DataType::Float)];
+        let rows: Vec<Vec<Value>> = (0..6)
+            .map(|i| vec![Value::Str(["a", "b"][i % 2].into()), Value::Float(-0.0)])
+            .collect();
+        let table = |rows: &[Vec<Value>]| Table::from_rows(cols.clone(), rows.to_vec()).unwrap();
+        let mut flat = Catalog::new();
+        flat.add_table("t", table(&rows), vec![]);
+        let mut live = Catalog::new();
+        live.add_table("t", table(&rows[..2]), vec![]);
+        let live = live.append_rows("t", table(&rows[2..])).unwrap();
+        for sql in [
+            "SELECT sum(k), avg(k), sum(z), avg(z) FROM t",
+            "SELECT k, sum(k), avg(k), sum(z), avg(z) FROM t GROUP BY k",
+        ] {
+            let q = parse_query(sql).unwrap();
+            let want = execute_scalar(&q, &ExecContext::new(&flat)).unwrap();
+            for r in 0..want.num_rows() {
+                for c in 0..want.num_columns() {
+                    if let Value::Float(f) = want.value(r, c) {
+                        assert_eq!(f.to_bits(), 0, "reference answered -0.0 on {sql}");
+                    }
+                }
+            }
+            let flat_exec = crate::execute(&q, &ExecContext::new(&flat)).unwrap();
+            assert_eq!(flat_exec, want, "flat execute on {sql}");
+            let ctx = ExecContext::new(&live);
+            assert_eq!(
+                crate::execute(&q, &ctx).unwrap(),
+                want,
+                "chunked execute on {sql}"
+            );
+            let ivm = IvmState::build(&q, &ctx)
+                .unwrap()
+                .finalize(&q, &ctx)
+                .unwrap();
+            assert_eq!(ivm, want, "IVM on {sql}");
+        }
+    }
+
+    #[test]
     fn aliased_table_binding_matches() {
         pin_ivm("SELECT s.region, count(*) FROM sales AS s GROUP BY s.region");
     }

@@ -132,6 +132,11 @@ pub fn build_query(
         sql.push_str(&format!(
             "{group_col}, count(*), sum({m}), avg({m}), min({m}), max({m})"
         ));
+        // Aggregates over a string column take the accumulators' generic
+        // (untyped) arms: sums of no numbers, string extremes.
+        if let Some((c, _)) = t.cats.last() {
+            sql.push_str(&format!(", sum({c}), avg({c}), min({c}), max({c})"));
+        }
     } else {
         group_col = String::new();
         if distinct {
