@@ -10,13 +10,22 @@
 //! - **Aggregates** (`GROUP BY` + `count/sum/count(*)/avg/min/max`, with
 //!   `WHERE`/`HAVING`/`ORDER BY`/`LIMIT`/`DISTINCT`): groups in
 //!   first-encounter order with their representative rows, and per
-//!   aggregate site one accumulator per group that *continues* from its
-//!   current value; `avg` is sum + count.
+//!   aggregate call one slot per group that *continues* from its current
+//!   value.
 //! - **Projections** (`SELECT …  WHERE …` with no `DISTINCT`/`ORDER BY`/
 //!   `LIMIT`): the filter is row-local, so each chunk's output rows append
 //!   to the output so far (zero-copy, via [`Table::append_table`]).
 //!
-//! One routine, three callers: [`IvmState::build`] folds every chunk of
+//! **One accumulator shared with the flat executor.** The slots are
+//! `AggSlots` (`crate::vector`), the accumulator the flat executor folds a
+//! relation into; here each chunk folds into slots carried across chunks
+//! and appends. [`IvmState::finalize`] hands one representative row per
+//! group to the flat executor's output shaping (`shape_aggregate`:
+//! `HAVING`, select list, `DISTINCT`, `ORDER BY`, `LIMIT`, schema), which
+//! answers every aggregate call from its carried slots instead of folding
+//! it. So grouped aggregation exists once besides the scalar reference.
+//!
+//! The fold has three callers: [`IvmState::build`] folds every chunk of
 //! the table, [`IvmState::absorb`] folds an append's delta chunk, and
 //! [`crate::execute`] of such a query over a chunked table is `build` +
 //! [`IvmState::finalize`] — none of them consolidates the chunks. Chunks
@@ -34,8 +43,8 @@
 //! a supported query, `build` + any sequence of `absorb`s + `finalize`
 //! produces exactly the table `execute_scalar` produces over the fully
 //! appended catalogue — same rows, same order, same cell values. That is
-//! why accumulators continue rather than merge: float sums fold row by row
-//! in ascending row order onto the carried total, `(s + d₁) + d₂`, never
+//! why slots continue rather than merge: float sums fold row by row in
+//! ascending row order onto the carried total, `(s + d₁) + d₂`, never
 //! `s + (d₁ + d₂)`. `min` keeps the first minimum and `max` the last
 //! maximum. The fold evaluates every aggregate argument over every
 //! surviving row, a superset of what the reference evaluates (which skips

@@ -1170,6 +1170,7 @@ pub(crate) enum Aggs<'a> {
 }
 
 impl<'a> Aggs<'a> {
+    /// Read `carried` through `slot` when given, else fold.
     pub(crate) fn new(carried: Option<&'a [(&'a Expr, &'a AggSlots)]>, slot: &'a [u32]) -> Self {
         carried.map_or(Aggs::Fold, |calls| Aggs::Carried { calls, slot })
     }
@@ -1188,8 +1189,10 @@ impl<'a> Aggs<'a> {
 
 /// Evaluate an expression in aggregate context, producing one value per
 /// group. Aggregate arguments are evaluated densely over the whole
-/// relation once; per-group combination uses the scalar kernels (a few
-/// values per group). Expressions the scalar interpreter evaluates against
+/// relation once and folded into fresh [`AggSlots`] (or, under
+/// [`Aggs::Carried`], the values are read from carried slots); the
+/// combination above the aggregates uses the scalar kernels (a few values
+/// per group). Expressions the scalar interpreter evaluates against
 /// the representative row — columns, literals, correlated subqueries —
 /// do the same here.
 pub(crate) fn eval_grouped_vec(
@@ -1210,6 +1213,8 @@ pub(crate) fn eval_grouped_vec(
         Expr::Func { name, .. } if is_aggregate_function(name) => match aggs {
             Aggs::Fold => eval_aggregate_vec(expr, rel, groups, gid, ctx, outer),
             Aggs::Carried { calls, slot } => {
+                // Every call this arm reaches was collected with slots;
+                // a miss would be a walk that disagrees with this one.
                 let (_, slots) = calls
                     .iter()
                     .find(|(call, _)| std::ptr::eq(*call, expr))
