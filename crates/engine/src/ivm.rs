@@ -289,10 +289,10 @@ pub struct AggState {
     /// Group key values → group (slot) number. Keyed by value, so chunks
     /// with different dictionaries (or none) meet in one index.
     index: HashMap<Vec<Value>, u32>,
-    /// One row per group, in group order, of the scanned table's columns:
-    /// the group's representative — its first member encountered, exactly
-    /// like the reference's group build. Shared with the relation
-    /// `finalize` shapes, so reading the view copies none of it.
+    /// Each group's representative row — its first member encountered,
+    /// exactly like the reference's group build — stored as the scanned
+    /// table's columns, one row per group in group order. Shared with the
+    /// relation `finalize` shapes, so reading the view copies none of it.
     reprs: Vec<Arc<ColumnData>>,
     /// Parallel to [`agg_calls`]; each holds one slot per group.
     accs: Vec<AggSlots>,
