@@ -8,13 +8,19 @@
 //! logic). The kernels here work a cache line at a time instead, in three
 //! tiers selected once at startup:
 //!
-//! * **Avx2** — 256-bit `std::arch::x86_64` paths (8 rows per compare step,
-//!   gathered 4-lane i64 aggregation), used when the CPU reports AVX2.
-//! * **Sse2** — 128-bit paths for f64/u32 compares and predicate packing
-//!   (SSE2 is baseline on x86_64; i64 compares and gathers have no SSE2
-//!   form and fall back to the portable tier).
+//! * **Avx2** — 256-bit `std::arch::x86_64` paths for i64/f64 compares,
+//!   small IN sets, NaN scans, predicate packing and the gathered 4-lane
+//!   f64 min/max fold, used when the CPU reports AVX2.
+//! * **Sse2** — 128-bit paths for f64 compares and predicate packing
+//!   (SSE2 is baseline on x86_64; the other kernels have no SSE2 form and
+//!   fall back to the portable tier).
 //! * **Scalar** — portable u64-lane / scalar code, the reference the SIMD
 //!   tiers must match bit-for-bit, and the only tier on non-x86 targets.
+//!
+//! A hand-written body stays only while it beats the autovectorised
+//! portable one by at least 1.3×; `cmp_u32` (dict-code compares) and the
+//! dense integer statistics behind `sum_i64`/`min_max_i64` run their
+//! portable bodies at every tier.
 //!
 //! Dispatch rules: the hardware tier is detected once via
 //! `is_x86_feature_detected!` and cached in a `OnceLock`; setting
@@ -23,8 +29,9 @@
 //! the hardware supports, so forcing Avx2 on a non-AVX2 box degrades
 //! safely). Every kernel returns results bit-identical to the scalar
 //! engine — f64 summation is never reassociated ([`sum_f64`] stays
-//! sequential, and [`sum_i64`] only takes the integer-SIMD shortcut when a
-//! `count · max|v| ≤ 2⁵³` bound proves every scalar partial sum was exact).
+//! sequential, and [`sum_i64`] only takes the four-lane integer shortcut
+//! when a `count · max|v| ≤ 2⁵³` bound proves every scalar partial sum was
+//! exact).
 
 use crate::column::{f64_ord_key, NullMask};
 use std::cmp::Ordering;
@@ -490,20 +497,11 @@ fn cmp_f64_portable(values: &[f64], c: f64, op: CmpOp, out: &mut [bool]) {
 }
 
 /// `v op c` over dictionary codes (`u32`, unsigned order) — the dict-filter
-/// kernel behind string-vs-literal comparisons.
+/// kernel behind string-vs-literal comparisons. The autovectorised loop
+/// runs at least as fast as hand-written SSE2 and AVX2 bodies, so it has
+/// none.
 pub fn cmp_u32(values: &[u32], c: u32, op: CmpOp) -> Vec<bool> {
     let mut out = vec![false; values.len()];
-    match simd_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::cmp_u32_avx2(values, c, op, bool_bytes_mut(&mut out)) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::cmp_u32_sse2(values, c, op, bool_bytes_mut(&mut out)),
-        _ => cmp_u32_portable(values, c, op, &mut out),
-    }
-    out
-}
-
-fn cmp_u32_portable(values: &[u32], c: u32, op: CmpOp, out: &mut [bool]) {
     match op {
         CmpOp::Eq => {
             for (o, &v) in out.iter_mut().zip(values) {
@@ -536,6 +534,7 @@ fn cmp_u32_portable(values: &[u32], c: u32, op: CmpOp, out: &mut [bool]) {
             }
         }
     }
+    out
 }
 
 /// `v ∈ sorted` over dictionary codes (the IN-list kernel). `sorted` must
@@ -693,11 +692,7 @@ pub fn count_valid(nulls: &NullMask, idx: &[u32]) -> usize {
 /// below proves it never wrapped.
 fn int_stats(values: &[i64], nulls: &NullMask, idx: &[u32]) -> (i64, i64, i64, usize) {
     if nulls.null_count() == 0 {
-        #[cfg(target_arch = "x86_64")]
-        if simd_level() == SimdLevel::Avx2 && values.len() <= i32::MAX as usize {
-            return unsafe { x86::int_stats_avx2(values, idx) };
-        }
-        return int_stats_dense_portable(values, idx);
+        return int_stats_dense(values, idx);
     }
     let words = nulls.words();
     let (mut sum, mut mn, mut mx, mut count) = (0i64, i64::MAX, i64::MIN, 0usize);
@@ -714,10 +709,11 @@ fn int_stats(values: &[i64], nulls: &NullMask, idx: &[u32]) -> (i64, i64, i64, u
     (sum, mn, mx, count)
 }
 
-/// Portable dense pass, four independent accumulator lanes so the adds and
-/// min/max chains pipeline (wrapping add and integer min/max are
-/// associative, so lane order cannot change the result).
-fn int_stats_dense_portable(values: &[i64], idx: &[u32]) -> (i64, i64, i64, usize) {
+/// Dense pass, four independent accumulator lanes so the adds and min/max
+/// chains pipeline (wrapping add and integer min/max are associative, so
+/// lane order cannot change the result). It runs as fast as an AVX2
+/// gather, so it has no hand-written SIMD body.
+fn int_stats_dense(values: &[i64], idx: &[u32]) -> (i64, i64, i64, usize) {
     let mut s = [0i64; 4];
     let mut mn = [i64::MAX; 4];
     let mut mx = [i64::MIN; 4];
@@ -749,7 +745,7 @@ fn int_stats_dense_portable(values: &[i64], idx: &[u32]) -> (i64, i64, i64, usiz
 /// the scalar engine's sequential `total += v as f64` loop returns, plus
 /// the valid count.
 ///
-/// Fast path: an integer (SIMD) pass. It is bit-identical to the scalar
+/// Fast path: a four-lane integer pass. It is bit-identical to the scalar
 /// loop whenever `count · max|v| ≤ 2⁵³`: every scalar partial sum is then
 /// an integer of magnitude ≤ 2⁵³, each f64 add is exact, and the exact sum
 /// is order-independent. Outside that bound the scalar loop is replayed
@@ -801,7 +797,7 @@ pub fn sum_f64(values: &[f64], nulls: &NullMask, idx: &[u32]) -> (f64, usize) {
 /// min/max over the selected slots of an `i64` column, matching the scalar
 /// engine's fold over `(v as f64).total_cmp` with first-tie-wins for min
 /// and last-tie-wins for max. Within ±2⁵³ the conversion is injective, so
-/// the integer (SIMD) pass's answer is the unique scalar answer; beyond it
+/// the integer pass's answer is the unique scalar answer; beyond it
 /// conversion ties make the winning *index* observable and the scalar fold
 /// is replayed.
 pub fn min_max_i64(values: &[i64], nulls: &NullMask, idx: &[u32], want_min: bool) -> Option<i64> {
@@ -1072,82 +1068,6 @@ mod x86 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn cmp_u32_avx2(values: &[u32], c: u32, op: CmpOp, out: &mut [u8]) {
-        // AVX2 only has signed 32-bit compares: xor both sides with the
-        // sign bit to translate unsigned order into signed order.
-        let bias = _mm256_set1_epi32(i32::MIN);
-        let vc = _mm256_set1_epi32(c as i32);
-        let vcb = _mm256_xor_si256(vc, bias);
-        let n = values.len() & !7;
-        let mut i = 0;
-        while i < n {
-            let x = _mm256_loadu_si256(values.as_ptr().add(i).cast());
-            let xb = _mm256_xor_si256(x, bias);
-            let bits = match op {
-                CmpOp::Eq => mask8_epi32(_mm256_cmpeq_epi32(x, vc)),
-                CmpOp::Ne => !mask8_epi32(_mm256_cmpeq_epi32(x, vc)),
-                CmpOp::Gt => mask8_epi32(_mm256_cmpgt_epi32(xb, vcb)),
-                CmpOp::Le => !mask8_epi32(_mm256_cmpgt_epi32(xb, vcb)),
-                CmpOp::Lt => mask8_epi32(_mm256_cmpgt_epi32(vcb, xb)),
-                CmpOp::Ge => !mask8_epi32(_mm256_cmpgt_epi32(vcb, xb)),
-            };
-            write8(out, i, bits);
-            i += 8;
-        }
-        for k in n..values.len() {
-            let v = values[k];
-            out[k] = match op {
-                CmpOp::Eq => v == c,
-                CmpOp::Ne => v != c,
-                CmpOp::Lt => v < c,
-                CmpOp::Le => v <= c,
-                CmpOp::Gt => v > c,
-                CmpOp::Ge => v >= c,
-            } as u8;
-        }
-    }
-
-    /// SSE2 u32 compare.
-    pub fn cmp_u32_sse2(values: &[u32], c: u32, op: CmpOp, out: &mut [u8]) {
-        unsafe {
-            let bias = _mm_set1_epi32(i32::MIN);
-            let vc = _mm_set1_epi32(c as i32);
-            let vcb = _mm_xor_si128(vc, bias);
-            let cmp = |x: __m128i| -> u8 {
-                let xb = _mm_xor_si128(x, bias);
-                let (m, flip) = match op {
-                    CmpOp::Eq => (_mm_cmpeq_epi32(x, vc), 0u8),
-                    CmpOp::Ne => (_mm_cmpeq_epi32(x, vc), 0xF),
-                    CmpOp::Gt => (_mm_cmpgt_epi32(xb, vcb), 0),
-                    CmpOp::Le => (_mm_cmpgt_epi32(xb, vcb), 0xF),
-                    CmpOp::Lt => (_mm_cmpgt_epi32(vcb, xb), 0),
-                    CmpOp::Ge => (_mm_cmpgt_epi32(vcb, xb), 0xF),
-                };
-                (_mm_movemask_ps(_mm_castsi128_ps(m)) as u8) ^ flip
-            };
-            let n = values.len() & !7;
-            let mut i = 0;
-            while i < n {
-                let bits = cmp(_mm_loadu_si128(values.as_ptr().add(i).cast()))
-                    | cmp(_mm_loadu_si128(values.as_ptr().add(i + 4).cast())) << 4;
-                write8(out, i, bits);
-                i += 8;
-            }
-            for k in n..values.len() {
-                let v = values[k];
-                out[k] = match op {
-                    CmpOp::Eq => v == c,
-                    CmpOp::Ne => v != c,
-                    CmpOp::Lt => v < c,
-                    CmpOp::Le => v <= c,
-                    CmpOp::Gt => v > c,
-                    CmpOp::Ge => v >= c,
-                } as u8;
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
     pub unsafe fn in_small_set_avx2(values: &[u32], set: &[u32], out: &mut [u8]) {
         debug_assert!(!set.is_empty() && set.len() <= 8);
         let cs: Vec<__m256i> = set.iter().map(|&s| _mm256_set1_epi32(s as i32)).collect();
@@ -1206,44 +1126,6 @@ mod x86 {
                 *word = acc;
             }
         }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn int_stats_avx2(values: &[i64], idx: &[u32]) -> (i64, i64, i64, usize) {
-        let mut s = _mm256_setzero_si256();
-        let mut mn = _mm256_set1_epi64x(i64::MAX);
-        let mut mx = _mm256_set1_epi64x(i64::MIN);
-        let n = idx.len() & !3;
-        let mut i = 0;
-        while i < n {
-            // Indices are in-bounds rows (< values.len() ≤ i32::MAX, caller
-            // checked), so the i32 gather offsets are non-negative.
-            let vi = _mm_loadu_si128(idx.as_ptr().add(i).cast());
-            let x = _mm256_i32gather_epi64::<8>(values.as_ptr(), vi);
-            s = _mm256_add_epi64(s, x);
-            mn = _mm256_blendv_epi8(mn, x, _mm256_cmpgt_epi64(mn, x));
-            mx = _mm256_blendv_epi8(mx, x, _mm256_cmpgt_epi64(x, mx));
-            i += 4;
-        }
-        let mut sb = [0i64; 4];
-        let mut mnb = [0i64; 4];
-        let mut mxb = [0i64; 4];
-        _mm256_storeu_si256(sb.as_mut_ptr().cast(), s);
-        _mm256_storeu_si256(mnb.as_mut_ptr().cast(), mn);
-        _mm256_storeu_si256(mxb.as_mut_ptr().cast(), mx);
-        let (mut sum, mut min, mut max) = (0i64, i64::MAX, i64::MIN);
-        for k in 0..4 {
-            sum = sum.wrapping_add(sb[k]);
-            min = min.min(mnb[k]);
-            max = max.max(mxb[k]);
-        }
-        for &j in &idx[n..] {
-            let v = values[j as usize];
-            sum = sum.wrapping_add(v);
-            min = min.min(v);
-            max = max.max(v);
-        }
-        (sum, min, max, idx.len())
     }
 
     #[target_feature(enable = "avx2")]
@@ -1500,25 +1382,23 @@ mod tests {
     #[test]
     fn cmp_u32_matches_reference_at_boundaries() {
         let consts = [0u32, 1, 7, 254, 255, 256, u32::MAX - 1, u32::MAX];
-        for_each_level(|level| {
-            let mut seed = 41u64;
-            for len in LENGTHS {
-                let values: Vec<u32> = (0..len)
-                    .map(|_| match splitmix(&mut seed) % 3 {
-                        0 => (splitmix(&mut seed) % 256) as u32,
-                        1 => u32::MAX - (splitmix(&mut seed) % 4) as u32,
-                        _ => splitmix(&mut seed) as u32,
-                    })
-                    .collect();
-                for &c in &consts {
-                    for op in OPS {
-                        let got = cmp_u32(&values, c, op);
-                        let want: Vec<bool> = values.iter().map(|&v| ref_cmp(v, c, op)).collect();
-                        assert_eq!(got, want, "len {len} c {c} op {op:?} level {level:?}");
-                    }
+        let mut seed = 41u64;
+        for len in LENGTHS {
+            let values: Vec<u32> = (0..len)
+                .map(|_| match splitmix(&mut seed) % 3 {
+                    0 => (splitmix(&mut seed) % 256) as u32,
+                    1 => u32::MAX - (splitmix(&mut seed) % 4) as u32,
+                    _ => splitmix(&mut seed) as u32,
+                })
+                .collect();
+            for &c in &consts {
+                for op in OPS {
+                    let got = cmp_u32(&values, c, op);
+                    let want: Vec<bool> = values.iter().map(|&v| ref_cmp(v, c, op)).collect();
+                    assert_eq!(got, want, "len {len} c {c} op {op:?}");
                 }
             }
-        });
+        }
     }
 
     #[test]

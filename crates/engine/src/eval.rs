@@ -161,11 +161,6 @@ pub fn eval_grouped(
     group: &GroupCtx<'_>,
     ctx: &ExecContext<'_>,
 ) -> Result<Value, EngineError> {
-    let repr = Scope {
-        cols: group.cols,
-        row: group.rows.first().copied().unwrap_or(&[]),
-        parent: group.parent,
-    };
     match expr {
         Expr::Func { name, args } if is_aggregate_function(name) => {
             eval_aggregate(name, args, group, ctx)
@@ -203,7 +198,24 @@ pub fn eval_grouped(
         }
         // Columns, literals, subqueries, IN, IS NULL: evaluate against the
         // representative row (correlated subqueries see the group's values).
-        other => eval_expr(other, &repr, ctx),
+        // The empty implicit group (no GROUP BY, no rows) has none and
+        // evaluates over an all-NULL row, so its bare columns answer NULL.
+        other => {
+            let nulls;
+            let row = match group.rows.first() {
+                Some(&row) => row,
+                None => {
+                    nulls = vec![Value::Null; group.cols.len()];
+                    &nulls
+                }
+            };
+            let repr = Scope {
+                cols: group.cols,
+                row,
+                parent: group.parent,
+            };
+            eval_expr(other, &repr, ctx)
+        }
     }
 }
 

@@ -762,7 +762,9 @@ mod tests {
     #[test]
     fn sums_of_no_numbers_agree_bit_for_bit_on_every_path() {
         // Sums over strings add no numbers, and sums of -0.0s add only
-        // zeros: every path must answer +0.0, the reference included.
+        // zeros: every path must answer +0.0, the reference included. A
+        // WHERE that keeps no rows leaves the implicit group empty: its bare
+        // columns answer NULL on every path.
         let cols = vec![("k", DataType::Str), ("z", DataType::Float)];
         let rows: Vec<Vec<Value>> = (0..6)
             .map(|i| vec![Value::Str(["a", "b"][i % 2].into()), Value::Float(-0.0)])
@@ -776,6 +778,8 @@ mod tests {
         for sql in [
             "SELECT sum(k), avg(k), sum(z), avg(z) FROM t",
             "SELECT k, sum(k), avg(k), sum(z), avg(z) FROM t GROUP BY k",
+            "SELECT k IS NULL, count(*) FROM t WHERE z > 5",
+            "SELECT k, count(*) FROM t WHERE z > 5",
         ] {
             let q = parse_query(sql).unwrap();
             let want = execute_scalar(&q, &ExecContext::new(&flat)).unwrap();

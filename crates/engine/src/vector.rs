@@ -1292,27 +1292,28 @@ pub(crate) fn eval_grouped_vec(
                 .collect()
         }
         Expr::Literal(l) => Ok(vec![literal_value(l); groups.len()]),
-        Expr::Column { table, name } if rel.lookup(table.as_deref(), name).is_some() => {
+        // A bare column reads its representative cell directly; the empty
+        // implicit group takes the representative-row arm below.
+        Expr::Column { table, name }
+            if rel.lookup(table.as_deref(), name).is_some()
+                && groups.iter().all(|idx| !idx.is_empty()) =>
+        {
             let ci = rel.lookup(table.as_deref(), name).expect("checked");
             Ok(groups
                 .iter()
-                .map(|idx| match idx.first() {
-                    Some(&i) => rel.cell(ci, i as usize),
-                    // Empty group + bare column: the scalar interpreter
-                    // indexes an empty representative row here and panics;
-                    // match its Scope semantics short of the panic.
-                    None => Value::Null,
-                })
+                .map(|idx| rel.cell(ci, idx[0] as usize))
                 .collect())
         }
         // Representative-row semantics (correlated subqueries, IN, IS NULL,
-        // outer columns): one scalar evaluation per group.
+        // outer columns): one scalar evaluation per group. The empty
+        // implicit group (no GROUP BY, no rows) evaluates over an all-NULL
+        // row, so its bare columns answer NULL.
         other => groups
             .iter()
             .map(|idx| {
                 let row = match idx.first() {
                     Some(&i) => rel.row(i as usize),
-                    None => Vec::new(),
+                    None => vec![Value::Null; rel.cols.len()],
                 };
                 let scope = Scope {
                     cols: &rel.cols,

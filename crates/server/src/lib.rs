@@ -21,9 +21,9 @@
 //! service says it needs no computation ([`WireService::try_inline`]; see
 //! [`server`] for the conditions).
 //!
-//! Reactors drive their connections off a pluggable readiness
-//! [`Selector`](poll::Selector): epoll on Linux (idle connections cost
-//! zero CPU), a portable timed tick elsewhere — see [`poll`].
+//! Reactors drive their connections off an epoll
+//! [`Selector`](poll::Selector), so idle connections cost zero CPU — see
+//! [`poll`]. Linux is the only supported target.
 //!
 //! Endpoints: `POST /v1` (the versioned JSON protocol), `GET /ws`
 //! (RFC 6455 upgrade — text frames carry the same JSON protocol, plus
@@ -36,6 +36,9 @@
 //! shutdown drains mailboxes and flushes responses before closing; see
 //! [`Server::shutdown`].
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("pi2-server supports Linux only: its reactors are driven by epoll");
+
 pub mod client;
 pub mod http;
 pub mod mailbox;
@@ -45,7 +48,6 @@ pub mod wire;
 pub mod ws;
 
 pub use client::{Http1Client, WsClient};
-pub use poll::SelectorKind;
 pub use server::{Server, ServerConfig, ServerStats};
 pub use wire::{Inline, PushLink, PushSender, Reject, WireService};
 
@@ -790,31 +792,6 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        server.shutdown();
-    }
-
-    #[test]
-    fn websocket_transport_works_on_the_tick_selector_too() {
-        let server = start(
-            Duration::ZERO,
-            ServerConfig {
-                selector: SelectorKind::Tick,
-                ..small_config()
-            },
-        );
-        assert_eq!(server.stats().selector, "tick");
-        let mut ws = WsClient::connect(server.local_addr()).unwrap();
-        let reply = ws.round_trip("direct:tick").unwrap();
-        assert!(reply.contains("\"echo\":\"direct:tick\""), "{reply}");
-        let metrics = Http1Client::connect(server.local_addr())
-            .unwrap()
-            .get("/metrics")
-            .unwrap();
-        assert!(
-            metrics.body.contains("\"selector\":\"tick\""),
-            "{}",
-            metrics.body
-        );
         server.shutdown();
     }
 

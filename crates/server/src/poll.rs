@@ -1,66 +1,22 @@
 //! Readiness selection for the reactor pool.
 //!
-//! Reactors originally woke on a timed tick (condvar with a 500 µs
-//! timeout) and scanned every connection — fine at 8 connections, wrong
-//! at thousands of mostly-idle dashboards. This module puts a small
-//! [`Selector`] trait under the reactor loop with two backends:
+//! Each reactor owns one [`Selector`]: a Linux epoll instance reached
+//! through raw `epoll_create1`/`epoll_ctl`/`epoll_wait` declarations (std
+//! already links libc on Linux, so this stays dependency-free), woken
+//! across threads by an `eventfd`. Idle connections cost zero CPU: a
+//! reactor only touches connections the kernel reports ready.
 //!
-//! - [`SelectorKind::Epoll`] (Linux): a real OS readiness queue reached
-//!   through raw `epoll_create1`/`epoll_ctl`/`epoll_wait` declarations
-//!   (std already links libc on Linux, so this stays dependency-free),
-//!   woken across threads by an `eventfd`. Idle connections cost zero
-//!   CPU: a reactor only touches connections the kernel reports ready.
-//! - [`SelectorKind::Tick`] (portable fallback): the original timed
-//!   scan, kept selectable so non-Linux targets and the CI leg that
-//!   forces `PI2_SELECTOR=tick` still cover the full server.
-//!
-//! The trait is deliberately tiny — register/modify/remove a
+//! The surface is deliberately tiny — register/modify/remove a
 //! connection's interest, wait for readiness, and hand out a [`Waker`]
 //! other threads (acceptor, workers, push fan-out) use to interrupt a
 //! wait.
 
-use std::io;
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex};
+use std::os::fd::{AsRawFd, FromRawFd, RawFd};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Which readiness backend the reactors use (a [`ServerConfig`] knob).
-///
-/// [`ServerConfig`]: crate::ServerConfig
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectorKind {
-    /// Pick the best available backend: epoll on Linux, the timed tick
-    /// elsewhere. The `PI2_SELECTOR` environment variable (`tick` or
-    /// `epoll`) overrides `Auto` — CI uses it to force the portable
-    /// path on Linux.
-    Auto,
-    /// The Linux epoll backend (falls back to `Tick` off-Linux or if
-    /// the epoll instance cannot be created).
-    Epoll,
-    /// The portable timed-tick scan.
-    Tick,
-}
-
-impl SelectorKind {
-    /// Resolve `Auto` (and the `PI2_SELECTOR` override) to a concrete
-    /// backend choice for this platform.
-    pub fn resolve(self) -> SelectorKind {
-        let kind = match self {
-            SelectorKind::Auto => match std::env::var("PI2_SELECTOR").as_deref() {
-                Ok("tick") => SelectorKind::Tick,
-                Ok("epoll") => SelectorKind::Epoll,
-                _ => SelectorKind::Auto,
-            },
-            explicit => explicit,
-        };
-        match kind {
-            SelectorKind::Auto | SelectorKind::Epoll if cfg!(target_os = "linux") => {
-                SelectorKind::Epoll
-            }
-            _ => SelectorKind::Tick,
-        }
-    }
-}
 
 /// What a connection wants to be woken for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,401 +35,209 @@ impl Interest {
     }
 }
 
-/// What a [`Selector::wait`] call learned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wakeup {
-    /// Only the tokens appended to the `ready` vector are ready.
-    Ready,
-    /// The backend has no per-connection readiness (timed tick): the
-    /// caller must scan every connection.
-    All,
-}
-
-/// A handle other threads use to interrupt a [`Selector::wait`].
+/// A handle other threads use to interrupt a [`Selector::wait`]: the
+/// selector's `eventfd`.
 #[derive(Clone)]
-pub struct Waker(WakerImpl);
-
-#[derive(Clone)]
-enum WakerImpl {
-    Tick(Arc<(Mutex<bool>, Condvar)>),
-    #[cfg(target_os = "linux")]
-    Eventfd(Arc<std::fs::File>),
-}
+pub struct Waker(Arc<File>);
 
 impl Waker {
     /// Interrupt the owning selector's current (or next) wait.
     pub fn wake(&self) {
-        match &self.0 {
-            WakerImpl::Tick(pair) => {
-                let (flag, cond) = &**pair;
-                *flag
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-                cond.notify_all();
-            }
-            #[cfg(target_os = "linux")]
-            WakerImpl::Eventfd(fd) => {
-                use std::io::Write;
-                let _ = (&**fd).write(&1u64.to_ne_bytes());
-            }
-        }
+        let _ = (&*self.0).write(&1u64.to_ne_bytes());
     }
 }
 
-/// A readiness backend a reactor drives its connections with.
+/// The token the waker eventfd is registered under (never handed to
+/// callers).
+const WAKER_TOKEN: u64 = u64::MAX;
+
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLRDHUP: u32 = 0x2000;
+const EFD_CLOEXEC: i32 = 0o2000000;
+const EFD_NONBLOCK: i32 = 0o4000;
+
+/// Kernel `struct epoll_event`. On x86 the kernel ABI packs it to 12
+/// bytes; other architectures use natural (16-byte) layout — this must
+/// match what glibc's wrappers pass through.
+#[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
+#[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
+
+// std links libc on Linux, so these resolve without any new dependency;
+// see `man epoll` / `man eventfd` for the contracts.
+extern "C" {
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
+    fn eventfd(initval: u32, flags: i32) -> i32;
+}
+
+fn last_os_error_checked(ret: i32) -> io::Result<i32> {
+    if ret < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(ret)
+    }
+}
+
+fn interest_bits(interest: Interest) -> u32 {
+    // EPOLLRDHUP rides with read interest so a peer's half-close wakes
+    // the reactor; EPOLLERR/EPOLLHUP are always reported.
+    let mut bits = 0;
+    if interest.read {
+        bits |= EPOLLIN | EPOLLRDHUP;
+    }
+    if interest.write {
+        bits |= EPOLLOUT;
+    }
+    bits
+}
+
+/// A level-triggered epoll instance plus the eventfd other threads write
+/// to interrupt a wait.
 ///
-/// Tokens are caller-chosen `u64`s (the reactor uses connection ids);
-/// the token `u64::MAX` is reserved for the selector's own waker.
-pub trait Selector: Send {
-    /// Backend name for metrics (`"epoll"` / `"tick"`).
-    fn name(&self) -> &'static str;
+/// Tokens are caller-chosen `u64`s (the reactor uses connection ids); the
+/// token `u64::MAX` is reserved for the selector's own waker.
+pub struct Selector {
+    /// The epoll fd, closed on drop.
+    epfd: File,
+    /// The waker eventfd (nonblocking; shared with [`Waker`] clones).
+    wakefd: Arc<File>,
+    /// Reusable event buffer for `epoll_wait`.
+    events: Vec<EpollEvent>,
+}
+
+impl Selector {
+    /// A fresh epoll instance with its waker registered.
+    pub fn new() -> io::Result<Selector> {
+        // SAFETY: plain fd-returning syscalls; ownership of each fd is
+        // immediately taken by a File, which closes it on drop.
+        let epfd = unsafe {
+            let fd = last_os_error_checked(epoll_create1(EPOLL_CLOEXEC))?;
+            File::from_raw_fd(fd)
+        };
+        // SAFETY: as above, for the eventfd.
+        let wakefd = unsafe {
+            let fd = last_os_error_checked(eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK))?;
+            Arc::new(File::from_raw_fd(fd))
+        };
+        let selector = Selector {
+            epfd,
+            wakefd,
+            events: vec![EpollEvent { events: 0, data: 0 }; 256],
+        };
+        selector.ctl(
+            EPOLL_CTL_ADD,
+            selector.wakefd.as_raw_fd(),
+            EPOLLIN,
+            WAKER_TOKEN,
+        )?;
+        Ok(selector)
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: epfd and fd are live; ev outlives the call.
+        last_os_error_checked(unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) })?;
+        Ok(())
+    }
+
     /// Start watching `stream` under `token` with `interest`.
-    fn register(&mut self, stream: &TcpStream, token: u64, interest: Interest) -> io::Result<()>;
+    pub fn register(
+        &mut self,
+        stream: &TcpStream,
+        token: u64,
+        interest: Interest,
+    ) -> io::Result<()> {
+        self.ctl(
+            EPOLL_CTL_ADD,
+            stream.as_raw_fd(),
+            interest_bits(interest),
+            token,
+        )
+    }
+
     /// Change the interest of an already-registered stream.
-    fn reregister(&mut self, stream: &TcpStream, token: u64, interest: Interest) -> io::Result<()>;
+    pub fn reregister(
+        &mut self,
+        stream: &TcpStream,
+        token: u64,
+        interest: Interest,
+    ) -> io::Result<()> {
+        self.ctl(
+            EPOLL_CTL_MOD,
+            stream.as_raw_fd(),
+            interest_bits(interest),
+            token,
+        )
+    }
+
     /// Stop watching `stream`.
-    fn deregister(&mut self, stream: &TcpStream) -> io::Result<()>;
-    /// Block up to `timeout` for readiness or a [`Waker`] nudge. On
-    /// [`Wakeup::Ready`] the ready tokens were appended to `ready`; on
-    /// [`Wakeup::All`] the caller scans everything it owns.
-    fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> Wakeup;
+    pub fn deregister(&mut self, stream: &TcpStream) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, stream.as_raw_fd(), 0, 0)
+    }
+
+    /// Block up to `timeout` for readiness or a [`Waker`] nudge, appending
+    /// the ready tokens to `ready`.
+    pub fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) {
+        let timeout_ms = timeout.as_millis().clamp(1, i32::MAX as u128) as i32;
+        // SAFETY: the buffer is live and its capacity is passed as
+        // maxevents.
+        let n = unsafe {
+            epoll_wait(
+                self.epfd.as_raw_fd(),
+                self.events.as_mut_ptr(),
+                self.events.len() as i32,
+                timeout_ms,
+            )
+        };
+        // EINTR (or any error) reads as "nothing ready": the reactor loops
+        // back around and waits again.
+        let n = n.max(0) as usize;
+        let mut woken = false;
+        for ev in &self.events[..n] {
+            let token = ev.data;
+            if token == WAKER_TOKEN {
+                woken = true;
+            } else {
+                ready.push(token);
+            }
+        }
+        if woken {
+            // Drain the eventfd counter so level-triggered readiness clears
+            // until the next wake.
+            let mut buf = [0u8; 8];
+            let _ = (&*self.wakefd).read(&mut buf);
+        }
+    }
+
     /// A cloneable cross-thread handle that interrupts [`Selector::wait`].
-    fn waker(&self) -> Waker;
-}
-
-/// Build one selector per reactor. If the requested backend cannot be
-/// constructed (epoll off-Linux, or instance creation failing), every
-/// reactor falls back to the tick backend together so the pool stays
-/// homogeneous; the actually-used kind is returned.
-pub fn build(kind: SelectorKind, reactors: usize) -> (SelectorKind, Vec<Box<dyn Selector>>) {
-    let kind = kind.resolve();
-    if kind == SelectorKind::Epoll {
-        #[cfg(target_os = "linux")]
-        {
-            let built: io::Result<Vec<Box<dyn Selector>>> = (0..reactors)
-                .map(|_| epoll::EpollSelector::new().map(|s| Box::new(s) as Box<dyn Selector>))
-                .collect();
-            if let Ok(selectors) = built {
-                return (SelectorKind::Epoll, selectors);
-            }
-        }
-    }
-    (
-        SelectorKind::Tick,
-        (0..reactors)
-            .map(|_| Box::new(TickSelector::new()) as Box<dyn Selector>)
-            .collect(),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Tick backend (portable)
-// ---------------------------------------------------------------------------
-
-/// The portable fallback: no per-connection readiness, just a bounded
-/// sleep the [`Waker`] can interrupt. Every wait answers [`Wakeup::All`].
-pub struct TickSelector {
-    wake: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl TickSelector {
-    /// A fresh tick selector.
-    pub fn new() -> TickSelector {
-        TickSelector {
-            wake: Arc::new((Mutex::new(false), Condvar::new())),
-        }
-    }
-}
-
-impl Default for TickSelector {
-    fn default() -> TickSelector {
-        TickSelector::new()
-    }
-}
-
-impl Selector for TickSelector {
-    fn name(&self) -> &'static str {
-        "tick"
-    }
-
-    fn register(&mut self, _: &TcpStream, _: u64, _: Interest) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn reregister(&mut self, _: &TcpStream, _: u64, _: Interest) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn deregister(&mut self, _: &TcpStream) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn wait(&mut self, _ready: &mut Vec<u64>, timeout: Duration) -> Wakeup {
-        let (flag, cond) = &*self.wake;
-        let mut flagged = flag
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !*flagged {
-            let (guard, _) = cond
-                .wait_timeout(flagged, timeout)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            flagged = guard;
-        }
-        *flagged = false;
-        Wakeup::All
-    }
-
-    fn waker(&self) -> Waker {
-        Waker(WakerImpl::Tick(Arc::clone(&self.wake)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Epoll backend (Linux)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-mod epoll {
-    use super::{Interest, Selector, Waker, WakerImpl, Wakeup};
-    use std::fs::File;
-    use std::io::{self, Read};
-    use std::net::TcpStream;
-    use std::os::fd::{AsRawFd, FromRawFd, RawFd};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    /// The token the waker eventfd is registered under (never handed to
-    /// callers).
-    const WAKER_TOKEN: u64 = u64::MAX;
-
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EFD_CLOEXEC: i32 = 0o2000000;
-    const EFD_NONBLOCK: i32 = 0o4000;
-
-    /// Kernel `struct epoll_event`. On x86 the kernel ABI packs it to 12
-    /// bytes; other architectures use natural (16-byte) layout — this
-    /// must match what glibc's wrappers pass through.
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
-    #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    // std links libc on Linux, so these resolve without any new
-    // dependency; see `man epoll` / `man eventfd` for the contracts.
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-        fn eventfd(initval: u32, flags: i32) -> i32;
-    }
-
-    fn last_os_error_checked(ret: i32) -> io::Result<i32> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    fn interest_bits(interest: Interest) -> u32 {
-        // EPOLLRDHUP rides with read interest so a peer's half-close
-        // wakes the reactor; EPOLLERR/EPOLLHUP are always reported.
-        let mut bits = 0;
-        if interest.read {
-            bits |= EPOLLIN | EPOLLRDHUP;
-        }
-        if interest.write {
-            bits |= EPOLLOUT;
-        }
-        bits
-    }
-
-    /// Level-triggered epoll instance plus the eventfd other threads
-    /// write to interrupt a wait.
-    pub(super) struct EpollSelector {
-        /// The epoll fd, closed on drop.
-        epfd: File,
-        /// The waker eventfd (nonblocking; shared with [`Waker`] clones).
-        wakefd: Arc<File>,
-        /// Reusable event buffer for `epoll_wait`.
-        events: Vec<EpollEvent>,
-    }
-
-    impl EpollSelector {
-        pub(super) fn new() -> io::Result<EpollSelector> {
-            // SAFETY: plain fd-returning syscalls; ownership of each fd
-            // is immediately taken by a File, which closes it on drop.
-            let epfd = unsafe {
-                let fd = last_os_error_checked(epoll_create1(EPOLL_CLOEXEC))?;
-                File::from_raw_fd(fd)
-            };
-            let wakefd = unsafe {
-                let fd = last_os_error_checked(eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK))?;
-                Arc::new(File::from_raw_fd(fd))
-            };
-            let selector = EpollSelector {
-                epfd,
-                wakefd,
-                events: vec![EpollEvent { events: 0, data: 0 }; 256],
-            };
-            selector.ctl(
-                EPOLL_CTL_ADD,
-                selector.wakefd.as_raw_fd(),
-                EPOLLIN,
-                WAKER_TOKEN,
-            )?;
-            Ok(selector)
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events,
-                data: token,
-            };
-            // SAFETY: epfd and fd are live; ev outlives the call.
-            last_os_error_checked(unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) })?;
-            Ok(())
-        }
-    }
-
-    impl Selector for EpollSelector {
-        fn name(&self) -> &'static str {
-            "epoll"
-        }
-
-        fn register(
-            &mut self,
-            stream: &TcpStream,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.ctl(
-                EPOLL_CTL_ADD,
-                stream.as_raw_fd(),
-                interest_bits(interest),
-                token,
-            )
-        }
-
-        fn reregister(
-            &mut self,
-            stream: &TcpStream,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.ctl(
-                EPOLL_CTL_MOD,
-                stream.as_raw_fd(),
-                interest_bits(interest),
-                token,
-            )
-        }
-
-        fn deregister(&mut self, stream: &TcpStream) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, stream.as_raw_fd(), 0, 0)
-        }
-
-        fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> Wakeup {
-            let timeout_ms = timeout.as_millis().clamp(1, i32::MAX as u128) as i32;
-            // SAFETY: the buffer is live and its capacity is passed as
-            // maxevents.
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd.as_raw_fd(),
-                    self.events.as_mut_ptr(),
-                    self.events.len() as i32,
-                    timeout_ms,
-                )
-            };
-            // EINTR (or any error) reads as "nothing ready": the reactor
-            // loops back around and waits again.
-            let n = n.max(0) as usize;
-            let mut woken = false;
-            for ev in &self.events[..n] {
-                let token = ev.data;
-                if token == WAKER_TOKEN {
-                    woken = true;
-                } else {
-                    ready.push(token);
-                }
-            }
-            if woken {
-                // Drain the eventfd counter so level-triggered readiness
-                // clears until the next wake.
-                let mut buf = [0u8; 8];
-                let _ = (&*self.wakefd).read(&mut buf);
-            }
-            Wakeup::Ready
-        }
-
-        fn waker(&self) -> Waker {
-            Waker(WakerImpl::Eventfd(Arc::clone(&self.wakefd)))
-        }
+    pub fn waker(&self) -> Waker {
+        Waker(Arc::clone(&self.wakefd))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
+    use std::net::TcpListener;
     use std::time::Instant;
 
     #[test]
-    fn resolve_picks_a_concrete_backend() {
-        // Explicit choices stick (epoll degrades to tick off-Linux).
-        assert_eq!(SelectorKind::Tick.resolve(), SelectorKind::Tick);
-        let auto = SelectorKind::Auto.resolve();
-        assert_ne!(auto, SelectorKind::Auto, "Auto must resolve");
-        if cfg!(not(target_os = "linux")) {
-            assert_eq!(auto, SelectorKind::Tick);
-        }
-    }
-
-    #[test]
-    fn tick_selector_wakes_on_waker_and_times_out() {
-        let mut sel = TickSelector::new();
-        let waker = sel.waker();
-        let mut ready = Vec::new();
-        // Timeout path (spurious early returns are fine — they just cost
-        // an extra scan — so only the return shape is asserted).
-        assert_eq!(sel.wait(&mut ready, Duration::from_millis(10)), Wakeup::All);
-        // Pre-armed waker path returns without sleeping the full bound.
-        waker.wake();
-        let started = Instant::now();
-        assert_eq!(sel.wait(&mut ready, Duration::from_secs(5)), Wakeup::All);
-        assert!(started.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn build_falls_back_and_reports_the_real_kind() {
-        let (kind, selectors) = build(SelectorKind::Tick, 2);
-        assert_eq!(kind, SelectorKind::Tick);
-        assert_eq!(selectors.len(), 2);
-        let (kind, selectors) = build(SelectorKind::Epoll, 1);
-        assert_eq!(selectors.len(), 1);
-        if cfg!(target_os = "linux") {
-            assert_eq!(kind, SelectorKind::Epoll);
-            assert_eq!(selectors[0].name(), "epoll");
-        } else {
-            assert_eq!(kind, SelectorKind::Tick);
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
     fn epoll_reports_readable_sockets_and_waker_nudges() {
-        let (_, mut selectors) = build(SelectorKind::Epoll, 1);
-        let sel = &mut selectors[0];
+        let mut sel = Selector::new().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
@@ -502,13 +266,16 @@ mod tests {
         }
         assert_eq!(ready, vec![7]);
 
-        // A waker nudge interrupts a long wait without fabricating tokens.
-        let waker = sel.waker();
-        waker.wake();
+        // Once the bytes are consumed, a waker nudge interrupts a long wait
+        // without fabricating tokens.
+        let mut buf = [0u8; 4];
+        (&accepted).read_exact(&mut buf).unwrap();
+        sel.waker().wake();
         let mut ready = Vec::new();
         let started = Instant::now();
-        sel.wait(&mut ready, Duration::from_millis(2));
+        sel.wait(&mut ready, Duration::from_secs(5));
         assert!(started.elapsed() < Duration::from_secs(1));
+        assert!(ready.is_empty(), "waker fabricated tokens: {ready:?}");
 
         // Deregistered sockets stop reporting.
         sel.deregister(&accepted).unwrap();

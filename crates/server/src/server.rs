@@ -7,12 +7,10 @@
 //! and hands accepted connections, set non-blocking, to a fixed pool of
 //! **reactor** threads round-robin.
 //!
-//! Each reactor owns its connections outright and drives them off a
-//! readiness [`Selector`]: on Linux an
-//! epoll-backed one (idle connections cost zero CPU — the reactor only
-//! touches connections the kernel reports ready, and the per-reactor
-//! `connScans` counter in `/metrics` proves it), elsewhere (or under
-//! `PI2_SELECTOR=tick`) the portable timed scan. It reads available
+//! Each reactor owns its connections outright and drives them off its
+//! own epoll [`Selector`]: idle connections cost zero CPU — the reactor
+//! only touches connections the kernel reports ready, and the
+//! `connScans` counter in `/metrics` proves it. It reads available
 //! bytes, parses complete HTTP requests (pipelining included), routes
 //! them, and writes finished responses back *in request order* per
 //! connection (a reorder buffer keyed by request sequence number absorbs
@@ -68,7 +66,7 @@
 
 use crate::http::{encode_response, encode_upgrade_response, parse_request, HttpRequest, Parsed};
 use crate::mailbox::{Enqueued, Mailboxes, RunQueue, Runnable};
-use crate::poll::{self, Interest, Selector, SelectorKind, Waker, Wakeup};
+use crate::poll::{Interest, Selector, Waker};
 use crate::wire::{Inline, PushLink, PushSender, Reject, WireService};
 use crate::ws;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -109,15 +107,6 @@ pub struct ServerConfig {
     /// How long [`Server::shutdown`] waits for queued work to drain before
     /// giving up on stragglers.
     pub drain_timeout: Duration,
-    /// Tick-selector poll interval: the upper bound on how long
-    /// newly-arrived bytes can sit before a reactor notices them when
-    /// otherwise idle. Readiness selectors (epoll) ignore it — their
-    /// wakeups are event-driven.
-    pub poll_interval: Duration,
-    /// Which readiness backend the reactors use; `Auto` picks epoll on
-    /// Linux (honouring the `PI2_SELECTOR` env override) and the timed
-    /// tick elsewhere.
-    pub selector: SelectorKind,
     /// Outbound-buffer bound for server-initiated pushes: a WebSocket
     /// subscriber whose unwritten output exceeds this when another push
     /// arrives is evicted (slow-consumer policy) instead of buffering
@@ -136,8 +125,6 @@ impl Default for ServerConfig {
             pending_cap: 1024,
             max_body_bytes: 1 << 20,
             drain_timeout: Duration::from_secs(5),
-            poll_interval: Duration::from_micros(500),
-            selector: SelectorKind::Auto,
             push_buffer_bytes: 256 * 1024,
         }
     }
@@ -175,13 +162,10 @@ pub struct ServerStats {
     pub pushes: u64,
     /// WebSocket connections evicted as slow push consumers.
     pub push_evictions: u64,
-    /// Connection processing passes across all reactors. Under the tick
-    /// selector this grows with connections × ticks; under epoll an idle
-    /// server holds it flat — the acceptance check for "idle connections
-    /// cost zero CPU".
+    /// Connection processing passes across all reactors. An idle server
+    /// holds it flat — the acceptance check for "idle connections cost
+    /// zero CPU".
     pub conn_scans: u64,
-    /// The readiness backend actually in use (`"epoll"` / `"tick"`).
-    pub selector: &'static str,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -261,8 +245,6 @@ struct Inner<S: WireService> {
     run_queue: RunQueue<Job<S::Request>>,
     reactors: Vec<ReactorShared>,
     counters: Counters,
-    /// The readiness backend the reactor pool actually runs.
-    selector_kind: SelectorKind,
     /// Connections currently speaking WebSocket (push targets):
     /// [`Inner::push_text`] refuses sends to anything else so stale
     /// subscriptions unwind eagerly.
@@ -291,13 +273,6 @@ impl Drop for LiveGuard<'_> {
 }
 
 impl<S: WireService> Inner<S> {
-    fn selector_name(&self) -> &'static str {
-        match self.selector_kind {
-            SelectorKind::Epoll => "epoll",
-            _ => "tick",
-        }
-    }
-
     fn stats(&self) -> ServerStats {
         ServerStats {
             accepted_connections: self.counters.accepted.load(Ordering::Relaxed),
@@ -313,7 +288,6 @@ impl<S: WireService> Inner<S> {
             pushes: self.counters.pushes.load(Ordering::Relaxed),
             push_evictions: self.counters.push_evictions.load(Ordering::Relaxed),
             conn_scans: self.counters.conn_scans.load(Ordering::Relaxed),
-            selector: self.selector_name(),
         }
     }
 
@@ -538,7 +512,7 @@ impl<S: WireService> Inner<S> {
              \"backpressureRejections\":{},\"responses\":{},\
              \"pendingJobs\":{},\"shuttingDown\":{},\
              \"wsConnections\":{},\"pushes\":{},\"pushEvictions\":{},\
-             \"connScans\":{},\"selector\":\"{}\"}},\"service\":{}}}",
+             \"connScans\":{},\"selector\":\"epoll\"}},\"service\":{}}}",
             s.accepted_connections,
             s.rejected_connections,
             s.active_connections,
@@ -552,7 +526,6 @@ impl<S: WireService> Inner<S> {
             s.pushes,
             s.push_evictions,
             s.conn_scans,
-            s.selector,
             self.service.metrics_body(),
         )
     }
@@ -1096,7 +1069,7 @@ fn process_conn<S: WireService>(inner: &Inner<S>, idx: usize, id: u64, conn: &mu
 /// Recompute what the selector should watch for this connection and
 /// apply the change (deregistering entirely when nothing is wanted, so a
 /// hung peer cannot spin the reactor through always-on HUP readiness).
-fn update_interest(selector: &mut dyn Selector, id: u64, conn: &mut Conn) {
+fn update_interest(selector: &mut Selector, id: u64, conn: &mut Conn) {
     let desired = Interest {
         read: !conn.read_closed && conn.can_read(),
         write: !conn.outbuf.is_empty(),
@@ -1114,21 +1087,16 @@ fn update_interest(selector: &mut dyn Selector, id: u64, conn: &mut Conn) {
     conn.interest = desired;
 }
 
-fn reactor_loop<S: WireService>(inner: &Inner<S>, idx: usize, mut selector: Box<dyn Selector>) {
+fn reactor_loop<S: WireService>(inner: &Inner<S>, idx: usize, mut selector: Selector) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut closed: Vec<u64> = Vec::new();
     let mut ready: Vec<u64> = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
-    // Epoll waits are event-driven; the bound is only a safety net (and
-    // the shutdown waker interrupts it anyway). The tick selector's wait
-    // *is* the poll interval.
-    let wait_bound = match inner.selector_kind {
-        SelectorKind::Tick => inner.config.poll_interval,
-        _ => Duration::from_millis(100),
-    };
     loop {
         ready.clear();
-        let wake = selector.wait(&mut ready, wait_bound);
+        // Waits are event-driven; the bound is only a safety net (and the
+        // shutdown waker interrupts it anyway).
+        selector.wait(&mut ready, Duration::from_millis(100));
         let (new_conns, dones, pushes) = {
             let mut inbox = lock(&inner.reactors[idx].inbox);
             (
@@ -1140,7 +1108,7 @@ fn reactor_loop<S: WireService>(inner: &Inner<S>, idx: usize, mut selector: Box<
         let shutting = inner.shutting_down.load(Ordering::SeqCst);
         let abandon = inner.abandon.load(Ordering::SeqCst);
         touched.clear();
-        if matches!(wake, Wakeup::All) || shutting || abandon {
+        if shutting || abandon {
             touched.extend(conns.keys().copied());
         } else {
             touched.extend(ready.iter().copied());
@@ -1200,7 +1168,7 @@ fn reactor_loop<S: WireService>(inner: &Inner<S>, idx: usize, mut selector: Box<
             if abandon || conn.should_close(shutting) {
                 closed.push(id);
             } else {
-                update_interest(&mut *selector, id, conn);
+                update_interest(&mut selector, id, conn);
             }
         }
         for id in closed.drain(..) {
@@ -1258,13 +1226,16 @@ pub struct Server<S: WireService> {
 
 impl<S: WireService> Server<S> {
     /// Bind `config.addr` and start the acceptor, reactor, and worker
-    /// threads over `service`.
+    /// threads over `service`. Fails if the address cannot be bound or a
+    /// reactor's epoll instance cannot be created.
     pub fn start(service: Arc<S>, config: ServerConfig) -> std::io::Result<Server<S>> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let reactors = config.reactors.max(1);
         let workers = config.workers.max(1);
-        let (selector_kind, selectors) = poll::build(config.selector, reactors);
+        let selectors = (0..reactors)
+            .map(|_| Selector::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
         let inner = Arc::new(Inner {
             mailboxes: Mailboxes::new(config.mailbox_cap),
             run_queue: RunQueue::new(),
@@ -1293,7 +1264,6 @@ impl<S: WireService> Server<S> {
                 push_evictions: AtomicU64::new(0),
                 conn_scans: AtomicU64::new(0),
             },
-            selector_kind,
             ws_live: Mutex::new(HashSet::new()),
             push_sender: OnceLock::new(),
             shutting_down: AtomicBool::new(false),

@@ -99,7 +99,11 @@ pub fn atom(t: &TableSpec, kind: u8, col_pick: usize, a: i64, b: i64) -> String 
     }
 }
 
-/// Build a SELECT over `t` from generated choice integers.
+/// Build a SELECT over `t` from generated choice integers. For an
+/// aggregate, `distinct` drops the `GROUP BY` instead: the aggregates then
+/// fold one implicit group — empty when the WHERE keeps no rows — beside
+/// bare expressions over the group column, read from its representative
+/// row.
 #[allow(clippy::too_many_arguments)]
 pub fn build_query(
     t: &TableSpec,
@@ -128,9 +132,15 @@ pub fn build_query(
         } else {
             t.nums[p1 % t.nums.len()].to_string()
         };
+        let shown = if distinct {
+            let g = group_col.split(", ").next().unwrap_or_default();
+            format!("{g}, {g} IS NULL")
+        } else {
+            group_col.clone()
+        };
         let m = t.nums[p2 % t.nums.len()];
         sql.push_str(&format!(
-            "{group_col}, count(*), sum({m}), avg({m}), min({m}), max({m})"
+            "{shown}, count(*), sum({m}), avg({m}), min({m}), max({m})"
         ));
         // Aggregates over a string column take the accumulators' generic
         // (untyped) arms: sums of no numbers, string extremes.
@@ -165,7 +175,9 @@ pub fn build_query(
         }
     }
     if aggregate {
-        sql.push_str(&format!(" GROUP BY {group_col}"));
+        if !distinct {
+            sql.push_str(&format!(" GROUP BY {group_col}"));
+        }
         if k2 % 3 == 0 {
             sql.push_str(&format!(" HAVING count(*) > {}", a.unsigned_abs() % 8));
         }
