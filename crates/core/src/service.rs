@@ -141,7 +141,7 @@ impl Session {
         let types: Vec<Arc<TypeMap>> = forest
             .trees
             .iter()
-            .map(|t| infer_types_cached(t, &workload.catalog))
+            .map(|t| infer_types_cached(t, workload))
             .collect();
         let option_maps: Vec<Vec<usize>> = generation
             .interface

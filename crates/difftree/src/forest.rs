@@ -38,6 +38,7 @@
 use crate::bind::{bind_query, resolve, Binding, BindingMap};
 use crate::gst::{lower_query, DNode};
 use crate::schema::{result_schema, ResultSchema};
+use crate::types::AttrTable;
 use pi2_data::Catalog;
 use pi2_engine::{analyze_query, QueryInfo};
 use pi2_sql::ast::Query;
@@ -68,6 +69,9 @@ pub struct Workload {
     pub class: Vec<usize>,
     /// The catalogue the queries run against.
     pub catalog: Catalog,
+    /// The catalogue's attributes, interned: the ids every type and result
+    /// schema of this workload carries. Built from `catalog` once.
+    pub attrs: AttrTable,
 }
 
 impl Workload {
@@ -101,6 +105,7 @@ impl Workload {
             gst_fps,
             infos,
             class,
+            attrs: AttrTable::new(&catalog),
             catalog,
         }
     }
@@ -415,12 +420,17 @@ impl Forest {
     /// (first occurrences only; precomputed once per workload). `trees` is
     /// [`bound_trees`](Forest::bound_trees)' result. Result schemas fold
     /// their inputs with idempotent joins, so duplicates would add nothing.
-    pub fn tree_infos(&self, tree_idx: usize, w: &Workload, trees: &[usize]) -> Vec<QueryInfo> {
+    pub fn tree_infos<'w>(
+        &self,
+        tree_idx: usize,
+        w: &'w Workload,
+        trees: &[usize],
+    ) -> Vec<&'w QueryInfo> {
         trees
             .iter()
             .enumerate()
             .filter(|&(qi, &t)| t == tree_idx && w.class[qi] == qi)
-            .filter_map(|(qi, _)| w.infos[qi].clone())
+            .filter_map(|(qi, _)| w.infos[qi].as_ref())
             .collect()
     }
 
@@ -436,7 +446,7 @@ impl Forest {
         if infos.is_empty() {
             return None;
         }
-        result_schema(&infos)
+        result_schema(&infos, &w.attrs)
     }
 }
 

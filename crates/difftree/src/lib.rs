@@ -14,8 +14,8 @@
 //! * [`bind`] — query bindings (§3.2.4): matching a concrete query against a
 //!   Difftree, and resolving a Difftree + bindings back to a query,
 //! * [`types`] — the `AST → str → num` type hierarchy with attribute types
-//!   (§3.2.1) and type inference over trees,
-//! * [`schema`] — node schemas (§3.2.3) and result schemas (§3.2.2),
+//!   (§3.2.1) over interned attribute ids, and type inference over trees,
+//! * [`schema`] — result schemas (§3.2.2),
 //! * [`transform`] — the four categories of transformation rules (§6.1,
 //!   Fig. 13) that define PI2's search space, and the [`Transitions`] seam
 //!   the search's rule loops are written over,
@@ -36,12 +36,11 @@ pub use forest::{
 pub use gst::{
     lower_query, raise_query, sql_snippet, ArithOp, CmpOp, DNode, LitVal, NodeKind, SyntaxKind,
 };
-pub use schema::{
-    node_schema, result_schema, type_or_schema, NodeSchema, ResultCol, ResultSchema, SchemaExpr,
-    TypeOrSchema,
-};
+pub use schema::{result_schema, union_compatible, ResultCol, ResultSchema};
 pub use transform::{
     applicable_actions, apply_action, candidate_actions, cross_tree_candidates, tree_candidates,
     Action, Rule, Transitions,
 };
-pub use types::{infer_types, infer_types_cached, AttrRef, NodeType, PrimType, TypeMap};
+pub use types::{
+    infer_types, infer_types_cached, Attr, AttrId, AttrTable, NodeType, PrimType, TypeMap,
+};

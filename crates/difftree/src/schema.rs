@@ -1,244 +1,16 @@
-//! Node schemas (§3.2.3) and result schemas (§3.2.2).
+//! Result schemas (§3.2.2).
 //!
-//! *Node schemas* describe the structural variation a dynamic node (a choice
-//! node or an ancestor of one) can express. A schema `<e1, …, en>` is a list
-//! of type expressions built with `|` (or, from `ANY`), `?` (optional, from
-//! `OPT`/`SUBSET`), and `*` (repetition, from `MULTI`) over types and nested
-//! schemas. Interaction mapping (§4.2) matches these against widget schemas.
-//!
-//! *Result schemas* describe a Difftree's output table. They are defined
-//! when all expressible ASTs are union-compatible; we compute them over the
+//! A Difftree's *result schema* describes its output table. It is defined
+//! when all expressible ASTs are union-compatible; we compute it over the
 //! resolved input queries the tree expresses, which is exactly the set the
 //! paper's guarantee quantifies over.
+//!
+//! The paper's *node schemas* (§3.2.3) are used only in the flattened,
+//! operational form `pi2-interface`'s `flat` module gives them.
 
-use crate::gst::{DNode, NodeKind};
-use crate::types::{AttrRef, NodeType, TypeMap};
+use crate::types::{AttrId, AttrTable};
 use pi2_data::DataType;
 use pi2_engine::{ColType, QueryInfo};
-use std::collections::BTreeSet;
-use std::fmt;
-
-/// A type, or a nested schema (for hierarchical widgets such as tabs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TypeOrSchema {
-    /// `Type`.
-    Type(NodeType),
-    /// `Schema`.
-    Schema(NodeSchema),
-}
-
-impl TypeOrSchema {
-    /// The underlying type when this is a plain (non-nested) type.
-    pub fn as_type(&self) -> Option<&NodeType> {
-        match self {
-            TypeOrSchema::Type(t) => Some(t),
-            TypeOrSchema::Schema(_) => None,
-        }
-    }
-}
-
-impl fmt::Display for TypeOrSchema {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TypeOrSchema::Type(t) => write!(f, "{t}"),
-            TypeOrSchema::Schema(s) => write!(f, "{s}"),
-        }
-    }
-}
-
-/// One type expression of a node schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchemaExpr {
-    /// `Atom`.
-    Atom(TypeOrSchema),
-    /// `Or`.
-    Or(Vec<SchemaExpr>),
-    /// `Opt`.
-    Opt(Box<SchemaExpr>),
-    /// `Star`.
-    Star(Box<SchemaExpr>),
-}
-
-impl SchemaExpr {
-    /// The plain type of this expression, if it is an unadorned atom.
-    pub fn atom_type(&self) -> Option<&NodeType> {
-        match self {
-            SchemaExpr::Atom(t) => t.as_type(),
-            _ => None,
-        }
-    }
-
-    /// The type inside `Opt(Atom(t))` / `Star(Atom(t))` wrappers.
-    pub fn inner_type(&self) -> Option<&NodeType> {
-        match self {
-            SchemaExpr::Atom(t) => t.as_type(),
-            SchemaExpr::Opt(e) | SchemaExpr::Star(e) => e.inner_type(),
-            SchemaExpr::Or(_) => None,
-        }
-    }
-
-    /// Is opt.
-    pub fn is_opt(&self) -> bool {
-        matches!(self, SchemaExpr::Opt(_))
-    }
-
-    /// Is star.
-    pub fn is_star(&self) -> bool {
-        matches!(self, SchemaExpr::Star(_))
-    }
-}
-
-impl fmt::Display for SchemaExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchemaExpr::Atom(t) => write!(f, "{t}"),
-            SchemaExpr::Or(alts) => {
-                let parts: Vec<String> = alts.iter().map(|a| a.to_string()).collect();
-                write!(f, "{}", parts.join("|"))
-            }
-            SchemaExpr::Opt(e) => write!(f, "{e}?"),
-            SchemaExpr::Star(e) => write!(f, "{e}*"),
-        }
-    }
-}
-
-/// A node schema: an ordered list of type expressions.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct NodeSchema {
-    /// The ordered type expressions.
-    pub elems: Vec<SchemaExpr>,
-}
-
-impl NodeSchema {
-    /// Number of schema elements.
-    pub fn len(&self) -> usize {
-        self.elems.len()
-    }
-
-    /// Whether the schema has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
-    }
-}
-
-impl fmt::Display for NodeSchema {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.elems.iter().map(|e| e.to_string()).collect();
-        write!(f, "<{}>", parts.join(", "))
-    }
-}
-
-/// The `T(N)` helper of §3.2.3: a static node's type, a dynamic node's
-/// schema.
-pub fn type_or_schema(node: &DNode, types: &TypeMap) -> TypeOrSchema {
-    if node.is_dynamic() {
-        TypeOrSchema::Schema(node_schema(node, types))
-    } else {
-        TypeOrSchema::Type(static_type(node, types))
-    }
-}
-
-/// A static subtree's type: its annotated leaf type, `AST` for internal
-/// nodes (§3.2.1 "internal nodes are of type AST").
-fn static_type(node: &DNode, types: &TypeMap) -> NodeType {
-    if node.children.is_empty() {
-        types.get(&node.id).cloned().unwrap_or_else(NodeType::ast)
-    } else {
-        NodeType::ast()
-    }
-}
-
-/// Infer the node schema of a dynamic node per the §3.2.3 rules.
-pub fn node_schema(node: &DNode, types: &TypeMap) -> NodeSchema {
-    match &node.kind {
-        NodeKind::Any => {
-            // Partition children: empty alternatives make this an OPT;
-            // group-marker CoOpt children are metadata.
-            let alts: Vec<&DNode> = node
-                .children
-                .iter()
-                .filter(|c| {
-                    !(c.is_empty_node()
-                        || matches!(c.kind, NodeKind::CoOpt { .. }) && c.children.is_empty())
-                })
-                .collect();
-            let has_empty = node.children.iter().any(|c| c.is_empty_node());
-            let all_static = alts.iter().all(|c| !c.is_dynamic());
-            let inner: SchemaExpr = if all_static {
-                // <∪ T(ci)>: least compatible type of the children.
-                let mut ty: Option<NodeType> = None;
-                for c in &alts {
-                    let t = static_type(c, types);
-                    ty = Some(match ty {
-                        Some(acc) => acc.union(&t),
-                        None => t,
-                    });
-                }
-                SchemaExpr::Atom(TypeOrSchema::Type(ty.unwrap_or_else(NodeType::ast)))
-            } else if alts.len() == 1 {
-                SchemaExpr::Atom(type_or_schema(alts[0], types))
-            } else {
-                SchemaExpr::Or(
-                    alts.iter()
-                        .map(|c| SchemaExpr::Atom(type_or_schema(c, types)))
-                        .collect(),
-                )
-            };
-            let expr = if has_empty {
-                SchemaExpr::Opt(Box::new(inner))
-            } else {
-                inner
-            };
-            NodeSchema { elems: vec![expr] }
-        }
-        NodeKind::Val => {
-            let ty = types.get(&node.id).cloned().unwrap_or_else(NodeType::str_);
-            NodeSchema {
-                elems: vec![SchemaExpr::Atom(TypeOrSchema::Type(ty))],
-            }
-        }
-        NodeKind::Multi => {
-            let inner = SchemaExpr::Atom(type_or_schema(&node.children[0], types));
-            NodeSchema {
-                elems: vec![SchemaExpr::Star(Box::new(inner))],
-            }
-        }
-        NodeKind::Subset => NodeSchema {
-            elems: node
-                .children
-                .iter()
-                .map(|c| SchemaExpr::Opt(Box::new(SchemaExpr::Atom(type_or_schema(c, types)))))
-                .collect(),
-        },
-        NodeKind::CoOpt { .. } => {
-            if node.children.is_empty() {
-                NodeSchema::default()
-            } else {
-                NodeSchema {
-                    elems: vec![SchemaExpr::Opt(Box::new(SchemaExpr::Atom(type_or_schema(
-                        &node.children[0],
-                        types,
-                    ))))],
-                }
-            }
-        }
-        NodeKind::Syntax(_) => {
-            // Cross product of the dynamic children's schemas: concatenate
-            // their elements (Figure 8b).
-            let mut elems = Vec::new();
-            for c in &node.children {
-                if c.is_dynamic() {
-                    elems.extend(node_schema(c, types).elems);
-                }
-            }
-            NodeSchema { elems }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Result schemas (§3.2.2)
-// ---------------------------------------------------------------------------
 
 /// One column of a Difftree's result schema: the union of the corresponding
 /// columns across all expressible (input) queries.
@@ -248,8 +20,8 @@ pub struct ResultCol {
     pub names: Vec<String>,
     /// Unioned storage type.
     pub dtype: DataType,
-    /// Source attributes across all queries.
-    pub attrs: BTreeSet<AttrRef>,
+    /// Source attributes across all queries, sorted and deduplicated.
+    pub attrs: Vec<AttrId>,
     /// Group key in every expressible query.
     pub is_group_key: bool,
     /// Unique in every expressible query.
@@ -308,19 +80,38 @@ impl ResultSchema {
     }
 }
 
+/// Whether the analyzed schemas union (§3.2.2): at least one query, one
+/// arity, and a common storage type per column. [`result_schema`] is
+/// `Some` exactly when this holds.
+pub fn union_compatible(infos: &[&QueryInfo]) -> bool {
+    arity(infos).is_some_and(|n| (0..n).all(|i| column_dtype(infos, i).is_some()))
+}
+
+/// The queries' common arity.
+fn arity(infos: &[&QueryInfo]) -> Option<usize> {
+    let n = infos.first()?.cols.len();
+    infos.iter().all(|i| i.cols.len() == n).then_some(n)
+}
+
+/// The unioned storage type of column `i`.
+fn column_dtype(infos: &[&QueryInfo], i: usize) -> Option<DataType> {
+    let (first, rest) = infos.split_first()?;
+    rest.iter().try_fold(first.cols[i].ty.dtype(), |d, info| {
+        d.union(info.cols[i].ty.dtype())
+    })
+}
+
 /// Union the analyzed schemas of every query a Difftree expresses
-/// (§3.2.2). Returns `None` when they are not union-compatible.
-pub fn result_schema(infos: &[QueryInfo]) -> Option<ResultSchema> {
+/// (§3.2.2), with source attributes interned through `attrs`. Returns
+/// `None` when they are not union-compatible.
+pub fn result_schema(infos: &[&QueryInfo], attrs: &AttrTable) -> Option<ResultSchema> {
     let first = infos.first()?;
-    let arity = first.cols.len();
-    if infos.iter().any(|i| i.cols.len() != arity) {
-        return None;
-    }
+    let arity = arity(infos)?;
     let mut cols = Vec::with_capacity(arity);
     for i in 0..arity {
+        let dtype = column_dtype(infos, i)?;
         let mut names: Vec<String> = Vec::new();
-        let mut attrs = BTreeSet::new();
-        let mut dtype: Option<DataType> = None;
+        let mut ids: Vec<AttrId> = Vec::new();
         let mut is_group_key = true;
         let mut unique = true;
         let mut cardinality: Option<usize> = Some(0);
@@ -329,22 +120,13 @@ pub fn result_schema(infos: &[QueryInfo]) -> Option<ResultSchema> {
             if !names.contains(&c.name) {
                 names.push(c.name.clone());
             }
-            if let ColType::Attr {
-                table,
-                column,
-                dtype,
-            } = &c.ty
-            {
-                attrs.insert(AttrRef {
-                    table: table.clone(),
-                    column: column.clone(),
-                    dtype: *dtype,
-                });
+            if let ColType::Attr { table, column, .. } = &c.ty {
+                if let Some(id) = attrs.lookup(table, column) {
+                    if let Err(at) = ids.binary_search(&id) {
+                        ids.insert(at, id);
+                    }
+                }
             }
-            dtype = Some(match dtype {
-                None => c.ty.dtype(),
-                Some(d) => d.union(c.ty.dtype())?,
-            });
             is_group_key &= c.is_group_key;
             unique &= c.unique;
             cardinality = match (cardinality, c.cardinality) {
@@ -354,8 +136,8 @@ pub fn result_schema(infos: &[QueryInfo]) -> Option<ResultSchema> {
         }
         cols.push(ResultCol {
             names,
-            dtype: dtype?,
-            attrs,
+            dtype,
+            attrs: ids,
             is_group_key,
             unique,
             cardinality,
@@ -381,11 +163,8 @@ pub fn result_schema(infos: &[QueryInfo]) -> Option<ResultSchema> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gst::{lower_query, LitVal, SyntaxKind};
-    use crate::types::infer_types;
     use pi2_data::{Catalog, Table, Value};
     use pi2_engine::analyze_query;
-    use pi2_sql::ast::Literal;
     use pi2_sql::parse_query;
 
     fn catalog() -> Catalog {
@@ -406,124 +185,6 @@ mod tests {
         c
     }
 
-    /// Figure 3(a): ANY over two static predicates → schema is the union of
-    /// the children's types, which are internal nodes, so AST.
-    #[test]
-    fn any_over_static_predicates_is_ast() {
-        let q1 = lower_query(&parse_query("SELECT p FROM T WHERE a = 1").unwrap());
-        let pred = q1.children[3].children[0].clone();
-        let pred2 = {
-            let q2 = lower_query(&parse_query("SELECT p FROM T WHERE b = 2").unwrap());
-            q2.children[3].children[0].clone()
-        };
-        let mut any = DNode::any(vec![pred, pred2]);
-        any.renumber(0);
-        let types = infer_types(&any, &catalog());
-        let s = node_schema(&any, &types);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.elems[0].atom_type().unwrap().prim(), crate::PrimType::Ast);
-    }
-
-    /// Figure 3(c)-style VAL: schema is the specialised attribute type.
-    #[test]
-    fn val_schema_is_attribute_type() {
-        let mut gst = lower_query(&parse_query("SELECT p FROM T WHERE a = 1").unwrap());
-        let pred = &mut gst.children[3].children[0];
-        let lit = pred.children[1].clone();
-        pred.children[1] = DNode::val(vec![lit]);
-        gst.renumber(0);
-        let types = infer_types(&gst, &catalog());
-        let val = gst.choice_nodes()[0];
-        let s = node_schema(val, &types);
-        assert_eq!(s.to_string(), "<T.a>");
-        assert!(s.elems[0].atom_type().unwrap().is_num());
-    }
-
-    /// Figure 8(a): a BETWEEN with two ANY literal children has the cross
-    /// product schema <a1:T.a, a2:T.a>.
-    #[test]
-    fn between_with_two_anys_has_two_element_schema() {
-        let mut gst = lower_query(&parse_query("SELECT p FROM T WHERE a BETWEEN 1 AND 3").unwrap());
-        let pred = &mut gst.children[3].children[0];
-        for i in [1usize, 2] {
-            let lit = pred.children[i].clone();
-            let lit2 = DNode::leaf(SyntaxKind::Lit(LitVal(Literal::Int(99))));
-            pred.children[i] = DNode::any(vec![lit, lit2]);
-        }
-        gst.renumber(0);
-        let types = infer_types(&gst, &catalog());
-        let pred = &gst.children[3].children[0];
-        let s = node_schema(pred, &types);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.to_string(), "<T.a, T.a>");
-    }
-
-    /// OPT wraps its inner schema in `?` (Figure 7b).
-    #[test]
-    fn opt_schema() {
-        let mut gst = lower_query(&parse_query("SELECT p FROM T WHERE a = 1").unwrap());
-        let where_ = &mut gst.children[3];
-        let pred = where_.children.remove(0);
-        where_.children.push(DNode::any(vec![pred, DNode::empty()]));
-        gst.renumber(0);
-        let types = infer_types(&gst, &catalog());
-        let opt = gst.choice_nodes()[0];
-        let s = node_schema(opt, &types);
-        assert_eq!(s.len(), 1);
-        assert!(s.elems[0].is_opt());
-        assert_eq!(s.to_string(), "<AST?>");
-    }
-
-    /// MULTI applies `*` (Figure 7b) and SUBSET yields per-child `?`
-    /// elements (Figure 7c).
-    #[test]
-    fn multi_and_subset_schemas() {
-        let col = |n: &str| {
-            DNode::leaf(SyntaxKind::ColumnRef {
-                table: None,
-                column: n.into(),
-            })
-        };
-        let mut multi = DNode::multi(DNode::any(vec![col("a"), col("b")]));
-        multi.renumber(0);
-        let types = infer_types(&multi, &catalog());
-        let s = node_schema(&multi, &types);
-        assert_eq!(s.len(), 1);
-        assert!(s.elems[0].is_star());
-
-        let mut subset = DNode::subset(vec![col("a"), col("b")]);
-        subset.renumber(0);
-        let types = infer_types(&subset, &catalog());
-        let s = node_schema(&subset, &types);
-        assert_eq!(s.len(), 2);
-        assert!(s.elems.iter().all(|e| e.is_opt()));
-    }
-
-    /// Nested dynamic ANY (Figure 7a): <AST|<T.a>>-style nested schema.
-    #[test]
-    fn nested_any_schema() {
-        let mut gst = lower_query(&parse_query("SELECT p FROM T WHERE a = 1").unwrap());
-        // inner: a = ANY(1, 2); outer: ANY(b, inner-pred)
-        let pred = &mut gst.children[3].children[0];
-        let lit = pred.children[1].clone();
-        let lit2 = DNode::leaf(SyntaxKind::Lit(LitVal(Literal::Int(2))));
-        pred.children[1] = DNode::any(vec![lit, lit2]);
-        let inner_pred = gst.children[3].children[0].clone();
-        let other = DNode::leaf(SyntaxKind::ColumnRef {
-            table: None,
-            column: "b".into(),
-        });
-        gst.children[3].children[0] = DNode::any(vec![other, inner_pred]);
-        gst.renumber(0);
-        let types = infer_types(&gst, &catalog());
-        let outer = &gst.children[3].children[0];
-        let s = node_schema(outer, &types);
-        assert_eq!(s.len(), 1);
-        assert!(matches!(s.elems[0], SchemaExpr::Or(_)));
-        let shown = s.to_string();
-        assert!(shown.contains('|'), "nested or schema: {shown}");
-    }
-
     #[test]
     fn result_schema_unions_names_and_types() {
         let cat = catalog();
@@ -537,10 +198,17 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let rs = result_schema(&[q1, q2]).unwrap();
+        let attrs = AttrTable::new(&cat);
+        let rs = result_schema(&[&q1, &q2], &attrs).unwrap();
         assert_eq!(rs.cols.len(), 2);
         assert_eq!(rs.cols[0].display_name(), "p∪a");
-        assert_eq!(rs.cols[0].attrs.len(), 2);
+        let sources: Vec<&str> = rs.cols[0]
+            .attrs
+            .iter()
+            .map(|&a| attrs.get(a).column.as_str())
+            .collect();
+        assert_eq!(sources, ["a", "p"]);
+        assert!(rs.cols[1].attrs.is_empty());
         assert!(rs.is_aggregate);
         assert_eq!(rs.group_key_indices, vec![0]);
         assert!(rs.functionally_determines(&[0]));
@@ -551,13 +219,18 @@ mod tests {
         let cat = catalog();
         let q1 = analyze_query(&parse_query("SELECT p FROM T").unwrap(), &cat).unwrap();
         let q2 = analyze_query(&parse_query("SELECT p, a FROM T").unwrap(), &cat).unwrap();
-        assert!(result_schema(&[q1.clone(), q2]).is_none());
+        let attrs = AttrTable::new(&cat);
+        assert!(result_schema(&[&q1, &q2], &attrs).is_none());
+        assert!(!union_compatible(&[&q1, &q2]));
+        assert!(union_compatible(&[&q1, &q1]));
+        assert!(!union_compatible(&[]));
         // Str vs Int is also incompatible.
         let mut c2 = Catalog::new();
         let t = Table::from_rows(vec![("s", DataType::Str)], vec![]).unwrap();
         c2.add_table("U", t, vec![]);
         let q3 = analyze_query(&parse_query("SELECT s FROM U").unwrap(), &c2).unwrap();
-        assert!(result_schema(&[q1, q3]).is_none());
+        assert!(result_schema(&[&q1, &q3], &AttrTable::new(&c2)).is_none());
+        assert!(!union_compatible(&[&q1, &q3]));
     }
 
     #[test]
@@ -568,25 +241,10 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let rs = result_schema(&[info]).unwrap();
+        let rs = result_schema(&[&info], &AttrTable::new(&cat)).unwrap();
         assert!(rs.cols[0].is_categorical()); // 2 distinct values
         assert!(rs.cols[0].is_quantitative()); // ints are also quantitative
         assert!(!rs.cols[1].is_categorical()); // counts are unbounded
         assert!(rs.cols[1].is_quantitative());
-    }
-
-    #[test]
-    fn schema_display() {
-        let s = NodeSchema {
-            elems: vec![
-                SchemaExpr::Opt(Box::new(SchemaExpr::Atom(TypeOrSchema::Type(
-                    NodeType::num(),
-                )))),
-                SchemaExpr::Star(Box::new(SchemaExpr::Atom(TypeOrSchema::Type(
-                    NodeType::str_(),
-                )))),
-            ],
-        };
-        assert_eq!(s.to_string(), "<num?, str*>");
     }
 }

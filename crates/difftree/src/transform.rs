@@ -213,7 +213,7 @@ pub fn cross_tree_candidates(forest: &Forest, w: &Workload) -> Vec<Action> {
     let mut out = Vec::new();
     // Bind once and analyze each tree once; the pairwise merge check is
     // then a cheap union-compatibility test.
-    let tree_infos: Vec<Vec<pi2_engine::QueryInfo>> = match forest.bound_trees(w) {
+    let tree_infos: Vec<Vec<&pi2_engine::QueryInfo>> = match forest.bound_trees(w) {
         Some(trees) => (0..forest.trees.len())
             .map(|t| forest.tree_infos(t, w, &trees))
             .collect(),
@@ -254,7 +254,7 @@ pub fn tree_candidates(tree: &Tree, w: &Workload) -> Vec<Action> {
         node,
         other_tree: 0,
     };
-    let types = infer_types_cached(tree, &w.catalog);
+    let types = infer_types_cached(tree, w);
     let mut nodes = Vec::new();
     tree.walk(&mut nodes);
     for n in nodes {
@@ -311,7 +311,7 @@ pub fn tree_candidates(tree: &Tree, w: &Workload) -> Vec<Action> {
                     .iter()
                     .all(|c| matches!(c.kind, NodeKind::Syntax(SyntaxKind::Lit(_))))
             {
-                let ty = types.get(&n.id);
+                let ty = types.get(n.id as usize);
                 if ty.is_some_and(|t| t.is_num() || !t.attrs.is_empty()) {
                     out.push(local(Rule::AnyToVal, n.id));
                 }
@@ -430,18 +430,15 @@ pub fn canonicalize(forest: &Forest, w: &Workload, max_steps: usize) -> Forest {
 }
 
 /// Merge precondition (Figure 13): the two trees' result schemas must be
-/// union compatible. We check by analyzing the input queries each tree
-/// expresses and attempting a combined result schema.
+/// union compatible. We check the analyses of the input queries each tree
+/// expresses, without building the combined result schema.
 fn merge_compatible_infos(
-    infos_i: &[pi2_engine::QueryInfo],
-    infos_j: &[pi2_engine::QueryInfo],
+    infos_i: &[&pi2_engine::QueryInfo],
+    infos_j: &[&pi2_engine::QueryInfo],
 ) -> bool {
-    if infos_i.is_empty() || infos_j.is_empty() {
-        return false;
-    }
-    let mut infos = infos_i.to_vec();
-    infos.extend(infos_j.iter().cloned());
-    crate::schema::result_schema(&infos).is_some()
+    !infos_i.is_empty()
+        && !infos_j.is_empty()
+        && crate::schema::union_compatible(&[infos_i, infos_j].concat())
 }
 
 /// Split precondition: the tree is rooted at an ANY with ≥ 2 non-empty

@@ -36,8 +36,9 @@ const MAX_ENTRIES_PER_SHARD: usize = 8_192;
 pub struct TreeArtifacts {
     /// Inferred node types (tree-local ids).
     pub types: Arc<TypeMap>,
-    /// §3.2.2 result schema over the expressed queries.
-    pub schema: ResultSchema,
+    /// §3.2.2 result schema over the expressed queries (shared with every
+    /// mapping context over the tree).
+    pub schema: Arc<ResultSchema>,
     /// Candidate visualization mappings.
     pub vis_cands: Vec<VisMapping>,
     /// Candidate widgets (tree-local target/cover ids).
@@ -381,21 +382,21 @@ impl EvalCache {
         // Result schema over the expressed queries' precomputed analyses.
         let infos: Vec<_> = queries
             .iter()
-            .filter_map(|&qi| w.infos[qi].clone())
+            .filter_map(|&qi| w.infos[qi].as_ref())
             .collect();
         if infos.is_empty() {
             return None;
         }
-        let schema = result_schema(&infos)?;
+        let schema = Arc::new(result_schema(&infos, &w.attrs)?);
 
-        let types = infer_types_cached(tree, &w.catalog);
+        let types = infer_types_cached(tree, w);
         let results: Vec<Arc<Table>> = queries
             .iter()
             .filter_map(|&qi| self.query_result(w, qi))
             .collect();
         let samples: Vec<&Table> = results.iter().map(|t| t.as_ref()).collect();
         let vis_cands = vis_mapping_candidates(&schema, &samples);
-        let widget_cands = widget_candidates(tree.node(), &types, maps, &w.catalog);
+        let widget_cands = widget_candidates(tree.node(), &types, maps, &w.attrs);
 
         let mut flats = Vec::new();
         let mut nodes = Vec::new();

@@ -111,7 +111,10 @@ fn flatten_into(
             out.cover.push(node.id);
             out.elems.push(FlatElem {
                 node_id: node.id,
-                ty: types.get(&node.id).cloned().unwrap_or_else(NodeType::str_),
+                ty: types
+                    .get(node.id as usize)
+                    .cloned()
+                    .unwrap_or_else(NodeType::str_),
                 optional,
                 opt_controller,
                 repeated: false,
@@ -145,7 +148,10 @@ fn flatten_into(
                 out.cover.push(node.id);
                 out.elems.push(FlatElem {
                     node_id: node.id,
-                    ty: types.get(&node.id).cloned().unwrap_or_else(NodeType::str_),
+                    ty: types
+                        .get(node.id as usize)
+                        .cloned()
+                        .unwrap_or_else(NodeType::str_),
                     optional,
                     opt_controller,
                     repeated: false,
@@ -189,16 +195,16 @@ fn flatten_into(
 /// primitive elements require primitive-hierarchy compatibility (§3.2.1).
 pub fn event_type_compatible(event: &NodeType, elem: &NodeType) -> bool {
     if !elem.attrs.is_empty() {
-        return event.attrs.iter().any(|a| elem.attrs.contains(a));
+        return event.shares_attr(elem);
     }
-    event.prim().compatible_with(elem.prim())
+    event.prim.compatible_with(elem.prim)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pi2_data::{Catalog, DataType, Table, Value};
-    use pi2_difftree::{infer_types, lower_query};
+    use pi2_difftree::{infer_types, lower_query, Workload};
     use pi2_sql::parse_query;
 
     fn catalog() -> Catalog {
@@ -213,6 +219,10 @@ mod tests {
         .unwrap();
         c.add_table("Cars", t, vec![]);
         c
+    }
+
+    fn workload() -> Workload {
+        Workload::new(vec![], catalog())
     }
 
     /// Explore-style Where: two BETWEENs over VALs flattens to 4 numeric
@@ -233,7 +243,8 @@ mod tests {
             }
         }
         gst.renumber(0);
-        let types = infer_types(&gst, &catalog());
+        let w = workload();
+        let types = infer_types(&gst, &w);
         let where_ = &gst.children[3];
         let flat = flatten_node(where_, &types).expect("flattens");
         assert_eq!(flat.len(), 4);
@@ -244,7 +255,7 @@ mod tests {
         let attrs: Vec<String> = flat
             .elems
             .iter()
-            .map(|e| e.ty.attrs.iter().next().unwrap().qualified())
+            .map(|e| e.ty.display(&w.attrs).to_string())
             .collect();
         assert_eq!(attrs, vec!["Cars.hp", "Cars.hp", "Cars.mpg", "Cars.mpg"]);
     }
@@ -262,7 +273,8 @@ mod tests {
         }
         where_.children.push(DNode::any(vec![pred, DNode::empty()]));
         gst.renumber(0);
-        let types = infer_types(&gst, &catalog());
+        let w = workload();
+        let types = infer_types(&gst, &w);
         let opt = &gst.children[3].children[0];
         let flat = flatten_node(opt, &types).unwrap();
         assert_eq!(flat.len(), 2);
@@ -279,7 +291,8 @@ mod tests {
         let q2 = lower_query(&parse_query("SELECT mpg FROM Cars").unwrap());
         let mut any = DNode::any(vec![q1, q2]);
         any.renumber(0);
-        let types = infer_types(&any, &catalog());
+        let w = workload();
+        let types = infer_types(&any, &w);
         assert!(flatten_node(&any, &types).is_none());
     }
 
@@ -294,7 +307,8 @@ mod tests {
         )));
         pred.children[1] = DNode::any(vec![lit, lit2]);
         gst.renumber(0);
-        let types = infer_types(&gst, &catalog());
+        let w = workload();
+        let types = infer_types(&gst, &w);
         let pred = &gst.children[3].children[0];
         let flat = flatten_node(pred, &types).unwrap();
         assert_eq!(flat.len(), 1);
@@ -312,7 +326,8 @@ mod tests {
         let items: Vec<DNode> = pred.children.drain(1..).collect();
         pred.children.push(DNode::multi(DNode::any(items)));
         gst.renumber(0);
-        let types = infer_types(&gst, &catalog());
+        let w = workload();
+        let types = infer_types(&gst, &w);
         let pred = &gst.children[3].children[0];
         let flat = flatten_node(pred, &types).unwrap();
         assert_eq!(flat.len(), 1);
@@ -323,15 +338,17 @@ mod tests {
 
     #[test]
     fn event_type_compatibility() {
-        let cat = catalog();
-        let hp = NodeType::attr("Cars", "hp", DataType::Int);
-        let mpg = NodeType::attr("Cars", "mpg", DataType::Float);
+        let w = workload();
+        let hp = w.attrs.node_type(w.attrs.lookup("Cars", "hp").unwrap());
+        let mpg = w.attrs.node_type(w.attrs.lookup("Cars", "mpg").unwrap());
         assert!(event_type_compatible(&hp, &hp));
         assert!(!event_type_compatible(&hp, &mpg));
         // Attribute events bind primitive-typed elements if prims fit.
         assert!(event_type_compatible(&hp, &NodeType::num()));
         assert!(event_type_compatible(&hp, &NodeType::str_()));
         assert!(!event_type_compatible(&NodeType::str_(), &NodeType::num()));
-        let _ = cat;
+        // A union shares either attribute.
+        assert!(event_type_compatible(&hp, &hp.union(&mpg)));
+        assert!(event_type_compatible(&hp.union(&mpg), &mpg));
     }
 }

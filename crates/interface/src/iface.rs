@@ -226,8 +226,8 @@ pub struct MappingContext<'a> {
     pub bases: Vec<u32>,
     /// Inferred node types per tree (tree-local ids, cache-shared).
     pub types: Vec<Arc<TypeMap>>,
-    /// The schemas.
-    pub schemas: Vec<Option<ResultSchema>>,
+    /// Result schema per tree (cache-shared).
+    pub schemas: Vec<Option<Arc<ResultSchema>>>,
     /// Binding maps of the queries each tree expresses (tree-local ids):
     /// one entry per distinct query, in first-occurrence order.
     pub per_query_maps: Vec<Vec<Arc<BindingMap>>>,
@@ -301,7 +301,7 @@ impl<'a> MappingContext<'a> {
             let art = cache.tree_artifacts(tree, &queries_per_tree[t], &maps, workload)?;
             bases.push(base);
             types.push(Arc::clone(&art.types));
-            schemas.push(Some(art.schema.clone()));
+            schemas.push(Some(Arc::clone(&art.schema)));
             results.push(art.results.clone());
             vis_cands.push(art.vis_cands.clone());
             widget_cands.push(art.widget_cands.iter().map(|c| c.shifted(base)).collect());

@@ -118,13 +118,8 @@ impl VisInteractionCandidate {
 
 /// The event-value type a result column produces.
 pub fn col_node_type(col: &ResultCol) -> NodeType {
-    let prim = if col.dtype.is_numeric() {
-        pi2_difftree::PrimType::Num
-    } else {
-        pi2_difftree::PrimType::Str
-    };
     NodeType {
-        prim: Some(prim),
+        prim: pi2_difftree::PrimType::of(col.dtype),
         attrs: col.attrs.clone(),
     }
 }
@@ -419,7 +414,7 @@ mod tests {
     use crate::flat::flatten_node;
     use crate::vis::{vis_mapping_candidates, VisKind};
     use pi2_data::{Catalog, DataType, Value};
-    use pi2_difftree::{infer_types, lower_query, DNode};
+    use pi2_difftree::{infer_types, lower_query, AttrTable, DNode, Workload};
     use pi2_sql::parse_query;
 
     fn cars_catalog() -> Catalog {
@@ -463,7 +458,7 @@ mod tests {
             }
         }
         gst.renumber(0);
-        let types = infer_types(&gst, cat);
+        let types = infer_types(&gst, &Workload::new(vec![], cat.clone()));
         let flat = flatten_node(&gst.children[3], &types).unwrap();
         (gst, flat)
     }
@@ -474,7 +469,7 @@ mod tests {
             cat,
         )
         .unwrap();
-        pi2_difftree::result_schema(&[info]).unwrap()
+        pi2_difftree::result_schema(&[&info], &AttrTable::new(cat)).unwrap()
     }
 
     #[test]
@@ -535,7 +530,7 @@ mod tests {
         let lit = pred.children[1].clone();
         pred.children[1] = DNode::val(vec![lit]);
         gst.renumber(0);
-        let types = infer_types(&gst, &cat);
+        let types = infer_types(&gst, &Workload::new(vec![], cat.clone()));
         let val = gst.choice_nodes()[0];
         let flat = flatten_node(val, &types).unwrap();
         // A bar chart over hp, count(*).
@@ -544,7 +539,7 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let schema = pi2_difftree::result_schema(&[info]).unwrap();
+        let schema = pi2_difftree::result_schema(&[&info], &AttrTable::new(&cat)).unwrap();
         let vis = VisMapping {
             kind: VisKind::Bar,
             assignments: vec![(0, VisVar::X), (1, VisVar::Y)],
@@ -573,7 +568,7 @@ mod tests {
         }
         where_.children.push(DNode::any(vec![pred, DNode::empty()]));
         gst.renumber(0);
-        let types = infer_types(&gst, &cat);
+        let types = infer_types(&gst, &Workload::new(vec![], cat.clone()));
         let opt = &gst.children[3].children[0];
         let flat = flatten_node(opt, &types).unwrap();
         let schema = explore_schema(&cat);

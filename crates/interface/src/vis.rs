@@ -397,13 +397,12 @@ mod tests {
     use super::*;
     use pi2_data::DataType;
     use pi2_difftree::ResultCol;
-    use std::collections::BTreeSet;
 
     fn col(name: &str, dtype: DataType, card: Option<usize>, unique: bool, gk: bool) -> ResultCol {
         ResultCol {
             names: vec![name.to_string()],
             dtype,
-            attrs: BTreeSet::new(),
+            attrs: Vec::new(),
             is_group_key: gk,
             unique,
             cardinality: card,

@@ -14,8 +14,10 @@
 //! reachable through the widget.
 
 use crate::flat::flatten_node;
-use pi2_data::{Catalog, Value};
-use pi2_difftree::{sql_snippet, Binding, BindingMap, DNode, NodeKind, SyntaxKind, TypeMap};
+use pi2_data::Value;
+use pi2_difftree::{
+    sql_snippet, AttrTable, Binding, BindingMap, DNode, NodeKind, SyntaxKind, TypeMap,
+};
 use pi2_sql::ast::Literal;
 use std::fmt;
 
@@ -220,20 +222,17 @@ pub fn literal_to_value(lit: &Literal) -> Value {
 /// Generate every valid widget candidate for the dynamic nodes of a tree.
 ///
 /// * `per_query` — binding maps of the input queries this tree expresses
-///   (for constraint checks such as the range slider's `s ≤ e`).
+///   (for constraint checks such as the range slider's `s ≤ e`);
+/// * `attrs` — the workload's attributes, whose statistics give domains.
 pub fn widget_candidates(
     tree: &DNode,
     types: &TypeMap,
     per_query: &[&BindingMap],
-    catalog: &Catalog,
+    attrs: &AttrTable,
 ) -> Vec<WidgetCandidate> {
     let mut out = Vec::new();
     let mut nodes = Vec::new();
     tree.walk(&mut nodes);
-    // One stats resolver for the whole candidate loop: each (table, column)
-    // pair resolves against the catalogue (case-folded table lookup +
-    // column scan) once, not once per candidate node.
-    let mut stats = ColumnStatsMemo::new(catalog);
     for node in nodes {
         if !node.is_dynamic() {
             continue;
@@ -241,8 +240,8 @@ pub fn widget_candidates(
         let before = out.len();
         match &node.kind {
             NodeKind::Any => any_candidates(node, &mut out),
-            NodeKind::Val => val_candidates(node, types, &mut stats, &mut out),
-            NodeKind::Multi => multi_candidates(node, types, &mut stats, &mut out),
+            NodeKind::Val => val_candidates(node, types, attrs, &mut out),
+            NodeKind::Multi => multi_candidates(node, types, attrs, &mut out),
             NodeKind::Subset => {
                 let options: Vec<String> = node.children.iter().map(sql_snippet).collect();
                 out.push(WidgetCandidate {
@@ -257,7 +256,7 @@ pub fn widget_candidates(
             NodeKind::Syntax(_) => {
                 // Multi-element value nodes: range slider over a flattened
                 // <num, num> schema (Example 6).
-                range_slider_candidates(node, types, per_query, &mut stats, &mut out);
+                range_slider_candidates(node, types, per_query, attrs, &mut out);
             }
         }
         // Improve generic labels using the enclosing predicate's column.
@@ -295,39 +294,6 @@ fn ancestor_column(tree: &DNode, id: u32) -> Option<String> {
         n.children.iter().find_map(first_column_of)
     }
     go(tree, id, None)
-}
-
-/// Memoized `(table, column) → &ColumnStats` resolution for one
-/// `widget_candidates` call: the candidate generators consult attribute
-/// domains and distinct-value lists per node, and the underlying catalogue
-/// lookup (case-folded table name + case-insensitive `Schema::index_of`
-/// scan) would otherwise re-run per candidate. Linear scan: a workload
-/// references a handful of distinct columns.
-struct ColumnStatsMemo<'a> {
-    catalog: &'a Catalog,
-    cache: Vec<(String, String, Option<&'a pi2_data::ColumnStats>)>,
-}
-
-impl<'a> ColumnStatsMemo<'a> {
-    fn new(catalog: &'a Catalog) -> ColumnStatsMemo<'a> {
-        ColumnStatsMemo {
-            catalog,
-            cache: Vec::new(),
-        }
-    }
-
-    fn get(&mut self, table: &str, column: &str) -> Option<&'a pi2_data::ColumnStats> {
-        if let Some((_, _, s)) = self
-            .cache
-            .iter()
-            .find(|(t, c, _)| t.eq_ignore_ascii_case(table) && c.eq_ignore_ascii_case(column))
-        {
-            return *s;
-        }
-        let s = self.catalog.column_stats(table, column);
-        self.cache.push((table.to_string(), column.to_string(), s));
-        s
-    }
 }
 
 fn any_candidates(node: &DNode, out: &mut Vec<WidgetCandidate>) {
@@ -388,10 +354,10 @@ fn any_candidates(node: &DNode, out: &mut Vec<WidgetCandidate>) {
 fn val_candidates(
     node: &DNode,
     types: &TypeMap,
-    stats: &mut ColumnStatsMemo<'_>,
+    attrs: &AttrTable,
     out: &mut Vec<WidgetCandidate>,
 ) {
-    let ty = types.get(&node.id);
+    let ty = types.get(node.id as usize);
     // Textbox is always valid for VAL (free-form literal).
     out.push(WidgetCandidate {
         kind: WidgetKind::Textbox,
@@ -404,7 +370,7 @@ fn val_candidates(
     // Slider: numeric VAL with a known attribute domain (§2: "initialized
     // with the minimum and maximum of attribute a and b's domains").
     if ty.is_num() {
-        if let Some((min, max)) = ty.domain_via(&mut |t, c| stats.get(t, c)) {
+        if let Some((min, max)) = ty.domain(attrs) {
             if let (Some(lo), Some(hi)) = (min.as_f64(), max.as_f64()) {
                 out.push(WidgetCandidate {
                     kind: WidgetKind::Slider,
@@ -417,7 +383,7 @@ fn val_candidates(
         }
     }
     // Dropdown over the attribute's distinct values when enumerable.
-    if let Some(values) = ty.distinct_values_via(&mut |t, c| stats.get(t, c)) {
+    if let Some(values) = ty.distinct_values(attrs) {
         if !values.is_empty() && values.len() <= 30 {
             let options: Vec<String> = values.iter().map(|v| v.to_string()).collect();
             out.push(WidgetCandidate {
@@ -441,7 +407,7 @@ fn val_candidates(
 fn multi_candidates(
     node: &DNode,
     types: &TypeMap,
-    stats: &mut ColumnStatsMemo<'_>,
+    attrs: &AttrTable,
     out: &mut Vec<WidgetCandidate>,
 ) {
     let mut cover = vec![node.id];
@@ -467,8 +433,8 @@ fn multi_candidates(
                 .collect(),
         ),
         NodeKind::Val => types
-            .get(&template.id)
-            .and_then(|t| t.distinct_values_via(&mut |tb, c| stats.get(tb, c)))
+            .get(template.id as usize)
+            .and_then(|t| t.distinct_values(attrs))
             .filter(|v| !v.is_empty() && v.len() <= 30)
             .map(|v| v.iter().map(|x| x.to_string()).collect()),
         NodeKind::Syntax(_) if !template.is_dynamic() => Some(vec![sql_snippet(template)]),
@@ -489,7 +455,7 @@ fn range_slider_candidates(
     node: &DNode,
     types: &TypeMap,
     per_query: &[&BindingMap],
-    stats: &mut ColumnStatsMemo<'_>,
+    attrs: &AttrTable,
     out: &mut Vec<WidgetCandidate>,
 ) {
     // Only consider compact value nodes, not whole clauses/queries.
@@ -530,7 +496,7 @@ fn range_slider_candidates(
     // when the catalogue lacks statistics.
     let union_ty = flat.elems[0].ty.union(&flat.elems[1].ty);
     let domain = union_ty
-        .domain_via(&mut |t, c| stats.get(t, c))
+        .domain(attrs)
         .and_then(|(lo, hi)| {
             Some(WidgetDomain::Range {
                 min: lo.as_f64()?,
@@ -569,7 +535,7 @@ fn context_label(node: &DNode) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pi2_data::{DataType, Table};
+    use pi2_data::{Catalog, DataType, Table};
     use pi2_difftree::{infer_types, lower_query, Forest, Workload};
     use pi2_sql::parse_query;
 
@@ -589,8 +555,9 @@ mod tests {
     }
 
     fn candidates_for(tree: &DNode, cat: &Catalog) -> Vec<WidgetCandidate> {
-        let types = infer_types(tree, cat);
-        widget_candidates(tree, &types, &[], cat)
+        let w = Workload::new(vec![], cat.clone());
+        let types = infer_types(tree, &w);
+        widget_candidates(tree, &types, &[], &w.attrs)
     }
 
     #[test]
@@ -672,8 +639,8 @@ mod tests {
         let f = Forest::new(vec![gst]);
         let assignments = f.bind_all(&w).unwrap();
         let maps: Vec<&BindingMap> = assignments.iter().map(|a| &*a.binding).collect();
-        let types = infer_types(&f.trees[0], &cat);
-        let cands = widget_candidates(&f.trees[0], &types, &maps, &cat);
+        let types = infer_types(&f.trees[0], &w);
+        let cands = widget_candidates(&f.trees[0], &types, &maps, &w.attrs);
         let rs = cands
             .iter()
             .find(|c| c.kind == WidgetKind::RangeSlider)
@@ -700,8 +667,8 @@ mod tests {
         let f = Forest::new(vec![gst]);
         let assignments = f.bind_all(&w).unwrap();
         let maps: Vec<&BindingMap> = assignments.iter().map(|a| &*a.binding).collect();
-        let types = infer_types(&f.trees[0], &cat);
-        let cands = widget_candidates(&f.trees[0], &types, &maps, &cat);
+        let types = infer_types(&f.trees[0], &w);
+        let cands = widget_candidates(&f.trees[0], &types, &maps, &w.attrs);
         assert!(!cands.iter().any(|c| c.kind == WidgetKind::RangeSlider));
     }
 

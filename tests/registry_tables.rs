@@ -92,7 +92,7 @@ fn range_slider_constraint_is_public() {
     );
     let w = Workload::new(
         vec![parse_query("SELECT a FROM T WHERE a BETWEEN 9 AND 3").unwrap()],
-        c.clone(),
+        c,
     );
     let mut tree = w.gsts[0].clone();
     let pred = &mut tree.children[3].children[0];
@@ -103,8 +103,8 @@ fn range_slider_constraint_is_public() {
     let f = Forest::new(vec![tree]);
     let assignments = f.bind_all(&w).unwrap();
     let maps: Vec<&pi2_difftree::BindingMap> = assignments.iter().map(|a| &*a.binding).collect();
-    let types = infer_types(&f.trees[0], &c);
-    let cands = pi2_interface::widget_candidates(&f.trees[0], &types, &maps, &c);
+    let types = infer_types(&f.trees[0], &w);
+    let cands = pi2_interface::widget_candidates(&f.trees[0], &types, &maps, &w.attrs);
     assert!(
         !cands
             .iter()
