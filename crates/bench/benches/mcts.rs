@@ -4,7 +4,8 @@
 //!
 //! `mcts/*_30iters` time one whole search per iteration. Each search owns
 //! its transposition tables, so every iteration evaluates its states again
-//! (the process-wide difftree and mapping-artifact memos stay warm).
+//! (the difftree memos of the workload all iterations share, and the
+//! process-wide mapping-artifact memo, stay warm).
 //!
 //! `mcts/reward_estimate_k5` reuses one `MappingContext`, so after its first
 //! iteration it times a warm per-context safety memo.

@@ -2,12 +2,13 @@
 //!
 //! One utility behind every process-wide cache in the workspace — the
 //! mapping-artifact and executed-result caches (`pi2-interface`) and the
-//! bind / schema signature / type-inference memos (`pi2-difftree`) — and
-//! behind each MCTS search's own reward/action transposition tables
-//! (`pi2-search`, uncapped and dropped with the search). All of them share
-//! the same shape — hash-sharded `Mutex<HashMap>`s, a per-shard entry cap
-//! that clears a shard instead of growing without bound, and "first writer
-//! wins" insertion (every writer would store the same value, because cached
+//! analysis memo (`pi2-engine`) — and behind the memos an owner drops with
+//! itself: each workload's bind / schema signature / type-inference memos
+//! (`pi2-difftree`) and each MCTS search's reward/action transposition
+//! tables (`pi2-search`), both uncapped. All of them share the same shape —
+//! hash-sharded `Mutex<HashMap>`s, a per-shard entry cap that clears a
+//! shard instead of growing without bound, and "first writer wins"
+//! insertion (every writer would store the same value, because cached
 //! computations are pure functions of their key).
 //!
 //! The utility lives in `pi2-data` because it is the one crate every other
@@ -15,6 +16,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
 
 /// Default shard count: enough that a dozen worker threads rarely contend
@@ -25,6 +27,21 @@ pub const DEFAULT_SHARDS: usize = 16;
 pub struct ShardedMemo<K, V> {
     shards: Vec<Mutex<HashMap<K, V>>>,
     cap_per_shard: usize,
+}
+
+/// An uncapped memo with [`DEFAULT_SHARDS`] shards, for one owner whose
+/// lifetime bounds it (a search's tables, a workload's per-tree memos).
+impl<K: Hash + Eq + Clone, V: Clone> Default for ShardedMemo<K, V> {
+    fn default() -> Self {
+        Self::new(usize::MAX)
+    }
+}
+
+/// Opaque: formatting takes no shard lock.
+impl<K, V> fmt::Debug for ShardedMemo<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShardedMemo").finish_non_exhaustive()
+    }
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> ShardedMemo<K, V> {

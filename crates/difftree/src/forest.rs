@@ -38,8 +38,8 @@
 use crate::bind::{bind_query, resolve, Binding, BindingMap};
 use crate::gst::{lower_query, DNode};
 use crate::schema::{result_schema, ResultSchema};
-use crate::types::AttrTable;
-use pi2_data::Catalog;
+use crate::types::{AttrTable, TypeMap};
+use pi2_data::{Catalog, ShardedMemo};
 use pi2_engine::{analyze_query, QueryInfo};
 use pi2_sql::ast::Query;
 use std::collections::HashMap;
@@ -47,10 +47,12 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Shared, immutable context for a generation session: the input queries and
-/// the catalogue, plus per-query artifacts that are pure functions of the
+/// Shared context for a generation session: the input queries and the
+/// catalogue, plus per-query artifacts that are pure functions of the
 /// workload (lowered GSTs, GST fingerprints, analyzed schema info) so the
-/// search never recomputes them per state.
+/// search never recomputes them per state, and the per-tree memos its
+/// searches fill. Immutable after [`Workload::new`], which `attrs` and the
+/// memos assume; a clone shares the memos.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// The input queries.
@@ -72,6 +74,20 @@ pub struct Workload {
     /// The catalogue's attributes, interned: the ids every type and result
     /// schema of this workload carries. Built from `catalog` once.
     pub attrs: AttrTable,
+    pub(crate) memos: Arc<TreeMemos>,
+}
+
+/// Per-tree facts of one workload, memoized because search states share
+/// most of their trees (§6). Uncapped: the trees its searches visit bound
+/// them. Shared by the search's workers and freed with the workload.
+#[derive(Debug, Default)]
+pub(crate) struct TreeMemos {
+    /// (tree fp, tree size, query GST fp) → verified tree-local binding.
+    pub(crate) binds: ShardedMemo<(u64, u32, u64), Option<Arc<BindingMap>>>,
+    /// Tree fp → §3.2.1 type map.
+    pub(crate) types: ShardedMemo<u64, Arc<TypeMap>>,
+    /// Choice-free query subtree fp → result-schema signature.
+    pub(crate) sigs: ShardedMemo<u64, Option<String>>,
 }
 
 impl Workload {
@@ -107,6 +123,7 @@ impl Workload {
             class,
             attrs: AttrTable::new(&catalog),
             catalog,
+            memos: Arc::default(),
         }
     }
 
@@ -329,20 +346,19 @@ impl Forest {
     /// occurrences ([`Workload::class`]) are bound, and each duplicate
     /// shares its first occurrence's binding.
     ///
-    /// Results are memoized per (tree fingerprint, query fingerprint) in a
-    /// process-global cache: search states share most of their trees, ids
-    /// are tree-local, and fingerprints are precomputed, so a cache probe
-    /// costs two u64 compares instead of re-hashing the tree.
+    /// Results are memoized per (tree fingerprint, query fingerprint) in the
+    /// workload's memos: search states share most of their trees, ids are
+    /// tree-local, and fingerprints are precomputed, so a cache probe costs
+    /// two u64 compares instead of re-hashing the tree.
     pub fn bind_all(&self, w: &Workload) -> Option<Vec<Assignment>> {
         let mut out: Vec<Assignment> = Vec::with_capacity(w.gsts.len());
-        for (qi, gst) in w.gsts.iter().enumerate() {
+        for qi in 0..w.len() {
             let first = w.class[qi];
             let a = if first < qi {
                 out[first].clone()
             } else {
                 self.trees.iter().enumerate().find_map(|(ti, tree)| {
-                    bind_tree_cached(tree, gst, w.gst_fps[qi])
-                        .map(|binding| Assignment { tree: ti, binding })
+                    bind_tree_cached(tree, w, qi).map(|binding| Assignment { tree: ti, binding })
                 })?
             };
             out.push(a);
@@ -356,14 +372,14 @@ impl Forest {
     /// transform; it reads the binding cache without copying a binding.
     pub fn bound_trees(&self, w: &Workload) -> Option<Vec<usize>> {
         let mut out: Vec<usize> = Vec::with_capacity(w.gsts.len());
-        for (qi, gst) in w.gsts.iter().enumerate() {
+        for qi in 0..w.len() {
             let first = w.class[qi];
             let t = if first < qi {
                 out[first]
             } else {
                 self.trees
                     .iter()
-                    .position(|tree| bind_tree_cached(tree, gst, w.gst_fps[qi]).is_some())?
+                    .position(|tree| bind_tree_cached(tree, w, qi).is_some())?
             };
             out.push(t);
         }
@@ -450,22 +466,14 @@ impl Forest {
     }
 }
 
-/// Cached, verified bind of one query against one sealed tree. Bindings are
-/// tree-local (the tree root is id 0), so cache entries transfer between
-/// forests sharing the tree without any id shifting. The memo is
-/// process-global and lock-sharded ([`pi2_data::ShardedMemo`]): binds are
-/// pure functions of (tree, query), so search workers share hits. Entries
-/// are `Arc`-shared, so a hit copies a pointer under the shard lock.
-fn bind_tree_cached(tree: &Tree, gst: &DNode, gst_fp: u64) -> Option<Arc<BindingMap>> {
-    use pi2_data::ShardedMemo;
-    use std::sync::OnceLock;
-    /// (tree fp, tree size, query gst fp) → verified tree-local binding.
-    type BindMemo = ShardedMemo<(u64, u32, u64), Option<Arc<BindingMap>>>;
-    static BIND_CACHE: OnceLock<BindMemo> = OnceLock::new();
-    let cache =
-        BIND_CACHE.get_or_init(|| ShardedMemo::new(200_000 / pi2_data::memo::DEFAULT_SHARDS));
-    let key = (tree.fp, tree.size, gst_fp);
-    cache.get_or_insert_with(&key, || {
+/// Cached, verified bind of input query `qi` against one sealed tree.
+/// Bindings are tree-local (root id 0), so entries transfer between forests
+/// sharing the tree without id shifting; they are `Arc`-shared, so a hit
+/// copies a pointer under the shard lock.
+fn bind_tree_cached(tree: &Tree, w: &Workload, qi: usize) -> Option<Arc<BindingMap>> {
+    let gst = &w.gsts[qi];
+    let key = (tree.fp, tree.size, w.gst_fps[qi]);
+    w.memos.binds.get_or_insert_with(&key, || {
         bind_query(tree.node(), gst).and_then(|binding| {
             // Verify the round trip: resolve must reproduce the query.
             match resolve(tree.node(), &binding) {

@@ -812,19 +812,14 @@ fn cluster_children(children: &[&DNode], w: &Workload) -> Vec<usize> {
 /// Signature of a choice-free query subtree: output arity + column names +
 /// types. Name-sensitive so that Partition separates e.g. the Filter log's
 /// three group-by attributes while still grouping literal-only variants.
-/// Memoized per (subtree fingerprint, catalogue) — the same query subtrees
-/// are re-clustered by every Partition candidate along a search path.
+/// Memoized per subtree fingerprint in the workload's memos — the same
+/// query subtrees are re-clustered by every Partition candidate along a
+/// search path.
 fn query_schema_signature(node: &DNode, w: &Workload) -> Option<String> {
     if node.is_dynamic() {
         return None;
     }
-    use pi2_data::ShardedMemo;
-    use std::sync::OnceLock;
-    // Process-global lock-sharded memo (signatures are pure in the key).
-    static SIG_CACHE: OnceLock<ShardedMemo<(u64, u64), Option<String>>> = OnceLock::new();
-    let cache = SIG_CACHE.get_or_init(|| ShardedMemo::new(50_000 / pi2_data::memo::DEFAULT_SHARDS));
-    let key = (structural_fingerprint(node), w.catalog.fingerprint());
-    cache.get_or_insert_with(&key, || {
+    let signature = || {
         let q = crate::gst::raise_query(node).ok()?;
         let info = analyze_query(&q, &w.catalog).ok()?;
         let types: Vec<(String, DataType)> = info
@@ -833,7 +828,9 @@ fn query_schema_signature(node: &DNode, w: &Workload) -> Option<String> {
             .map(|c| (c.name.to_ascii_lowercase(), c.ty.dtype()))
             .collect();
         Some(format!("{}:{types:?}", info.cols.len()))
-    })
+    };
+    let key = structural_fingerprint(node);
+    w.memos.sigs.get_or_insert_with(&key, signature)
 }
 
 /// ANY→VAL: relax a literal choice to its full (attribute-typed) domain.
@@ -1306,6 +1303,51 @@ mod tests {
             .children
             .iter()
             .any(|c| c.kind == NodeKind::Any && c.children.len() == 2));
+    }
+
+    /// The per-tree memos belong to their workload: a second workload over
+    /// the same catalogue and queries starts with them empty and computes
+    /// equal values, while a clone shares the first one's entries.
+    #[test]
+    fn tree_memos_are_scoped_to_their_workload() {
+        let sqls = [
+            "SELECT p, count(*) FROM T WHERE a = 1 GROUP BY p",
+            "SELECT p, count(*) FROM T WHERE a = 2 GROUP BY p",
+            "SELECT p FROM T",
+        ];
+        let sizes = |w: &Workload| (w.memos.binds.len(), w.memos.types.len(), w.memos.sigs.len());
+        let run = |w: &Workload| {
+            let all = Forest::new(vec![DNode::any(w.gsts.clone())]);
+            let types = infer_types_cached(&all.trees[0], w);
+            let bound = all
+                .bind_all(w)
+                .expect("the merged tree expresses every query");
+            let sigs: Vec<_> = w
+                .gsts
+                .iter()
+                .map(|g| query_schema_signature(g, w))
+                .collect();
+            (all, types, bound, sigs)
+        };
+        let a = workload(&sqls);
+        let (all, types, bound, sigs) = run(&a);
+        let filled = sizes(&a);
+        assert!(filled.0 > 0 && filled.1 > 0 && filled.2 > 0, "{filled:?}");
+        assert!(sigs.iter().all(Option::is_some), "{sigs:?}");
+
+        let b = workload(&sqls);
+        assert_eq!(sizes(&b), (0, 0, 0), "a new workload starts cold");
+        let (_, b_types, b_bound, b_sigs) = run(&b);
+        assert_eq!(*b_types, *types);
+        assert_eq!(b_bound, bound);
+        assert_eq!(b_sigs, sigs);
+        assert_eq!(sizes(&b), filled);
+        assert_eq!(sizes(&a), filled, "B's run leaves A's memos alone");
+
+        let c = a.clone();
+        assert_eq!(sizes(&c), filled, "a clone sees A's entries");
+        assert!(Arc::ptr_eq(&infer_types_cached(&all.trees[0], &c), &types));
+        assert!(!Arc::ptr_eq(&b_types, &types));
     }
 
     #[test]

@@ -324,22 +324,15 @@ pub fn infer_types(root: &DNode, w: &Workload) -> TypeMap {
     map
 }
 
-/// [`infer_types`] memoized per (tree fingerprint, catalogue fingerprint).
+/// [`infer_types`] memoized per tree fingerprint in the workload's memos.
 /// Search states share most of their trees and ids are tree-local, so the
 /// inferred map transfers between states unchanged; candidate enumeration
 /// calls this once per tree per state instead of re-walking every node.
-/// Attribute ids are a pure function of the catalogue, so the key needs
+/// The workload fixes the catalogue and its attribute ids, so the key needs
 /// nothing else.
 pub fn infer_types_cached(tree: &Tree, w: &Workload) -> Arc<TypeMap> {
-    use pi2_data::ShardedMemo;
-    use std::sync::OnceLock;
-    // Process-global, lock-sharded (shared across search workers; inference
-    // is a pure function of the key).
-    static TYPE_CACHE: OnceLock<ShardedMemo<(u64, u64), Arc<TypeMap>>> = OnceLock::new();
-    let cache =
-        TYPE_CACHE.get_or_init(|| ShardedMemo::new(20_000 / pi2_data::memo::DEFAULT_SHARDS));
-    let key = (tree.fingerprint(), w.catalog.fingerprint());
-    cache.get_or_insert_with(&key, || Arc::new(infer_types(tree.node(), w)))
+    let infer = || Arc::new(infer_types(tree.node(), w));
+    w.memos.types.get_or_insert_with(&tree.fingerprint(), infer)
 }
 
 /// The base tables a tree's FROM clauses name (including those in

@@ -172,11 +172,11 @@ impl<'w> Shared<'w> {
         Shared {
             workload,
             best: Mutex::new((f64::NEG_INFINITY, None)),
-            rewards: ShardedMemo::new(usize::MAX),
-            children: ShardedMemo::new(usize::MAX),
-            candidates: ShardedMemo::new(usize::MAX),
-            tree_candidates: ShardedMemo::new(usize::MAX),
-            successors: ShardedMemo::new(usize::MAX),
+            rewards: ShardedMemo::default(),
+            children: ShardedMemo::default(),
+            candidates: ShardedMemo::default(),
+            tree_candidates: ShardedMemo::default(),
+            successors: ShardedMemo::default(),
         }
     }
 

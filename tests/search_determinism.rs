@@ -4,7 +4,10 @@
 //! transposition table a search's workers share cannot leak cross-worker
 //! timing into results: the same `MctsConfig` must return an identical best
 //! forest on every run, single- or multi-worker. Each search owns its
-//! tables, so every run starts them cold.
+//! tables, so every run starts them cold. The difftree memos (bindings,
+//! type maps, schema signatures) belong to the `Workload`: a fresh workload
+//! starts them cold, and a reused one is warm. The mapping layer's
+//! `EvalCache` and the engine's analysis memo are still process-wide.
 
 mod common;
 
@@ -24,12 +27,14 @@ fn workload(kind: LogKind) -> Workload {
 }
 
 /// The pinned test configuration with one worker returns bit-identical
-/// results run over run (the second run rebuilds its transposition tables
-/// from scratch, while the process-wide difftree and mapping memos are warm
-/// — memo hits must not change outcomes).
+/// results run over run. The first run is on a fresh workload, so its
+/// difftree memos start cold; the second rebuilds its transposition tables
+/// from scratch but finds the workload's difftree memos (and the
+/// process-wide mapping memo) warm. Memo hits must not change the path:
+/// equal forests, iterations and evaluated states.
 #[test]
 fn single_worker_search_is_reproducible() {
-    for kind in [LogKind::Explore, LogKind::Abstract] {
+    for kind in [LogKind::Explore, LogKind::Abstract, LogKind::Filter] {
         let w = workload(kind);
         let cfg = MctsConfig {
             workers: 1,
@@ -40,6 +45,8 @@ fn single_worker_search_is_reproducible() {
         assert_eq!(s1, s2, "[{kind:?}] repeated runs must agree");
         assert_eq!(s1.key(), s2.key());
         assert_eq!(st1.best_reward, st2.best_reward);
+        assert_eq!(st1.iterations, st2.iterations, "[{kind:?}]");
+        assert_eq!(st1.states_evaluated, st2.states_evaluated, "[{kind:?}]");
     }
 }
 
