@@ -14,7 +14,6 @@ use std::time::Duration;
 pub struct Measurement {
     pub log: &'static str,
     pub early_stop: usize,
-    pub sync_interval: usize,
     pub workers: usize,
     pub mcts_time: Duration,
     pub mapping_time: Duration,
@@ -28,17 +27,12 @@ impl Measurement {
 }
 
 /// The generation configuration for a §7.3 condition; defaults follow the
-/// paper (es = 30, p = 3, s = 10).
-pub fn condition_config(
-    early_stop: usize,
-    sync_interval: usize,
-    workers: usize,
-    seed: u64,
-) -> GenerationConfig {
+/// paper (es = 30, p = 3). The sync interval `s` stays at its default: it
+/// cannot change a search result (see `MctsConfig::sync_interval`).
+pub fn condition_config(early_stop: usize, workers: usize, seed: u64) -> GenerationConfig {
     GenerationConfig {
         mcts: MctsConfig {
             early_stop,
-            sync_interval,
             workers,
             seed,
             ..MctsConfig::default()
@@ -48,26 +42,16 @@ pub fn condition_config(
 }
 
 /// Run one condition against one log.
-pub fn run_condition(
-    kind: LogKind,
-    early_stop: usize,
-    sync_interval: usize,
-    workers: usize,
-    seed: u64,
-) -> Measurement {
+pub fn run_condition(kind: LogKind, early_stop: usize, workers: usize, seed: u64) -> Measurement {
     let l = log(kind);
     let refs: Vec<&str> = l.queries.iter().map(|s| s.as_str()).collect();
     let pi2 = Pi2::new(catalog());
     let g = pi2
-        .generate_with(
-            &refs,
-            &condition_config(early_stop, sync_interval, workers, seed),
-        )
+        .generate_with(&refs, &condition_config(early_stop, workers, seed))
         .unwrap_or_else(|e| panic!("[{}] {e}", l.name));
     Measurement {
         log: l.name,
         early_stop,
-        sync_interval,
         workers,
         mcts_time: g.mcts_stats.duration,
         mapping_time: g.mapping_time,
@@ -80,7 +64,7 @@ pub fn generate_default(kind: LogKind, seed: u64) -> Generation {
     let l = log(kind);
     let refs: Vec<&str> = l.queries.iter().map(|s| s.as_str()).collect();
     Pi2::new(catalog())
-        .generate_with(&refs, &condition_config(30, 10, 3, seed))
+        .generate_with(&refs, &condition_config(30, 3, seed))
         .unwrap_or_else(|e| panic!("[{}] {e}", l.name))
 }
 
@@ -145,7 +129,6 @@ mod tests {
         let m = |log: &'static str, cost: f64| Measurement {
             log,
             early_stop: 30,
-            sync_interval: 10,
             workers: 3,
             mcts_time: Duration::ZERO,
             mapping_time: Duration::ZERO,

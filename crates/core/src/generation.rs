@@ -29,7 +29,6 @@ impl GenerationConfig {
                 workers: 1,
                 max_iterations: 60,
                 early_stop: 20,
-                sync_interval: 5,
                 ..MctsConfig::default()
             },
             mapping: MappingOptions::default(),
@@ -180,14 +179,6 @@ impl Generation {
             .interactions
             .iter()
             .any(|i| matches!(&i.choice, InteractionChoice::Vis { kind: k, .. } if *k == kind))
-    }
-
-    /// Whether some interaction is a widget of the given kind.
-    pub fn has_widget(&self, kind: pi2_interface::WidgetKind) -> bool {
-        self.interface
-            .interactions
-            .iter()
-            .any(|i| matches!(&i.choice, InteractionChoice::Widget { kind: k, .. } if *k == kind))
     }
 
     /// Whether a visualization interaction on one view targets a *different*

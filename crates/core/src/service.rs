@@ -4,9 +4,10 @@
 //! PR 1/2 made search and execution fast; this layer makes the result
 //! *servable*. A [`Pi2Service`] owns any number of registered workloads —
 //! registration parses, generates, and pre-warms the process-wide
-//! [`pi2_interface::EvalCache`] once — and any number of [`Session`]s open
-//! concurrently over one shared [`Generation`] (its internals are `Arc`s,
-//! so opening a session never copies the forest, workload, or interface).
+//! [`pi2_interface::EvalCache`]'s result memo once — and any number of
+//! [`Session`]s open concurrently over one shared [`Generation`] (its
+//! internals are `Arc`s, so opening a session never copies the forest,
+//! workload, or interface).
 //!
 //! Dispatch is a *delta*: [`Session::dispatch`] stages an event through the
 //! pure `EventEngine` (see `crate::runtime`), commits only the trees whose
@@ -97,8 +98,8 @@ enum Fill {
 ///
 /// Sessions are cheap: per-tree binding maps, resolved queries, and
 /// fingerprints. Everything heavy (forest, interface, type maps, executed
-/// results, mapping artifacts) is shared — across sessions, threads, and
-/// with the search phase that produced the generation.
+/// results) is shared — across sessions, threads, and with the search
+/// phase that produced the generation.
 #[derive(Debug)]
 pub struct Session {
     generation: Generation,
@@ -435,9 +436,9 @@ impl Pi2Service {
     }
 
     /// Register a workload: parse the queries, run generation, pre-warm
-    /// the shared caches (input-query results + per-tree mapping
-    /// artifacts), and store the generation under `name` (replacing any
-    /// previous registration). Returns the shared generation.
+    /// the shared result memo with the input queries' results, and store
+    /// the generation under `name` (replacing any previous registration).
+    /// Returns the shared generation.
     pub fn register(
         &self,
         name: &str,
@@ -450,7 +451,8 @@ impl Pi2Service {
     }
 
     /// Register an already-generated interface (e.g. re-serving a stored
-    /// generation without re-searching). Pre-warms the shared caches.
+    /// generation without re-searching). Pre-warms the shared result memo
+    /// with the input queries' results, so first patches are memo-warm.
     pub fn register_generation(
         &self,
         name: &str,
@@ -458,7 +460,6 @@ impl Pi2Service {
     ) -> Result<Generation, Pi2Error> {
         let cache = global_eval_cache();
         let warmed_queries = cache.warm_workload(&generation.workload);
-        cache.warm_forest(&generation.forest, &generation.workload);
         self.workloads.write().insert(
             name.to_string(),
             Registered {

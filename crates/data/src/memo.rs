@@ -1,11 +1,11 @@
 //! A generic, cap-checked, lock-sharded memo table.
 //!
 //! One utility behind every process-wide cache in the workspace — the
-//! mapping-artifact and executed-result caches (`pi2-interface`) and the
-//! analysis memo (`pi2-engine`) — and behind the memos an owner drops with
-//! itself: each workload's bind / schema signature / type-inference memos
-//! (`pi2-difftree`) and each MCTS search's reward/action transposition
-//! tables (`pi2-search`), both uncapped. All of them share the same shape —
+//! mapping-artifact and executed-result caches (`pi2-interface`) — and
+//! behind the memos an owner drops with itself: each workload's bind /
+//! schema signature / type-inference memos (`pi2-difftree`) and each MCTS
+//! search's reward/action transposition tables (`pi2-search`), both
+//! uncapped. All of them share the same shape —
 //! hash-sharded `Mutex<HashMap>`s, a per-shard entry cap that clears a
 //! shard instead of growing without bound, and "first writer wins"
 //! insertion (every writer would store the same value, because cached

@@ -103,33 +103,6 @@ pub fn analyze_query(query: &Query, catalog: &Catalog) -> Result<QueryInfo, Engi
     analyze_with_outer(query, catalog, &[])
 }
 
-/// Process-global analysis memo: analysis is a pure function of
-/// (catalogue, query), and the executor re-derives output schemas (and
-/// re-checks subquery correlation) on every execution — for correlated
-/// subqueries, once per outer group. Keyed by (catalogue fingerprint,
-/// FNV of the printed query).
-type AnalysisResult = std::sync::Arc<Result<QueryInfo, EngineError>>;
-static ANALYZE_MEMO: std::sync::OnceLock<pi2_data::ShardedMemo<(u64, u64), AnalysisResult>> =
-    std::sync::OnceLock::new();
-
-/// Memoized [`analyze_query`] (first writer wins; both executors share it).
-pub fn analyze_query_cached(query: &Query, catalog: &Catalog) -> AnalysisResult {
-    let memo = ANALYZE_MEMO.get_or_init(|| pi2_data::ShardedMemo::new(4096));
-    let key = (
-        catalog.fingerprint(),
-        pi2_data::hash::fnv1a_64(query.to_string().as_bytes()),
-    );
-    memo.get_or_insert_with(&key, || std::sync::Arc::new(analyze_query(query, catalog)))
-}
-
-/// Drop every memoized analysis keyed to a retired catalogue fingerprint —
-/// the analysis leg of the epoch-tagged eviction sweep after an append.
-pub fn evict_analyses_for(catalog_fingerprint: u64) {
-    if let Some(memo) = ANALYZE_MEMO.get() {
-        memo.retain(|(fp, _), _| *fp != catalog_fingerprint);
-    }
-}
-
 fn analyze_with_outer(
     query: &Query,
     catalog: &Catalog,

@@ -13,7 +13,7 @@
 //!   the reference implementation; the differential property tests pin
 //!   both executors to identical outputs.
 
-use crate::analyze::{analyze_query_cached, default_name};
+use crate::analyze::{analyze_query, default_name};
 use crate::error::EngineError;
 use crate::eval::Scope;
 use crate::vector::{
@@ -1253,11 +1253,11 @@ pub(crate) fn derive_schema(
     input_types: &[DataType],
     first: Option<&[Value]>,
 ) -> Schema {
-    match analyze_query_cached(query, ctx.catalog).as_ref() {
+    match analyze_query(query, ctx.catalog) {
         Ok(info) => Schema::new(
             info.cols
-                .iter()
-                .map(|c| Column::new(c.name.clone(), c.ty.dtype()))
+                .into_iter()
+                .map(|c| Column::new(c.name, c.ty.dtype()))
                 .collect(),
         ),
         Err(_) => fallback_schema(query, input_cols, input_types, first),

@@ -53,7 +53,7 @@
 //! but never results. The differential tests below and
 //! `crates/workloads/tests/proptest_live.rs` pin all of this.
 
-use crate::analyze::analyze_query_cached;
+use crate::analyze::analyze_query;
 use crate::error::EngineError;
 use crate::exec::{
     apply_filter, build_groups, exec_projection, group_key_columns, shape_aggregate, ExecContext,
@@ -181,7 +181,7 @@ pub fn ivm_table(query: &Query) -> Option<String> {
 /// ([`ivm_table`]) *and* static analysis succeeds, which guarantees a stable
 /// output schema across appends (appends never change column types).
 pub fn supported(query: &Query, catalog: &pi2_data::Catalog) -> bool {
-    ivm_table(query).is_some() && analyze_query_cached(query, catalog).is_ok()
+    ivm_table(query).is_some() && analyze_query(query, catalog).is_ok()
 }
 
 /// Every aggregate call of the query (select list, then `HAVING`, then

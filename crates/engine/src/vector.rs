@@ -443,7 +443,7 @@ pub(crate) fn eval_vec(
 /// i.e. it can be hoisted out of the per-row loop. Analysis failing for any
 /// reason keeps the (always-correct) per-row path.
 fn is_uncorrelated(q: &Query, ctx: &ExecContext<'_>) -> bool {
-    crate::analyze::analyze_query_cached(q, ctx.catalog).is_ok()
+    crate::analyze::analyze_query(q, ctx.catalog).is_ok()
 }
 
 /// Fallback: evaluate `expr` per row through the scalar interpreter,

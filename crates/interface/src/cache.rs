@@ -21,7 +21,7 @@ use crate::widget::{widget_candidates, WidgetCandidate};
 use pi2_data::hash::fnv1a_64;
 use pi2_data::{Catalog, CatalogDelta, ShardedMemo, Table};
 use pi2_difftree::{
-    infer_types_cached, result_schema, BindingMap, Forest, ResultSchema, Tree, TypeMap, Workload,
+    infer_types_cached, result_schema, BindingMap, ResultSchema, Tree, TypeMap, Workload,
 };
 use pi2_engine::{execute, ExecContext, IvmState};
 use pi2_sql::ast::Query;
@@ -289,8 +289,8 @@ impl EvalCache {
 
     /// The epoch-tagged eviction sweep: drop every memo entry keyed to a
     /// retired catalogue fingerprint (two appends old — see
-    /// `pi2_data::live`), including the analysis memo in `pi2-engine`.
-    /// Dropped result entries count as invalidated views.
+    /// `pi2_data::live`). Dropped result entries count as invalidated
+    /// views.
     pub fn evict_catalog(&self, catalog_fingerprint: u64) {
         let mut dropped: u64 = 0;
         self.results.retain(|(fp, _), _| {
@@ -303,7 +303,6 @@ impl EvalCache {
         self.ivm.retain(|(fp, _), _| *fp != catalog_fingerprint);
         self.artifacts
             .retain(|(_, _, fp), _| *fp != catalog_fingerprint);
-        pi2_engine::analyze::evict_analyses_for(catalog_fingerprint);
         self.live
             .invalidated_views
             .fetch_add(dropped, Ordering::Relaxed);
@@ -328,14 +327,6 @@ impl EvalCache {
         (0..w.queries.len())
             .filter(|&qi| self.query_result(w, qi).is_some())
             .count()
-    }
-
-    /// Pre-warm the per-tree mapping artifacts of a forest (types, schemas,
-    /// candidates, flats) by building a throwaway mapping context. Returns
-    /// whether the forest was mappable. Registration calls this once so
-    /// concurrent sessions never rebuild artifacts.
-    pub fn warm_forest(&self, forest: &Forest, w: &Workload) -> bool {
-        crate::iface::MappingContext::build(forest, w).is_some()
     }
 
     /// Hit/miss counters of the executed-result memo.

@@ -11,8 +11,7 @@
 //!   estimation (K = 5 samples per state),
 //! * [`mcts`] — single-player MCTS with the 3-term UCT of Eq. 1, the
 //!   `TERMINATE` pseudo-rule, Cadiaplayer-style max-reward return, and
-//!   parallel workers with a synchronisation interval and early stopping
-//!   (§6.2.1).
+//!   parallel workers with early stopping (§6.2.1).
 
 #[cfg(test)]
 mod bind_reference;

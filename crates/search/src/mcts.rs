@@ -11,8 +11,15 @@
 //! * **max-reward return** (Cadiaplayer): the search returns the best state
 //!   *encountered* (during rollouts and reward sampling), not the best mean
 //!   child;
-//! * **parallel workers** with a synchronisation interval `s` and early
-//!   stopping after `es` iterations without local improvement.
+//! * **parallel workers** with early stopping after `es` iterations
+//!   without local improvement.
+//!
+//! The paper's synchronisation interval `s` is accepted but has no effect
+//! ([`MctsConfig::sync_interval`]): workers share reward estimates and
+//! transitions through the tables below, never each other's best state,
+//! so each worker publishes its best once, when it finishes. The merge
+//! takes a maximum under a total order, so publishing more often could
+//! not change the result.
 //!
 //! # State handling
 //!
@@ -65,7 +72,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// MCTS parameters. The paper's defaults: early stop `es = 30`, `p = 3`
-/// workers, synchronisation interval `s = 10` (§7.3).
+/// workers, synchronisation interval `s = 10` (§7.3; a no-op here).
 #[derive(Debug, Clone)]
 pub struct MctsConfig {
     /// Exploration constant `c` of Eq. 1 (on normalised rewards).
@@ -76,7 +83,8 @@ pub struct MctsConfig {
     pub k_mappings: usize,
     /// Early stop after this many iterations without local improvement.
     pub early_stop: usize,
-    /// Worker synchronisation interval (iterations).
+    /// The paper's worker synchronisation interval `s` (iterations). It has
+    /// no effect (see the module doc); kept because configurations set it.
     pub sync_interval: usize,
     /// Parallel workers (p).
     pub workers: usize,
@@ -563,24 +571,14 @@ pub fn mcts_search(workload: &Workload, cfg: &MctsConfig) -> (Forest, SearchStat
                 let mut iters = 0usize;
                 // Each worker runs to its own early stop or the iteration
                 // cap — never to a shared flag, so its trajectory (and the
-                // search result) is independent of thread scheduling. The
-                // sync interval only publishes the running best; reward
-                // estimates are already shared through the transposition
-                // table, so a fast worker's work still reaches stragglers.
+                // search result) is independent of thread scheduling.
+                // Reward estimates are shared through the transposition
+                // table, so a fast worker's work still reaches stragglers;
+                // the best state is merged once, when the worker finishes.
                 while iters < cfg.max_iterations && worker.stale < cfg.early_stop {
-                    for _ in 0..cfg.sync_interval.max(1) {
-                        if iters >= cfg.max_iterations || worker.stale >= cfg.early_stop {
-                            break;
-                        }
-                        worker.iterate();
-                        iters += 1;
-                    }
-                    {
-                        let mut best = shared.best.lock();
-                        merge_best(&mut best, worker.best.0, &worker.best.1);
-                    }
+                    worker.iterate();
+                    iters += 1;
                 }
-                // Final sync.
                 let mut best = shared.best.lock();
                 merge_best(&mut best, worker.best.0, &worker.best.1);
                 total_iterations.fetch_add(iters, Ordering::SeqCst);
@@ -644,7 +642,6 @@ mod tests {
             workers: 1,
             max_iterations: 40,
             early_stop: 15,
-            sync_interval: 5,
             ..MctsConfig::default()
         }
     }
@@ -748,7 +745,6 @@ mod tests {
             workers: 1,
             max_iterations: 10_000,
             early_stop: 5,
-            sync_interval: 5,
             ..MctsConfig::default()
         };
         let (_, stats) = mcts_search(&w, &cfg);

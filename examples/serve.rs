@@ -25,7 +25,6 @@ fn main() {
             workers: 2,
             max_iterations: 120,
             early_stop: 25,
-            sync_interval: 10,
             seed: 42,
             ..MctsConfig::default()
         },

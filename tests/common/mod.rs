@@ -10,7 +10,6 @@ pub fn test_config() -> GenerationConfig {
             workers: 2,
             max_iterations: 120,
             early_stop: 25,
-            sync_interval: 10,
             seed: 42,
             ..MctsConfig::default()
         },

@@ -7,7 +7,7 @@
 //! tables, so every run starts them cold. The difftree memos (bindings,
 //! type maps, schema signatures) belong to the `Workload`: a fresh workload
 //! starts them cold, and a reused one is warm. The mapping layer's
-//! `EvalCache` and the engine's analysis memo are still process-wide.
+//! `EvalCache` is still process-wide.
 
 mod common;
 
@@ -77,4 +77,33 @@ fn search_never_regresses_below_initial_state() {
     assert!(state.bind_all(&w).is_some());
     assert!(stats.best_reward.is_finite());
     assert!(state.trees.len() <= w.len());
+}
+
+/// The synchronisation interval `s` is a no-op: workers never read each
+/// other's best state, and each publishes its own once under a total order,
+/// so any `s` returns the same forest, reward, iterations and evaluated
+/// states for a given worker count.
+#[test]
+fn sync_interval_does_not_change_the_result() {
+    for kind in [LogKind::Filter, LogKind::Covid] {
+        let w = workload(kind);
+        let run = |sync_interval| {
+            let cfg = MctsConfig {
+                sync_interval,
+                ..test_config().mcts
+            };
+            mcts_search(&w, &cfg)
+        };
+        let (s1, st1) = run(1);
+        for s in [10, 1000] {
+            let (sn, stn) = run(s);
+            assert_eq!(s1.key(), sn.key(), "[{kind:?}] s = {s}");
+            assert_eq!(st1.best_reward, stn.best_reward, "[{kind:?}] s = {s}");
+            assert_eq!(st1.iterations, stn.iterations, "[{kind:?}] s = {s}");
+            assert_eq!(
+                st1.states_evaluated, stn.states_evaluated,
+                "[{kind:?}] s = {s}"
+            );
+        }
+    }
 }
