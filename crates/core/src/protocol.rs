@@ -386,11 +386,12 @@ pub fn table_from_json(j: &Json) -> Result<Table, Pi2Error> {
                     values.len()
                 )));
             }
-            // Replicate `Table::push_row`: start typed per the declared
-            // dtype, demote to `Mixed` on the first mismatched cell.
+            // Each cell by `Table::push_row`'s rule: a cell whose type
+            // differs from the declared one is rejected.
             let mut out = ColumnData::new_typed(dtype);
             for v in values {
-                out.push(cell_from_json(v, dtype)?);
+                out.push(cell_from_json(v, dtype)?)
+                    .map_err(|e| proto_err(format!("column '{name}': {e}")))?;
             }
             out
         };
@@ -415,13 +416,8 @@ fn cell_from_json(j: &Json, dtype: DataType) -> Result<Value, Pi2Error> {
     match j {
         Json::Null => Ok(Value::Null),
         Json::Bool(b) => Ok(Value::Bool(*b)),
-        Json::Int(i) => {
-            if dtype == DataType::Float {
-                Ok(Value::Float(*i as f64))
-            } else {
-                Ok(Value::Int(*i))
-            }
-        }
+        // An integral float arrives as an integer; the column widens it.
+        Json::Int(i) => Ok(Value::Int(*i)),
         Json::Float(x) => Ok(Value::Float(*x)),
         Json::Str(s) => {
             if dtype == DataType::Date {
@@ -1040,11 +1036,13 @@ mod tests {
                     Value::Str("x".into()),
                     Value::Date(19000),
                 ],
+                // An int widens into the float column.
+                vec![Value::Null, Value::Int(2), Value::Null, Value::Null],
                 vec![
-                    Value::Null,
-                    Value::Int(2),
-                    Value::Null,
-                    Value::Str("not a date".into()),
+                    Value::Int(-4),
+                    Value::Float(f64::INFINITY),
+                    Value::Str("é".into()),
+                    Value::Date(0),
                 ],
             ],
         )

@@ -1,7 +1,8 @@
 //! Property tests for the versioned wire protocol: `Event → JSON → Event`
-//! is the identity, and `Patch → JSON → parse` re-encodes byte-identically
+//! is the identity, `Patch → JSON → parse` re-encodes byte-identically
 //! (the canonical equality for patches, robust to value-storage coercion
-//! inside columnar tables).
+//! inside columnar tables), and byte-mutated `append` requests and tables
+//! either decode to well-typed tables or fail as pinned `protocol` errors.
 
 use pi2::{
     event_from_json, event_to_json, patch_from_json, patch_to_json, DataType, Event, Patch,
@@ -66,25 +67,126 @@ fn arb_dtype() -> impl Strategy<Value = DataType> {
     ]
 }
 
-/// A table whose cells may disagree with their column's declared type —
-/// the `Mixed` escape hatch the tagged cell encoding exists for.
+/// One cell of a `dtype` column: NULL, or a value of that type — ints in
+/// float columns (which the column widens), integral floats, the
+/// non-finite floats behind the `{"f":…}` tags, and strings that need
+/// escaping.
+fn arb_cell(dtype: DataType) -> BoxedStrategy<Value> {
+    let typed = match dtype {
+        DataType::Bool => any::<bool>().prop_map(Value::Bool).boxed(),
+        DataType::Int => any::<i64>().prop_map(Value::Int).boxed(),
+        DataType::Float => prop_oneof![
+            (-1.0e9f64..1.0e9).prop_map(Value::Float),
+            any::<i32>().prop_map(|i| Value::Float(i as f64)),
+            any::<i32>().prop_map(|i| Value::Int(i as i64)),
+            prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)]
+                .prop_map(Value::Float),
+        ]
+        .boxed(),
+        DataType::Str => prop_oneof![
+            "[a-zA-Z0-9 _'\"\\\\:,{}]{0,12}".prop_map(Value::Str),
+            "[é☃日a-z\n\t]{0,6}".prop_map(Value::Str),
+        ]
+        .boxed(),
+        DataType::Date => (-100_000i64..100_000).prop_map(Value::Date).boxed(),
+    };
+    prop_oneof![1 => Just(Value::Null), 4 => typed].boxed()
+}
+
+/// A named column of `rows` cells of one type.
+fn arb_column(rows: usize) -> impl Strategy<Value = (String, DataType, Vec<Value>)> {
+    ("[a-z]{1,6}", arb_dtype()).prop_flat_map(move |(name, dtype)| {
+        prop::collection::vec(arb_cell(dtype), rows..rows + 1)
+            .prop_map(move |cells| (name.clone(), dtype, cells))
+    })
+}
+
+/// A table of one to three columns of every type, each cell of its
+/// column's type or NULL.
 fn arb_table() -> impl Strategy<Value = Table> {
-    (
-        prop::collection::vec(("[a-z]{1,6}", arb_dtype()), 1..4),
-        0usize..5,
-    )
-        .prop_flat_map(|(cols, nrows)| {
-            let ncols = cols.len();
-            prop::collection::vec(
-                prop::collection::vec(arb_value(), ncols..ncols + 1),
-                nrows..nrows + 1,
+    (0usize..5)
+        .prop_flat_map(|rows| {
+            (
+                arb_column(rows),
+                arb_column(rows),
+                arb_column(rows),
+                1usize..4,
             )
-            .prop_map(move |rows| {
-                let schema: Vec<(&str, DataType)> =
-                    cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-                Table::from_rows(schema, rows).expect("arity matches by construction")
-            })
         })
+        .prop_map(|(a, b, c, ncols)| {
+            let cols = &[a, b, c][..ncols];
+            let schema: Vec<(&str, DataType)> =
+                cols.iter().map(|(n, t, _)| (n.as_str(), *t)).collect();
+            let rows = (0..cols[0].2.len())
+                .map(|r| cols.iter().map(|(_, _, cells)| cells[r].clone()).collect())
+                .collect();
+            Table::from_rows(schema, rows).expect("every cell fits its column")
+        })
+}
+
+/// `bytes` with each `(kind, at, byte)` edit applied in turn: replace,
+/// insert before, or delete the byte at `at` (modulo the length).
+fn mutate(mut bytes: Vec<u8>, edits: &[(u8, usize, u8)]) -> Vec<u8> {
+    for &(kind, at, byte) in edits {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = at % bytes.len();
+        match kind {
+            0 => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            _ => {
+                bytes.remove(at);
+            }
+        }
+    }
+    bytes
+}
+
+/// Edits biased toward the bytes JSON structure and the cell codec turn
+/// on, plus arbitrary ones (invalid UTF-8 included).
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, usize, u8)>> {
+    let byte = prop_oneof![
+        prop_oneof![
+            Just(b'"'),
+            Just(b'{'),
+            Just(b'}'),
+            Just(b'['),
+            Just(b']'),
+            Just(b','),
+            Just(b':'),
+            Just(b'-'),
+            Just(b'.'),
+            Just(b'e'),
+            Just(b'0'),
+            Just(b'9'),
+            Just(b'n'),
+            Just(b'\\'),
+        ],
+        any::<u8>(),
+    ];
+    prop::collection::vec((0u8..3, any::<usize>(), byte), 1..4)
+}
+
+/// Every decode rejection is a `protocol` error under HTTP 400.
+fn assert_protocol_rejection(err: &pi2::Pi2Error, text: &str) {
+    assert!(
+        matches!(err, pi2::Pi2Error::Protocol(_)),
+        "{err:?} for {text:?}"
+    );
+    assert_eq!(
+        (err.code(), err.http_status()),
+        ("protocol", 400),
+        "{text:?}"
+    );
+}
+
+/// A decoded table keeps the invariant the codec exists to keep: every
+/// column's storage has its declared type.
+fn assert_typed(t: &Table) {
+    for (i, c) in t.schema.columns.iter().enumerate() {
+        assert_eq!(t.col(i).dtype(), c.dtype, "column {}", c.name);
+    }
 }
 
 fn arb_patch() -> impl Strategy<Value = Patch> {
@@ -126,10 +228,12 @@ fn arb_string_column() -> impl Strategy<Value = (pi2::ColumnData, pi2::ColumnDat
     .prop_map(|cells| {
         let mut plain = pi2::ColumnData::new_typed(DataType::Str);
         for c in &cells {
-            plain.push(match c {
-                None => Value::Null,
-                Some(s) => Value::Str(s.to_string()),
-            });
+            plain
+                .push(match c {
+                    None => Value::Null,
+                    Some(s) => Value::Str(s.to_string()),
+                })
+                .unwrap();
         }
         let dict = plain.clone().dict_encode();
         (plain, dict)
@@ -219,6 +323,46 @@ proptest! {
             }
             let truncated: String = chars[..cut].iter().collect();
             prop_assert!(patch_from_json(&truncated).is_err());
+        }
+    }
+}
+
+proptest! {
+    // Few random edits yield well-formed JSON with a mistyped cell, so
+    // these run more cases than the default.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Hostile `append` payloads: a valid request with a few bytes
+    /// replaced, inserted or deleted never panics the decoder. It either
+    /// decodes (an append's rows then hold only cells of their columns'
+    /// types) or fails as a `protocol` error under HTTP 400.
+    #[test]
+    fn mutated_append_requests_decode_or_reject_cleanly(
+        rows in arb_table(),
+        edits in arb_edits(),
+    ) {
+        let request = pi2::Request::Append {
+            workload: "live".into(),
+            table: "T".into(),
+            rows,
+        };
+        let bytes = mutate(pi2::request_to_json(&request).into_bytes(), &edits);
+        let text = String::from_utf8_lossy(&bytes);
+        match pi2::request_from_json(&text) {
+            Ok(pi2::Request::Append { rows, .. }) => assert_typed(&rows),
+            Ok(_) => {}
+            Err(e) => assert_protocol_rejection(&e, &text),
+        }
+    }
+
+    /// The same for the table codec alone, below the request envelope.
+    #[test]
+    fn mutated_tables_decode_or_reject_cleanly(table in arb_table(), edits in arb_edits()) {
+        let bytes = mutate(pi2_data::wire::table_to_json(&table).into_bytes(), &edits);
+        let text = String::from_utf8_lossy(&bytes);
+        match pi2::Json::parse(&text).and_then(|j| pi2::protocol::table_from_json(&j)) {
+            Ok(t) => assert_typed(&t),
+            Err(e) => assert_protocol_rejection(&e, &text),
         }
     }
 }

@@ -143,7 +143,8 @@ impl Catalog {
     /// Append `delta` rows to table `name`, returning the *next* catalogue
     /// version. The receiver is untouched (readers keep scanning their
     /// snapshot); the new version shares all existing chunk storage by
-    /// `Arc`.
+    /// `Arc`. A delta whose column count or types differ from the table's
+    /// is rejected.
     ///
     /// Everything here costs O(appended rows) plus O(chunks + distinct
     /// values retained in the statistics), whatever the table's size: the
@@ -420,6 +421,36 @@ mod tests {
         assert_eq!(d.prev_fingerprint, c0.fingerprint());
         assert_eq!(d.tables["t"].base_rows, 2);
         assert_eq!(d.tables["t"].rows.num_rows(), 1);
+    }
+
+    #[test]
+    fn append_rows_rejects_a_mistyped_delta() {
+        let c0 = catalog_with_t();
+        for (dtype, cell) in [
+            (DataType::Str, Value::Str("x".into())),
+            (DataType::Float, Value::Float(1.5)),
+        ] {
+            let delta = Table::from_rows(
+                vec![("p", DataType::Int), ("a", DataType::Int), ("b", dtype)],
+                vec![vec![Value::Int(3), Value::Int(30), cell]],
+            )
+            .unwrap();
+            let err = c0.append_rows("T", delta).unwrap_err();
+            assert_eq!(
+                err,
+                DataError::TypeMismatch {
+                    expected: "int".into(),
+                    found: dtype.to_string()
+                }
+            );
+        }
+        // Nothing moved: the next append is still epoch 1 over the same
+        // fingerprint, and the column keeps its typed storage.
+        let c1 = c0.append_rows("T", delta_rows(&[(3, 30, 300)])).unwrap();
+        assert_eq!(c1.epoch(), 1);
+        assert_eq!(c1.delta().unwrap().prev_fingerprint, c0.fingerprint());
+        let t = &c1.table("T").unwrap().table;
+        assert!(matches!(t.col(2), crate::ColumnData::Int64 { .. }));
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! per column (`Int64`/`Float64`/`Utf8`/`Bool`/`Date64`) plus a null bitmap,
 //! so profiling (distinct counts, min/max, uniqueness) and the vectorized
 //! query engine scan contiguous primitive slices instead of cloning
-//! [`Value`]s row by row. Columns whose values do not fit one storage type
-//! (rare: schema-less fallback outputs of correlated subqueries) degrade to
-//! the `Mixed` variant, which keeps exact row-interpreter semantics.
+//! [`Value`]s row by row. Every column has exactly one storage type: a
+//! cell that does not fit it is rejected where it comes in
+//! ([`ColumnData::push`]), never stored.
 //!
 //! Per-element `hash_value_into` / `eq_at` / `cmp_at` are bit-for-bit
 //! compatible with [`Value`]'s `Hash` / `PartialEq` / `Ord`, so hash
 //! aggregation and sorting over columns agree with the scalar interpreter.
 
+use crate::error::DataError;
 use crate::types::DataType;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -259,8 +260,6 @@ pub enum ColumnData {
         /// The null bitmap.
         nulls: NullMask,
     },
-    /// Heterogeneous escape hatch: exact [`Value`] storage.
-    Mixed(Vec<Value>),
 }
 
 /// The `(codes, dictionary, nulls)` view of a dictionary column, as
@@ -379,24 +378,19 @@ impl ColumnData {
         }
     }
 
-    /// Build a column from values: typed storage when every value fits one
-    /// storage type (`hint` breaks the tie for all-NULL columns), `Mixed`
-    /// otherwise.
-    pub fn from_values(vals: Vec<Value>, hint: Option<DataType>) -> ColumnData {
-        let mut dtype: Option<DataType> = None;
-        for v in &vals {
-            match (v.data_type(), dtype) {
-                (None, _) => {}
-                (Some(t), None) => dtype = Some(t),
-                (Some(t), Some(d)) if t == d => {}
-                _ => return ColumnData::Mixed(vals),
-            }
-        }
-        let mut col = ColumnData::new_typed(dtype.or(hint).unwrap_or(DataType::Str));
+    /// Build a column of type `dtype` from values, each cell by
+    /// [`ColumnData::push`]'s rule. Without a declared type the column
+    /// takes its first non-NULL value's type (`Str` when every value is
+    /// NULL).
+    pub fn from_values(vals: Vec<Value>, dtype: Option<DataType>) -> Result<ColumnData, DataError> {
+        let dtype = dtype
+            .or_else(|| vals.iter().find_map(Value::data_type))
+            .unwrap_or(DataType::Str);
+        let mut col = ColumnData::new_typed(dtype);
         for v in vals {
-            col.push(v);
+            col.push(v)?;
         }
-        col
+        Ok(col)
     }
 
     /// A null-free integer column.
@@ -548,15 +542,19 @@ impl ColumnData {
     /// null bitmaps word-wise ([`NullMask::extend_from`]). All-`Dict` parts
     /// merge into the sorted union of their dictionaries with a per-part
     /// code remap (so appends against a dictionary column keep the
-    /// sorted-dictionary invariant). Anything else — a `Dict`/`Utf8`
-    /// mixture included, which [`crate::Table::append_table`] never
-    /// produces — falls back to [`ColumnData::from_values`] over the
-    /// materialized cells.
+    /// sorted-dictionary invariant). A `Dict`/`Utf8` mixture decodes to
+    /// `Utf8`.
+    ///
+    /// # Panics
+    ///
+    /// If `parts` is empty or its parts differ in [`ColumnData::dtype`]:
+    /// the chunks of one table column never do.
     pub fn concat(parts: &[&ColumnData]) -> ColumnData {
-        match parts {
-            [] => return ColumnData::Mixed(Vec::new()),
-            [one] => return (*one).clone(),
-            _ => {}
+        let [first, rest @ ..] = parts else {
+            panic!("concat of no parts");
+        };
+        if rest.is_empty() {
+            return (*first).clone();
         }
         let total: usize = parts.iter().map(|p| p.len()).sum();
         if parts.iter().all(|p| matches!(p, ColumnData::Dict { .. })) {
@@ -589,14 +587,17 @@ impl ColumnData {
         same_variant!(Utf8);
         same_variant!(Bool);
         same_variant!(Date64);
-        // Mismatched variants: materialize and let from_values re-type
-        // (a purely representational mismatch still yields typed storage).
-        let hint = parts.iter().find_map(|p| p.dtype());
-        let mut vals: Vec<Value> = Vec::with_capacity(total);
+        assert!(
+            parts.iter().all(|p| p.dtype() == DataType::Str),
+            "concat of parts of different types"
+        );
+        let mut values = Vec::with_capacity(total);
+        let mut nulls = NullMask::new();
         for p in parts {
-            vals.extend(p.iter());
+            values.extend((0..p.len()).map(|i| p.str_at(i).unwrap_or_default().to_string()));
+            nulls.extend_from(p.nulls());
         }
-        ColumnData::from_values(vals, hint)
+        ColumnData::Utf8 { values, nulls }
     }
 
     /// [`ColumnData::concat`] over all-`Dict` parts: sorted-union
@@ -688,7 +689,7 @@ impl ColumnData {
         ColumnData::Date64 { values, nulls }
     }
 
-    /// A column of `n` copies of one value (typed when possible).
+    /// A column of `n` copies of one value.
     pub fn broadcast(v: &Value, n: usize) -> ColumnData {
         match v {
             Value::Int(x) => ColumnData::Int64 {
@@ -711,7 +712,11 @@ impl ColumnData {
                 values: vec![*x; n],
                 nulls: NullMask::all_valid(n),
             },
-            Value::Null => ColumnData::Mixed(vec![Value::Null; n]),
+            // An all-NULL column is typed like `from_values` types one.
+            Value::Null => ColumnData::Utf8 {
+                values: vec![String::new(); n],
+                nulls: NullMask::from_words(vec![u64::MAX; n.div_ceil(64)], n),
+            },
         }
     }
 
@@ -723,7 +728,6 @@ impl ColumnData {
             ColumnData::Utf8 { values, .. } => values.len(),
             ColumnData::Dict { codes, .. } => codes.len(),
             ColumnData::Bool { values, .. } => values.len(),
-            ColumnData::Mixed(values) => values.len(),
         }
     }
 
@@ -732,43 +736,39 @@ impl ColumnData {
         self.len() == 0
     }
 
-    /// The storage type; `None` for `Mixed`.
-    pub fn dtype(&self) -> Option<DataType> {
+    /// The storage type.
+    pub fn dtype(&self) -> DataType {
         match self {
-            ColumnData::Int64 { .. } => Some(DataType::Int),
-            ColumnData::Float64 { .. } => Some(DataType::Float),
-            ColumnData::Utf8 { .. } | ColumnData::Dict { .. } => Some(DataType::Str),
-            ColumnData::Bool { .. } => Some(DataType::Bool),
-            ColumnData::Date64 { .. } => Some(DataType::Date),
-            ColumnData::Mixed(_) => None,
+            ColumnData::Int64 { .. } => DataType::Int,
+            ColumnData::Float64 { .. } => DataType::Float,
+            ColumnData::Utf8 { .. } | ColumnData::Dict { .. } => DataType::Str,
+            ColumnData::Bool { .. } => DataType::Bool,
+            ColumnData::Date64 { .. } => DataType::Date,
+        }
+    }
+
+    /// The null bitmap.
+    #[inline]
+    pub fn nulls(&self) -> &NullMask {
+        match self {
+            ColumnData::Int64 { nulls, .. }
+            | ColumnData::Float64 { nulls, .. }
+            | ColumnData::Utf8 { nulls, .. }
+            | ColumnData::Dict { nulls, .. }
+            | ColumnData::Bool { nulls, .. }
+            | ColumnData::Date64 { nulls, .. } => nulls,
         }
     }
 
     /// Number of NULL slots.
     pub fn null_count(&self) -> usize {
-        match self {
-            ColumnData::Int64 { nulls, .. }
-            | ColumnData::Float64 { nulls, .. }
-            | ColumnData::Utf8 { nulls, .. }
-            | ColumnData::Dict { nulls, .. }
-            | ColumnData::Bool { nulls, .. }
-            | ColumnData::Date64 { nulls, .. } => nulls.null_count(),
-            ColumnData::Mixed(values) => values.iter().filter(|v| v.is_null()).count(),
-        }
+        self.nulls().null_count()
     }
 
     /// Whether row `i` is NULL.
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            ColumnData::Int64 { nulls, .. }
-            | ColumnData::Float64 { nulls, .. }
-            | ColumnData::Utf8 { nulls, .. }
-            | ColumnData::Dict { nulls, .. }
-            | ColumnData::Bool { nulls, .. }
-            | ColumnData::Date64 { nulls, .. } => nulls.is_null(i),
-            ColumnData::Mixed(values) => values[i].is_null(),
-        }
+        self.nulls().is_null(i)
     }
 
     /// Materialize row `i` as a [`Value`].
@@ -816,7 +816,6 @@ impl ColumnData {
                     Value::Date(values[i])
                 }
             }
-            ColumnData::Mixed(values) => values[i].clone(),
         }
     }
 
@@ -833,7 +832,6 @@ impl ColumnData {
                 (!nulls.is_null(i)).then(|| if values[i] { 1.0 } else { 0.0 })
             }
             ColumnData::Utf8 { .. } | ColumnData::Dict { .. } => None,
-            ColumnData::Mixed(values) => values[i].as_f64(),
         }
     }
 
@@ -845,17 +843,17 @@ impl ColumnData {
             ColumnData::Dict { codes, dict, nulls } => {
                 (!nulls.is_null(i)).then(|| dict[codes[i] as usize].as_str())
             }
-            ColumnData::Mixed(values) => values[i].as_str(),
             _ => None,
         }
     }
 
-    /// Append one value. A value that does not fit the storage type demotes
-    /// the column to `Mixed` (exact round-trip is preserved over fast
-    /// typed storage).
-    pub fn push(&mut self, v: Value) {
+    /// Append one value. NULL fits every column, and an `Int` widens into
+    /// a `Float` column; any other value whose type differs from the
+    /// column's is rejected and the column is left unchanged.
+    pub fn push(&mut self, v: Value) -> Result<(), DataError> {
         match (&mut *self, v) {
-            (ColumnData::Int64 { values, nulls }, Value::Int(x)) => {
+            (ColumnData::Int64 { values, nulls }, Value::Int(x))
+            | (ColumnData::Date64 { values, nulls }, Value::Date(x)) => {
                 values.push(x);
                 nulls.push(false);
             }
@@ -863,15 +861,15 @@ impl ColumnData {
                 values.push(x);
                 nulls.push(false);
             }
+            (ColumnData::Float64 { values, nulls }, Value::Int(x)) => {
+                values.push(x as f64);
+                nulls.push(false);
+            }
             (ColumnData::Utf8 { values, nulls }, Value::Str(x)) => {
                 values.push(x);
                 nulls.push(false);
             }
             (ColumnData::Bool { values, nulls }, Value::Bool(x)) => {
-                values.push(x);
-                nulls.push(false);
-            }
-            (ColumnData::Date64 { values, nulls }, Value::Date(x)) => {
                 values.push(x);
                 nulls.push(false);
             }
@@ -924,13 +922,14 @@ impl ColumnData {
                 values.push(false);
                 nulls.push(true);
             }
-            (ColumnData::Mixed(values), v) => values.push(v),
-            (_, v) => {
-                let mut vals: Vec<Value> = self.iter().collect();
-                vals.push(v);
-                *self = ColumnData::Mixed(vals);
+            (col, v) => {
+                return Err(DataError::TypeMismatch {
+                    expected: col.dtype().to_string(),
+                    found: v.data_type().map_or_else(String::new, |t| t.to_string()),
+                })
             }
         }
+        Ok(())
     }
 
     /// Keep the first `n` rows.
@@ -956,7 +955,6 @@ impl ColumnData {
                 values.truncate(n);
                 nulls.truncate(n);
             }
-            ColumnData::Mixed(values) => values.truncate(n),
         }
     }
 
@@ -993,7 +991,6 @@ impl ColumnData {
                 values: take(values, idx),
                 nulls: nulls.gather(idx),
             },
-            ColumnData::Mixed(values) => ColumnData::Mixed(take(values, idx)),
         }
     }
 
@@ -1029,7 +1026,6 @@ impl ColumnData {
                 values: values[lo..hi].to_vec(),
                 nulls: nulls.slice(lo, hi),
             },
-            ColumnData::Mixed(values) => ColumnData::Mixed(values[lo..hi].to_vec()),
         }
     }
 
@@ -1092,7 +1088,6 @@ impl ColumnData {
                     values[i].hash(h);
                 }
             }
-            ColumnData::Mixed(values) => values[i].hash(h),
         }
     }
 
@@ -1167,14 +1162,6 @@ impl ColumnData {
                     mix(mix(h, 4), values[i] as u64)
                 }
             }
-            ColumnData::Mixed(values) => match &values[i] {
-                Value::Null => mix(h, 0),
-                Value::Bool(b) => mix(mix(h, 1), *b as u64),
-                Value::Int(v) => mix(mix(h, 2), (*v as f64).to_bits()),
-                Value::Float(f) => mix(mix(h, 2), f.to_bits()),
-                Value::Str(s) => mix_str(h, s),
-                Value::Date(d) => mix(mix(h, 4), *d as u64),
-            },
         }
     }
 
@@ -1187,7 +1174,6 @@ impl ColumnData {
             return None;
         }
         match self {
-            ColumnData::Mixed(values) => values[i].sql_eq(v),
             ColumnData::Utf8 { values, .. } => match v {
                 Value::Str(s) => Some(values[i] == *s),
                 Value::Date(d) => crate::date::parse_iso_date(&values[i]).map(|x| x == *d),
@@ -1426,7 +1412,7 @@ impl ColumnData {
     }
 
     /// Value-level equality with another column (representation-agnostic:
-    /// a `Mixed` column equals a typed column holding the same values).
+    /// a `Dict` column equals a `Utf8` column holding the same strings).
     pub fn semantic_eq(&self, other: &ColumnData) -> bool {
         if self.len() != other.len() {
             return false;
@@ -1443,9 +1429,9 @@ mod tests {
     #[test]
     fn push_and_round_trip() {
         let mut c = ColumnData::new_typed(DataType::Int);
-        c.push(Value::Int(1));
-        c.push(Value::Null);
-        c.push(Value::Int(3));
+        c.push(Value::Int(1)).unwrap();
+        c.push(Value::Null).unwrap();
+        c.push(Value::Int(3)).unwrap();
         assert_eq!(c.len(), 3);
         assert_eq!(c.null_count(), 1);
         assert_eq!(c.value(0), Value::Int(1));
@@ -1455,33 +1441,50 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_push_demotes_to_mixed() {
+    fn mismatched_push_is_rejected() {
         let mut c = ColumnData::new_typed(DataType::Int);
-        c.push(Value::Int(1));
-        c.push(Value::Str("x".into()));
-        assert!(matches!(c, ColumnData::Mixed(_)));
-        assert_eq!(c.value(0), Value::Int(1));
-        assert_eq!(c.value(1), Value::Str("x".into()));
+        c.push(Value::Int(1)).unwrap();
+        let err = c.push(Value::Str("x".into())).unwrap_err();
+        assert_eq!(
+            err,
+            DataError::TypeMismatch {
+                expected: "int".into(),
+                found: "str".into()
+            }
+        );
+        assert_eq!(c.iter().collect::<Vec<_>>(), [Value::Int(1)]);
+        assert!(c.push(Value::Float(2.5)).is_err());
+        // An int widens into a float column.
+        let mut f = ColumnData::new_typed(DataType::Float);
+        f.push(Value::Int(2)).unwrap();
+        assert_eq!(f.value(0), Value::Float(2.0));
     }
 
     #[test]
     fn from_values_picks_typed_storage() {
-        let c = ColumnData::from_values(vec![Value::Null, Value::Float(2.5)], None);
+        let c = ColumnData::from_values(vec![Value::Null, Value::Float(2.5)], None).unwrap();
         assert!(matches!(c, ColumnData::Float64 { .. }));
         assert_eq!(c.value(0), Value::Null);
-        let c = ColumnData::from_values(vec![Value::Int(1), Value::Float(2.5)], None);
-        assert!(matches!(c, ColumnData::Mixed(_)));
-        let c = ColumnData::from_values(vec![Value::Null], Some(DataType::Date));
+        // Typed by the first non-NULL value: a later float does not fit.
+        assert!(ColumnData::from_values(vec![Value::Int(1), Value::Float(2.5)], None).is_err());
+        let c = ColumnData::from_values(
+            vec![Value::Int(1), Value::Float(2.5)],
+            Some(DataType::Float),
+        );
+        assert_eq!(c.unwrap().value(0), Value::Float(1.0));
+        let c = ColumnData::from_values(vec![Value::Null], Some(DataType::Date)).unwrap();
         assert!(matches!(c, ColumnData::Date64 { .. }));
+        let c = ColumnData::from_values(vec![Value::Null], None).unwrap();
+        assert_eq!(c.dtype(), DataType::Str);
     }
 
     #[test]
     fn gather_and_truncate() {
         let mut c = ColumnData::new_typed(DataType::Str);
         for s in ["a", "b", "c"] {
-            c.push(Value::Str(s.into()));
+            c.push(Value::Str(s.into())).unwrap();
         }
-        c.push(Value::Null);
+        c.push(Value::Null).unwrap();
         let g = c.gather(&[3, 1]);
         assert_eq!(g.value(0), Value::Null);
         assert_eq!(g.value(1), Value::Str("b".into()));
@@ -1501,41 +1504,38 @@ mod tests {
             Value::Bool(true),
             Value::Date(3),
         ];
-        let c = ColumnData::Mixed(vals.clone());
-        for (i, v) in vals.iter().enumerate() {
+        for v in &vals {
             // Typed single-value columns hash like the Value itself.
-            let typed = ColumnData::from_values(vec![v.clone()], None);
+            let typed = ColumnData::from_values(vec![v.clone()], None).unwrap();
             let mut h1 = DefaultHasher::new();
             typed.hash_value_into(0, &mut h1);
             let mut h2 = DefaultHasher::new();
             v.hash(&mut h2);
             assert_eq!(h1.finish(), h2.finish(), "typed hash differs for {v}");
-            let mut h3 = DefaultHasher::new();
-            c.hash_value_into(i, &mut h3);
-            assert_eq!(h3.finish(), h2.finish(), "mixed hash differs for {v}");
         }
     }
 
     #[test]
     fn eq_and_cmp_match_value_semantics() {
-        let ints = ColumnData::from_values(vec![Value::Int(3), Value::Null], None);
-        let floats = ColumnData::from_values(vec![Value::Float(3.0), Value::Float(4.0)], None);
+        let ints = ColumnData::from_values(vec![Value::Int(3), Value::Null], None).unwrap();
+        let floats =
+            ColumnData::from_values(vec![Value::Float(3.0), Value::Float(4.0)], None).unwrap();
         // Cross-representation equality goes through Value semantics.
         assert!(ints.eq_at(0, &floats, 0));
         assert!(!ints.eq_at(1, &floats, 0));
         assert_eq!(ints.cmp_at(0, &floats, 1), Ordering::Less);
         assert_eq!(ints.cmp_at(1, &ints, 0), Ordering::Less, "NULL sorts first");
-        let strs = ColumnData::from_values(vec![Value::Str("a".into())], None);
+        let strs = ColumnData::from_values(vec![Value::Str("a".into())], None).unwrap();
         assert_eq!(strs.cmp_at(0, &strs, 0), Ordering::Equal);
     }
 
     #[test]
     fn semantic_eq_is_representation_agnostic() {
-        let typed = ColumnData::from_values(vec![Value::Int(1), Value::Null], None);
-        let mixed = ColumnData::Mixed(vec![Value::Int(1), Value::Null]);
-        assert!(typed.semantic_eq(&mixed));
-        let other = ColumnData::Mixed(vec![Value::Int(2), Value::Null]);
-        assert!(!typed.semantic_eq(&other));
+        let ints = ColumnData::from_values(vec![Value::Int(1), Value::Null], None).unwrap();
+        let floats = ColumnData::from_values(vec![Value::Float(1.0), Value::Null], None).unwrap();
+        assert!(ints.semantic_eq(&floats));
+        let other = ColumnData::from_values(vec![Value::Int(2), Value::Null], None).unwrap();
+        assert!(!ints.semantic_eq(&other));
     }
 
     #[test]
@@ -1585,16 +1585,16 @@ mod tests {
     #[test]
     fn dict_handles_nulls_and_push() {
         let mut c = ColumnData::strs_dict(vec!["a".into(), "b".into(), "a".into(), "a".into()]);
-        c.push(Value::Null);
+        c.push(Value::Null).unwrap();
         assert_eq!(c.null_count(), 1);
         assert_eq!(c.value(4), Value::Null);
         assert!(matches!(c, ColumnData::Dict { .. }));
         // Pushing a known string keeps the encoding; an unknown one decodes
         // back to plain Utf8 with identical values.
-        c.push(Value::Str("b".into()));
+        c.push(Value::Str("b".into())).unwrap();
         assert!(matches!(c, ColumnData::Dict { .. }));
         let before: Vec<Value> = c.iter().collect();
-        c.push(Value::Str("zzz".into()));
+        c.push(Value::Str("zzz".into())).unwrap();
         assert!(matches!(c, ColumnData::Utf8 { .. }));
         let after: Vec<Value> = c.iter().collect();
         assert_eq!(&after[..before.len()], &before[..]);
@@ -1609,7 +1609,7 @@ mod tests {
             Value::Str("a".into()),
             Value::Str("b".into()),
         ];
-        let plain = ColumnData::from_values(vals.clone(), None);
+        let plain = ColumnData::from_values(vals.clone(), None).unwrap();
         let dict = plain.clone().dict_encode();
         assert!(matches!(dict, ColumnData::Dict { .. }));
         for i in 0..vals.len() {
@@ -1705,8 +1705,10 @@ mod tests {
     fn concat_keeps_null_slots_through_dictionary_remaps() {
         let mk = |vals: &[Option<&str>]| {
             let mut c = ColumnData::strs_dict(Vec::new());
-            vals.iter()
-                .for_each(|v| c.push(v.map_or(Value::Null, |s| Value::Str(s.into()))));
+            vals.iter().for_each(|v| {
+                c.push(v.map_or(Value::Null, |s| Value::Str(s.into())))
+                    .unwrap()
+            });
             c.dict_encode()
         };
         let a = mk(&[Some("m"), None, Some("m"), Some("z")]);

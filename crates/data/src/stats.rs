@@ -152,16 +152,6 @@ impl ColumnStats {
                 Value::Bool,
                 non_null_total,
             ),
-            // The rare heterogeneous escape hatch pays `Value` clones.
-            ColumnData::Mixed(values) => {
-                let vals: Vec<Value> = values.iter().filter(|v| !v.is_null()).cloned().collect();
-                fold(
-                    vals.iter().collect::<Vec<&Value>>().into_iter(),
-                    |a, b| a.cmp(b),
-                    |v| v.clone(),
-                    non_null_total,
-                )
-            }
         }
     }
 

@@ -93,6 +93,23 @@ impl Schema {
 /// A row of values; arity always matches the owning table's schema.
 pub type Row = Vec<Value>;
 
+/// `Ok` when `found` agrees with the schema's column types position by
+/// position; otherwise the first disagreement.
+fn check_types(schema: &Schema, found: impl Iterator<Item = DataType>) -> Result<(), DataError> {
+    match schema
+        .columns
+        .iter()
+        .zip(found)
+        .find(|(c, t)| c.dtype != *t)
+    {
+        Some((c, t)) => Err(DataError::TypeMismatch {
+            expected: c.dtype.to_string(),
+            found: t.to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Physical storage of a table: either one flat column vector, or — for
 /// live (appendable) tables — a list of immutable `Arc`-shared chunks
 /// with a lazily consolidated flat view.
@@ -146,8 +163,8 @@ pub struct Table {
 
 impl PartialEq for Table {
     /// Value-level equality: same schema and same cell values, regardless
-    /// of each column's storage representation (typed vs `Mixed`,
-    /// chunked vs flat).
+    /// of each column's storage representation (`Dict` vs `Utf8`, chunked
+    /// vs flat).
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
             && self.len == other.len
@@ -311,7 +328,8 @@ impl Table {
     /// table's are ([`Table::conform`]); dictionary columns coalesce
     /// through [`ColumnData::concat`], which remaps codes against the
     /// sorted union of the dictionaries. The cost depends on the delta
-    /// and the tail chunk only, never on the table's size.
+    /// and the tail chunk only, never on the table's size. A delta whose
+    /// column types differ from the table's is rejected.
     pub fn append_table(&self, delta: &Table, chunk_rows: usize) -> Result<Table, DataError> {
         if delta.num_columns() != self.num_columns() {
             return Err(DataError::ArityMismatch {
@@ -319,6 +337,7 @@ impl Table {
                 found: delta.num_columns(),
             });
         }
+        check_types(&self.schema, delta.schema.columns.iter().map(|c| c.dtype))?;
         let delta = &self.conform(delta);
         let chunk_rows = chunk_rows.max(1);
         let mut chunks: Vec<Arc<Table>> = match &self.repr {
@@ -387,7 +406,8 @@ impl Table {
         Ok(t)
     }
 
-    /// Build a table directly from columns, validating count and lengths.
+    /// Build a table directly from columns, validating their count,
+    /// lengths and types.
     pub fn from_columns(schema: Schema, cols: Vec<ColumnData>) -> Result<Self, DataError> {
         Self::from_arc_columns(schema, cols.into_iter().map(Arc::new).collect())
     }
@@ -408,6 +428,7 @@ impl Table {
                 found: short.len(),
             });
         }
+        check_types(&schema, cols.iter().map(|c| c.dtype()))?;
         Ok(Table {
             schema,
             repr: Repr::Flat(cols),
@@ -415,7 +436,8 @@ impl Table {
         })
     }
 
-    /// Push row.
+    /// Append one row, each cell by [`ColumnData::push`]'s rule. A row
+    /// with a cell that does not fit its column is rejected whole.
     pub fn push_row(&mut self, row: Row) -> Result<(), DataError> {
         if row.len() != self.schema.len() {
             return Err(DataError::ArityMismatch {
@@ -423,8 +445,15 @@ impl Table {
                 found: row.len(),
             });
         }
-        for (col, v) in self.cols_mut().iter_mut().zip(row) {
-            Arc::make_mut(col).push(v);
+        let len = self.len;
+        let cols = self.cols_mut();
+        for (k, v) in row.into_iter().enumerate() {
+            if let Err(e) = Arc::make_mut(&mut cols[k]).push(v) {
+                for col in &mut cols[..k] {
+                    Arc::make_mut(col).truncate(len);
+                }
+                return Err(e);
+            }
         }
         self.len += 1;
         Ok(())
@@ -578,13 +607,6 @@ impl Table {
                 }
                 out
             }
-            ColumnData::Mixed(values) => {
-                let mut vals: Vec<Value> =
-                    values.iter().filter(|v| !v.is_null()).cloned().collect();
-                vals.sort();
-                vals.dedup();
-                vals
-            }
         }
     }
 
@@ -651,21 +673,6 @@ impl Table {
                     )
                 })
             }
-            ColumnData::Mixed(values) => {
-                let mut iter = values.iter().filter(|v| !v.is_null());
-                let first = iter.next()?.clone();
-                let mut min = first.clone();
-                let mut max = first;
-                for v in iter {
-                    if *v < min {
-                        min = v.clone();
-                    }
-                    if *v > max {
-                        max = v.clone();
-                    }
-                }
-                Some((min, max))
-            }
         }
     }
 
@@ -713,13 +720,6 @@ impl Table {
                     .enumerate()
                     .filter(|(i, _)| !nulls.is_null(*i))
                     .all(|(_, v)| seen.insert(*v))
-            }
-            ColumnData::Mixed(values) => {
-                let mut seen = HashSet::new();
-                values
-                    .iter()
-                    .filter(|v| !v.is_null())
-                    .all(|v| seen.insert(v.clone()))
             }
         }
     }
@@ -880,10 +880,33 @@ mod tests {
     #[test]
     fn from_columns_validates_lengths() {
         let schema = Schema::new(vec![Column::new("a", DataType::Int)]);
-        let col = ColumnData::from_values(vec![Value::Int(1)], None);
-        let t = Table::from_columns(schema.clone(), vec![col]).unwrap();
+        let t = Table::from_columns(schema.clone(), vec![ColumnData::ints(vec![1])]).unwrap();
         assert_eq!(t.num_rows(), 1);
         assert!(Table::from_columns(schema, vec![]).is_err());
+    }
+
+    #[test]
+    fn from_columns_validates_types() {
+        let schema = Schema::new(vec![Column::new("a", DataType::Int)]);
+        let floats = vec![ColumnData::floats(vec![1.0])];
+        assert!(matches!(
+            Table::from_columns(schema, floats),
+            Err(DataError::TypeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn push_row_rejects_a_mistyped_row_whole() {
+        let mut t = Table::from_rows(
+            vec![("a", DataType::Int), ("s", DataType::Str)],
+            vec![vec![Value::Int(1), Value::Str("x".into())]],
+        )
+        .unwrap();
+        let err = t.push_row(vec![Value::Int(2), Value::Int(3)]).unwrap_err();
+        assert!(matches!(err, DataError::TypeMismatch { .. }), "{err}");
+        assert_eq!(t.num_rows(), 1);
+        assert_eq!(t.col(0).len(), 1, "the fitting cell is rolled back");
+        assert_eq!(t.to_rows(), [[Value::Int(1), Value::Str("x".into())]]);
     }
 
     #[test]

@@ -10,14 +10,12 @@
 //!
 //! ## Cell encoding
 //!
-//! Cells whose runtime [`Value`] matches the column's declared
-//! [`DataType`] use the natural JSON scalar (`int` → number, `float` →
-//! number, `str` → string, `bool` → bool, `date` → ISO-8601 string,
-//! SQL NULL → `null`). A cell that *disagrees* with its column type (the
-//! `Mixed` escape hatch) or cannot be a JSON number (non-finite floats) is
-//! wrapped in a one-key tag object — `{"i":…}`, `{"f":…}`, `{"s":…}`,
-//! `{"d":…}` — so decoding is exact for every value the engine can
-//! produce, never a guess.
+//! Every non-NULL cell has its column's declared [`DataType`] (a column
+//! has one type; see [`crate::column`]), so each uses the natural JSON
+//! scalar: `int` → number, `float` → number, `str` → string, `bool` →
+//! bool, `date` → ISO-8601 string, SQL NULL → `null`. The one exception is
+//! a float JSON cannot carry as a number: NaN and the infinities are
+//! tagged `{"f":"nan"}`, `{"f":"inf"}` and `{"f":"-inf"}`.
 
 use crate::date::format_iso_date;
 use crate::table::Table;
@@ -81,23 +79,18 @@ fn push_float(out: &mut String, v: f64) {
     }
 }
 
-/// Append one cell under the column's declared type (see module docs).
-fn push_cell(out: &mut String, v: &Value, dtype: DataType) {
+/// Append one cell (see module docs).
+fn push_cell(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => {
             let _ = write!(out, "{b}");
         }
         Value::Int(i) => {
-            // A plain integer in a float column would decode as a float.
-            if dtype == DataType::Float {
-                let _ = write!(out, "{{\"i\":{i}}}");
-            } else {
-                let _ = write!(out, "{i}");
-            }
+            let _ = write!(out, "{i}");
         }
         Value::Float(x) => {
-            if dtype == DataType::Float && x.is_finite() {
+            if x.is_finite() {
                 let _ = write!(out, "{x}");
             } else {
                 out.push_str("{\"f\":");
@@ -106,19 +99,10 @@ fn push_cell(out: &mut String, v: &Value, dtype: DataType) {
             }
         }
         Value::Str(s) => {
-            // A plain string in a date column would decode as a date.
-            if dtype == DataType::Date {
-                let _ = write!(out, "{{\"s\":\"{}\"}}", json_escape(s));
-            } else {
-                let _ = write!(out, "\"{}\"", json_escape(s));
-            }
+            let _ = write!(out, "\"{}\"", json_escape(s));
         }
         Value::Date(d) => {
-            if dtype == DataType::Date {
-                let _ = write!(out, "\"{}\"", format_iso_date(*d));
-            } else {
-                let _ = write!(out, "{{\"d\":\"{}\"}}", format_iso_date(*d));
-            }
+            let _ = write!(out, "\"{}\"", format_iso_date(*d));
         }
     }
 }
@@ -171,7 +155,7 @@ pub fn table_to_json(t: &Table) -> String {
                 if row > 0 {
                     out.push(',');
                 }
-                push_cell(&mut out, &v, col.dtype);
+                push_cell(&mut out, &v);
             }
             out.push(']');
         }
@@ -202,17 +186,18 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_cells_are_tagged() {
+    fn nonfinite_floats_are_tagged() {
         let t = Table::from_rows(
-            vec![("f", DataType::Float), ("d", DataType::Date)],
-            vec![vec![Value::Int(2), Value::Str("not a date".into())]],
+            vec![("f", DataType::Float)],
+            [2.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                .map(|x| vec![Value::Float(x)])
+                .to_vec(),
         )
         .unwrap();
         let j = table_to_json(&t);
-        assert!(j.contains("{\"i\":2}"), "int in float column tagged: {j}");
         assert!(
-            j.contains("{\"s\":\"not a date\"}"),
-            "str in date column tagged: {j}"
+            j.contains("\"values\":[2.5,{\"f\":\"nan\"},{\"f\":\"inf\"},{\"f\":\"-inf\"}]"),
+            "{j}"
         );
     }
 
@@ -234,7 +219,7 @@ mod tests {
         use crate::table::{Column, Schema};
         let mut col =
             ColumnData::strs_dict(vec!["NY".into(), "LA".into(), "NY".into(), "LA".into()]);
-        col.push(Value::Null);
+        col.push(Value::Null).unwrap();
         let t = Table::from_columns(
             Schema::new(vec![Column::new("city", DataType::Str)]),
             vec![col],

@@ -9,7 +9,9 @@
 
 use crate::error::EngineError;
 use pi2_data::{Catalog, DataType};
-use pi2_sql::ast::{is_aggregate_function, Expr, Literal, Query, SelectItem, TableRef};
+use pi2_sql::ast::{
+    is_aggregate_function, BinOp, Expr, Literal, Query, SelectItem, TableRef, UnaryOp,
+};
 
 /// The inferred type of an output column: either a fully-qualified base
 /// table attribute (with its storage type) or a bare primitive.
@@ -269,18 +271,32 @@ impl Scope<'_> {
                 Literal::Null => prim(DataType::Str),
             }),
             Expr::Star => Ok(prim(DataType::Int)),
+            Expr::Unary {
+                op: UnaryOp::Not, ..
+            } => Ok(OutCol {
+                cardinality: Some(2),
+                ..prim(DataType::Bool)
+            }),
             Expr::Unary { expr, .. } => self.type_of(expr),
             Expr::Binary { left, op, right } => {
-                if op.is_comparison() || op.is_logical() || *op == pi2_sql::BinOp::Like {
+                if op.is_comparison() || op.is_logical() || *op == BinOp::Like {
                     Ok(OutCol {
                         cardinality: Some(2),
                         ..prim(DataType::Bool)
                     })
                 } else {
+                    // The types `eval::apply_binary` produces: a date moved
+                    // by days stays a date, ints stay ints under `+ - *`,
+                    // and everything else (`/` included) is a float.
                     let lt = self.type_of(left)?.ty.dtype();
                     let rt = self.type_of(right)?.ty.dtype();
-                    let t = lt.union(rt).unwrap_or(DataType::Float);
-                    Ok(prim(t))
+                    Ok(prim(match (op, lt, rt) {
+                        (BinOp::Add | BinOp::Sub, DataType::Date, _) => DataType::Date,
+                        (BinOp::Add | BinOp::Sub | BinOp::Mul, DataType::Int, DataType::Int) => {
+                            DataType::Int
+                        }
+                        _ => DataType::Float,
+                    }))
                 }
             }
             Expr::Between { .. }
@@ -304,6 +320,13 @@ impl Scope<'_> {
                     .catalog
                     .function_return_type(name, arg_type.map(|c| c.ty.dtype()))
                     .ok_or_else(|| EngineError::BadFunction(name.clone()))?;
+                // `sum` keeps an int argument's type and folds anything
+                // else (bools, dates, strings) to a float.
+                let dtype = if name.eq_ignore_ascii_case("sum") && dtype != DataType::Int {
+                    DataType::Float
+                } else {
+                    dtype
+                };
                 // min/max preserve attribute provenance: their output values
                 // come from the argument attribute's domain.
                 if (name.eq_ignore_ascii_case("min") || name.eq_ignore_ascii_case("max"))

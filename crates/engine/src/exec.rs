@@ -258,7 +258,7 @@ pub(crate) fn build_groups(keycols: &[Arc<ColumnData>], n: usize) -> GroupsAndId
 
 /// A key column whose rows reduce to exact `u64` ids: two rows of the
 /// *same* column are [`ColumnData::eq_at`]-equal iff their ids (and null
-/// flags) are equal. Strings and `Mixed` columns don't qualify.
+/// flags) are equal. Plain `Utf8` strings don't qualify.
 enum ExactKeyCol<'a> {
     /// i64-valued (Int64/Date64).
     I64(&'a [i64], &'a NullMask),
@@ -279,7 +279,7 @@ impl ExactKeyCol<'_> {
             ColumnData::Float64 { values, nulls } => Some(ExactKeyCol::F64(values, nulls)),
             ColumnData::Bool { values, nulls } => Some(ExactKeyCol::Bool(values, nulls)),
             ColumnData::Dict { codes, nulls, .. } => Some(ExactKeyCol::Code(codes, nulls)),
-            ColumnData::Utf8 { .. } | ColumnData::Mixed(_) => None,
+            ColumnData::Utf8 { .. } => None,
         }
     }
 
@@ -444,7 +444,7 @@ pub(crate) fn shape_aggregate(
 
     if groups.is_empty() {
         // No surviving groups: no rows, and no expressions were evaluated.
-        let schema = derive_schema(query, ctx, &rel.cols, &rel.types, None);
+        let schema = derive_schema(query, ctx, &rel.cols, &rel.types, |_| None);
         return Ok(Table::new(schema));
     }
 
@@ -457,11 +457,11 @@ pub(crate) fn shape_aggregate(
     let sel_cols: Vec<ColumnData> = sel_vals
         .into_iter()
         .map(|v| ColumnData::from_values(v, None))
-        .collect();
+        .collect::<Result<_, _>>()?;
     let key_cols: Vec<ColumnData> = key_vals
         .into_iter()
         .map(|v| ColumnData::from_values(v, None))
-        .collect();
+        .collect::<Result<_, _>>()?;
     let mut order: Vec<u32> = (0..groups.len() as u32).collect();
     if query.distinct {
         let mut interner = RowInterner::new(sel_cols.iter().collect());
@@ -484,28 +484,19 @@ pub(crate) fn shape_aggregate(
         order.truncate(l as usize);
     }
 
-    let first: Option<Vec<Value>> = order
-        .first()
-        .map(|&g| sel_cols.iter().map(|c| c.value(g as usize)).collect());
-    let schema = derive_schema(query, ctx, &rel.cols, &rel.types, first.as_deref());
     let identity =
         order.len() == groups.len() && order.iter().enumerate().all(|(k, &g)| g == k as u32);
     let cols: Vec<Arc<ColumnData>> = sel_cols
         .into_iter()
-        .enumerate()
-        .map(|(k, c)| {
-            let col = if identity {
+        .map(|c| {
+            if identity {
                 Arc::new(c)
             } else {
                 Arc::new(c.gather(&order))
-            };
-            match schema.columns.get(k) {
-                Some(sc) => coerce_column(col, sc.dtype),
-                None => col,
             }
         })
         .collect();
-    Table::from_arc_columns(schema, cols).map_err(Into::into)
+    output_table(query, ctx, rel, cols)
 }
 
 // ---------------------------------------------------------------------------
@@ -521,7 +512,7 @@ pub(crate) fn exec_projection(
     // Zero input rows: the scalar interpreter's per-row loops never run, so
     // no expression (not even an erroring constant) may be evaluated.
     if rel.len == 0 {
-        let schema = derive_schema(query, ctx, &rel.cols, &rel.types, None);
+        let schema = derive_schema(query, ctx, &rel.cols, &rel.types, |_| None);
         return Ok(Table::new(schema));
     }
     let mut out_vecs: Vec<Vector> = Vec::with_capacity(query.select.len());
@@ -564,28 +555,16 @@ pub(crate) fn exec_projection(
         idx.truncate(l as usize);
     }
 
-    let first: Option<Vec<Value>> = idx
-        .first()
-        .map(|&i| out_vecs.iter().map(|v| v.value(i as usize)).collect());
-    let schema = derive_schema(query, ctx, &rel.cols, &rel.types, first.as_deref());
-
     let identity = idx.len() == rel.len && idx.iter().enumerate().all(|(k, &i)| i == k as u32);
     let cols: Vec<Arc<ColumnData>> = out_vecs
         .into_iter()
-        .enumerate()
-        .map(|(k, v)| {
-            let col = match v {
-                Vector::Col(c) if identity => c,
-                Vector::Col(c) => Arc::new(c.gather(&idx)),
-                Vector::Const(val) => Arc::new(ColumnData::broadcast(&val, idx.len())),
-            };
-            match schema.columns.get(k) {
-                Some(sc) => coerce_column(col, sc.dtype),
-                None => col,
-            }
+        .map(|v| match v {
+            Vector::Col(c) if identity => c,
+            Vector::Col(c) => Arc::new(c.gather(&idx)),
+            Vector::Const(val) => Arc::new(ColumnData::broadcast(&val, idx.len())),
         })
         .collect();
-    Table::from_arc_columns(schema, cols).map_err(Into::into)
+    output_table(query, ctx, rel, cols)
 }
 
 /// First-occurrence row indices under row-wise distinctness of the output
@@ -1088,7 +1067,7 @@ fn hash_join_rel(
             ColumnData::Utf8 { .. } | ColumnData::Dict { .. },
             ColumnData::Utf8 { .. } | ColumnData::Dict { .. },
         ) => {
-            // Mixed string representations: probe by &str views (NULLs are
+            // Plain and dictionary strings: probe by &str views (NULLs are
             // `None` and never match).
             let mut head: FastMap<&str, u32> =
                 FastMap::with_capacity_and_hasher(rn_rows, Default::default());
@@ -1204,54 +1183,47 @@ fn cross_product_vec(left: VecRelation, binding: &str, right: &Table) -> VecRela
 // Output shaping shared by both executors
 // ---------------------------------------------------------------------------
 
-/// Coerce values to their declared column types where lossless (ISO date
-/// strings → dates, ints → floats for float columns).
-pub(crate) fn coerce_row(row: Vec<Value>, schema: &Schema) -> Vec<Value> {
-    row.into_iter()
-        .zip(schema.columns.iter())
-        .map(|(v, c)| match (c.dtype, &v) {
-            (DataType::Date, Value::Str(_)) => v.coerce_to_date().unwrap_or(v),
-            (DataType::Float, Value::Int(i)) => Value::Float(*i as f64),
-            _ => v,
+/// The vectorized executor's output table over its final columns: the
+/// schema from [`derive_schema`] (where analysis fails, a column takes its
+/// first non-NULL value's type), and every column of another type rebuilt
+/// under its declared one by [`ColumnData::push`]'s rule — the rule the
+/// scalar interpreter's `Table::push_row` applies cell by cell, so both
+/// executors widen, and reject, the same cells.
+fn output_table(
+    query: &Query,
+    ctx: &ExecContext<'_>,
+    rel: &VecRelation,
+    cols: Vec<Arc<ColumnData>>,
+) -> Result<Table, EngineError> {
+    let schema = derive_schema(query, ctx, &rel.cols, &rel.types, |k| {
+        cols.get(k)
+            .filter(|c| c.null_count() < c.len())
+            .map(|c| c.dtype())
+    });
+    let cols = cols
+        .into_iter()
+        .zip(&schema.columns)
+        .map(|(col, c)| {
+            if col.dtype() == c.dtype {
+                Ok(col)
+            } else {
+                ColumnData::from_values(col.iter().collect(), Some(c.dtype)).map(Arc::new)
+            }
         })
-        .collect()
-}
-
-/// Column-wise [`coerce_row`]: casts whole columns when the representation
-/// allows (Int64 → Float64), per-value otherwise.
-fn coerce_column(col: Arc<ColumnData>, dtype: DataType) -> Arc<ColumnData> {
-    match (dtype, col.as_ref()) {
-        (DataType::Float, ColumnData::Int64 { values, nulls }) => Arc::new(ColumnData::Float64 {
-            values: values.iter().map(|v| *v as f64).collect(),
-            nulls: nulls.clone(),
-        }),
-        (DataType::Date, ColumnData::Utf8 { .. })
-        | (DataType::Date, ColumnData::Dict { .. })
-        | (DataType::Date, ColumnData::Mixed(_))
-        | (DataType::Float, ColumnData::Mixed(_)) => {
-            let vals: Vec<Value> = col
-                .iter()
-                .map(|v| match (dtype, &v) {
-                    (DataType::Date, Value::Str(_)) => v.coerce_to_date().unwrap_or(v),
-                    (DataType::Float, Value::Int(i)) => Value::Float(*i as f64),
-                    _ => v,
-                })
-                .collect();
-            Arc::new(ColumnData::from_values(vals, Some(dtype)))
-        }
-        _ => col,
-    }
+        .collect::<Result<_, _>>()?;
+    Ok(Table::from_arc_columns(schema, cols)?)
 }
 
 /// Output schema for a query: static analysis when it succeeds, else
-/// [`fallback_schema`] from the first output row. The one derivation both
-/// executors use, so their output schemas cannot diverge.
+/// [`fallback_schema`] over `value_type(k)`, the type of output column
+/// `k`'s first non-NULL value. The one derivation both executors use, so
+/// their output schemas cannot diverge.
 pub(crate) fn derive_schema(
     query: &Query,
     ctx: &ExecContext<'_>,
     input_cols: &[(String, String)],
     input_types: &[DataType],
-    first: Option<&[Value]>,
+    value_type: impl Fn(usize) -> Option<DataType>,
 ) -> Schema {
     match analyze_query(query, ctx.catalog) {
         Ok(info) => Schema::new(
@@ -1260,18 +1232,19 @@ pub(crate) fn derive_schema(
                 .map(|c| Column::new(c.name, c.ty.dtype()))
                 .collect(),
         ),
-        Err(_) => fallback_schema(query, input_cols, input_types, first),
+        Err(_) => fallback_schema(query, input_cols, input_types, value_type),
     }
 }
 
 /// Output schema when static analysis fails: names from the select list,
-/// types from the first output row (correlated subqueries can defeat
-/// analysis).
-pub(crate) fn fallback_schema(
+/// each expression typed like its first non-NULL value (`Str` when it has
+/// none), as [`ColumnData::from_values`] types a column (correlated
+/// subqueries can defeat analysis).
+fn fallback_schema(
     query: &Query,
     input_cols: &[(String, String)],
     input_types: &[DataType],
-    first: Option<&[Value]>,
+    value_type: impl Fn(usize) -> Option<DataType>,
 ) -> Schema {
     let mut cols = Vec::new();
     let mut idx = 0;
@@ -1285,11 +1258,7 @@ pub(crate) fn fallback_schema(
             }
             SelectItem::Expr { expr, alias } => {
                 let name = alias.clone().unwrap_or_else(|| default_name(expr));
-                let dtype = first
-                    .and_then(|r| r.get(idx))
-                    .and_then(|v| v.data_type())
-                    .unwrap_or(DataType::Str);
-                cols.push(Column::new(name, dtype));
+                cols.push(Column::new(name, value_type(idx).unwrap_or(DataType::Str)));
                 idx += 1;
             }
         }
@@ -1364,6 +1333,40 @@ mod tests {
         let scalar = execute_scalar(&q, &ctx).unwrap();
         assert_eq!(vectorized, scalar, "executors disagree on {sql}");
         vectorized
+    }
+
+    #[test]
+    fn output_types_are_the_values_types() {
+        // The analyzer declares what the evaluator produces, so every
+        // output column holds its declared type (a mismatch would be a
+        // rejected cell, failing `run`).
+        let types = |sql: &str| -> Vec<DataType> {
+            let t = run(sql);
+            for (i, c) in t.schema.columns.iter().enumerate() {
+                assert_eq!(t.col(i).dtype(), c.dtype, "{sql}: column {}", c.name);
+            }
+            t.schema.columns.iter().map(|c| c.dtype).collect()
+        };
+        use DataType::{Bool, Float, Int};
+        assert_eq!(
+            types("SELECT b / 10, a * 2, a + 0.5 FROM T"),
+            [Float, Int, Float]
+        );
+        assert_eq!(
+            types("SELECT NOT (a > 1), NULL FROM T"),
+            [Bool, DataType::Str]
+        );
+        assert_eq!(
+            types("SELECT sum(city), avg(city), sum(total) FROM sales"),
+            [Float, Float, Int]
+        );
+        assert_eq!(
+            types(
+                "SELECT city, (SELECT o.total / 2 FROM sales AS s WHERE s.city = 'NY') \
+                 FROM sales AS o"
+            ),
+            [DataType::Str, Float]
+        );
     }
 
     #[test]
@@ -1613,52 +1616,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn having_dropped_groups_are_never_evaluated() {
-        // A group dropped by HAVING contains a row whose select expression
-        // errors (a Str in an Int-declared column, so `s + 1` is a type
-        // error). The scalar interpreter never evaluates select expressions
-        // on dropped groups; the vectorized executor must not either.
+    /// `T(g, s)`: group g=2 holds two ISO date strings, group g=1 one
+    /// string that `date(s)` rejects — the row that errors if evaluated.
+    fn catalog_with_a_bad_date() -> Catalog {
         let mut catalog = Catalog::new();
-        let mut t = Table::from_rows(
-            vec![("g", DataType::Int), ("s", DataType::Int)],
+        let t = Table::from_rows(
+            vec![("g", DataType::Int), ("s", DataType::Str)],
             vec![
-                vec![Value::Int(2), Value::Int(3)],
-                vec![Value::Int(2), Value::Int(4)],
+                vec![Value::Int(2), Value::Str("1970-01-03".into())],
+                vec![Value::Int(2), Value::Str("1970-01-04".into())],
+                vec![Value::Int(1), Value::Str("x".into())],
             ],
         )
         .unwrap();
-        t.push_row(vec![Value::Int(1), Value::Str("x".into())])
-            .unwrap();
         catalog.add_table("T", t, vec![]);
         let ctx = ExecContext::new(&catalog);
-        let q = parse_query("SELECT g, sum(s + 1) FROM T GROUP BY g HAVING count(*) > 1").unwrap();
+        let q = parse_query("SELECT max(date(s)) FROM T").unwrap();
+        assert!(execute(&q, &ctx).is_err(), "the g=1 row must error");
+        assert!(execute_scalar(&q, &ctx).is_err(), "the g=1 row must error");
+        catalog
+    }
+
+    #[test]
+    fn having_dropped_groups_are_never_evaluated() {
+        // A group dropped by HAVING contains a row whose select expression
+        // errors. The scalar interpreter never evaluates select expressions
+        // on dropped groups; the vectorized executor must not either.
+        let catalog = catalog_with_a_bad_date();
+        let ctx = ExecContext::new(&catalog);
+        let q =
+            parse_query("SELECT g, max(date(s)) FROM T GROUP BY g HAVING count(*) > 1").unwrap();
         let vectorized = execute(&q, &ctx).unwrap();
         let scalar = execute_scalar(&q, &ctx).unwrap();
         assert_eq!(vectorized, scalar);
-        assert_eq!(vectorized.row(0), vec![Value::Int(2), Value::Int(9)]);
+        assert_eq!(vectorized.row(0), vec![Value::Int(2), Value::Date(3)]);
     }
 
     #[test]
     fn short_circuited_groups_are_never_evaluated() {
         // The right side of a grouped AND must only see the rows of groups
         // whose left side did not short-circuit; the g=1 group holds the
-        // row that would make `s + 1` a type error.
-        let mut catalog = Catalog::new();
-        let mut t = Table::from_rows(
-            vec![("g", DataType::Int), ("s", DataType::Int)],
-            vec![
-                vec![Value::Int(2), Value::Int(3)],
-                vec![Value::Int(2), Value::Int(4)],
-            ],
-        )
-        .unwrap();
-        t.push_row(vec![Value::Int(1), Value::Str("x".into())])
-            .unwrap();
-        catalog.add_table("T", t, vec![]);
+        // row that would make `date(s)` an error.
+        let catalog = catalog_with_a_bad_date();
         let ctx = ExecContext::new(&catalog);
         let q = parse_query(
-            "SELECT g, count(*) FROM T GROUP BY g HAVING count(*) > 1 AND sum(s + 1) > 0",
+            "SELECT g, count(*) FROM T GROUP BY g HAVING count(*) > 1 AND max(date(s)) > '1970-01-01'",
         )
         .unwrap();
         let vectorized = execute(&q, &ctx).unwrap();

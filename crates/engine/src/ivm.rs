@@ -62,6 +62,7 @@ use crate::vector::{eval_vec, AggSlots, LazyCol, VecRelation};
 use pi2_data::column::ColumnData;
 use pi2_data::{DataType, Table, Value};
 use pi2_sql::ast::{is_aggregate_function, Expr, Query, SelectItem, TableRef};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -340,12 +341,15 @@ impl AggState {
             let first = idx[0] as usize;
             let key: Vec<Value> = keycols.iter().map(|c| c.value(first)).collect();
             let groups = self.index.len() as u32;
-            let g = *self.index.entry(key).or_insert_with(|| {
-                for (c, col) in self.reprs.iter_mut().enumerate() {
-                    Arc::make_mut(col).push(rel.cell(c, first));
+            let g = match self.index.entry(key) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    for (c, col) in self.reprs.iter_mut().enumerate() {
+                        Arc::make_mut(col).push(rel.cell(c, first))?;
+                    }
+                    *e.insert(groups)
                 }
-                groups
-            });
+            };
             to_carried.push(g);
         }
         let row_slot: Option<Vec<u32>> =

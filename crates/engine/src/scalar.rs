@@ -13,7 +13,7 @@
 
 use crate::error::EngineError;
 use crate::eval::{eval_expr, eval_grouped, GroupCtx, Scope};
-use crate::exec::{coerce_row, derive_schema, equijoin_columns, execute_with_scope, ExecContext};
+use crate::exec::{derive_schema, equijoin_columns, execute_with_scope, ExecContext};
 use pi2_data::{Table, Value};
 use pi2_sql::ast::{Query, SelectItem, TableRef};
 use std::collections::HashMap;
@@ -160,20 +160,16 @@ pub(crate) fn execute_scalar_with_scope(
         out_rows.truncate(l as usize);
     }
 
-    // 7. Build the output schema. Prefer static analysis; fall back to the
-    // first row's value types (correlated subqueries can defeat analysis).
-    let schema = derive_schema(
-        query,
-        ctx,
-        &input.cols,
-        &input.types,
-        out_rows.first().map(|(r, _)| r.as_slice()),
-    );
+    // 7. Build the output schema. Prefer static analysis; fall back to
+    // each column's first non-NULL value type (correlated subqueries can
+    // defeat analysis).
+    let schema = derive_schema(query, ctx, &input.cols, &input.types, |k| {
+        out_rows.iter().find_map(|(r, _)| r[k].data_type())
+    });
 
     let mut table = Table::new(schema);
     for (row, _) in out_rows {
-        // Coerce date-typed string columns so downstream ordering works.
-        table.push_row(coerce_row(row, &table.schema))?;
+        table.push_row(row)?;
     }
     Ok(table)
 }

@@ -231,7 +231,6 @@ impl Vector {
             Vector::Col(c) => match c.as_ref() {
                 ColumnData::Bool { values, nulls } => values[i] && !nulls.is_null(i),
                 ColumnData::Int64 { values, nulls } => values[i] != 0 && !nulls.is_null(i),
-                ColumnData::Mixed(values) => values[i].as_bool() == Some(true),
                 _ => false,
             },
         }
@@ -244,7 +243,6 @@ impl Vector {
             Vector::Col(c) => match c.as_ref() {
                 ColumnData::Bool { values, nulls } => (!nulls.is_null(i)).then(|| values[i]),
                 ColumnData::Int64 { values, nulls } => (!nulls.is_null(i)).then(|| values[i] != 0),
-                ColumnData::Mixed(values) => values[i].as_bool(),
                 _ => None,
             },
         }
@@ -382,25 +380,11 @@ pub(crate) fn eval_vec(
             let v = eval_vec(inner, rel, ctx, outer)?;
             Ok(match v {
                 Vector::Const(c) => Vector::Const(Value::Bool(c.is_null() != *negated)),
-                Vector::Col(c) => {
-                    // Typed columns: IS [NOT] NULL comes straight off the
-                    // null-bitmap words; only Mixed walks rows.
-                    let values = match c.as_ref() {
-                        ColumnData::Int64 { nulls, .. }
-                        | ColumnData::Float64 { nulls, .. }
-                        | ColumnData::Date64 { nulls, .. }
-                        | ColumnData::Bool { nulls, .. }
-                        | ColumnData::Utf8 { nulls, .. }
-                        | ColumnData::Dict { nulls, .. } => kernels::null_flags(nulls, *negated),
-                        ColumnData::Mixed(_) => {
-                            (0..rel.len).map(|i| c.is_null(i) != *negated).collect()
-                        }
-                    };
-                    Vector::owned(ColumnData::Bool {
-                        values,
-                        nulls: NullMask::all_valid(rel.len),
-                    })
-                }
+                // IS [NOT] NULL comes straight off the null-bitmap words.
+                Vector::Col(c) => Vector::owned(ColumnData::Bool {
+                    values: kernels::null_flags(c.nulls(), *negated),
+                    nulls: NullMask::all_valid(rel.len),
+                }),
             })
         }
         Expr::Func { name, args } => {
@@ -420,7 +404,7 @@ pub(crate) fn eval_vec(
                 let vals: Vec<Value> = argv.iter().map(|v| v.value(i)).collect();
                 out.push(apply_scalar_function(name, &vals, ctx)?);
             }
-            Ok(Vector::owned(ColumnData::from_values(out, None)))
+            Ok(Vector::owned(ColumnData::from_values(out, None)?))
         }
         Expr::ScalarSubquery(q) => {
             if !is_uncorrelated(q, ctx) {
@@ -465,7 +449,7 @@ fn eval_per_row(
         };
         out.push(eval::eval_expr(expr, &scope, ctx)?);
     }
-    Ok(Vector::owned(ColumnData::from_values(out, None)))
+    Ok(Vector::owned(ColumnData::from_values(out, None)?))
 }
 
 fn unary_vec(op: UnaryOp, v: Vector, n: usize) -> Result<Vector, EngineError> {
@@ -495,7 +479,7 @@ fn unary_vec(op: UnaryOp, v: Vector, n: usize) -> Result<Vector, EngineError> {
                 for i in 0..n {
                     out.push(apply_unary(op, c.value(i))?);
                 }
-                Ok(Vector::owned(ColumnData::from_values(out, None)))
+                Ok(Vector::owned(ColumnData::from_values(out, None)?))
             }
         },
     }
@@ -827,7 +811,7 @@ pub(crate) fn binary_vec(
         for i in 0..n {
             out.push(apply_binary(op, l.value(i), r.value(i))?);
         }
-        return Ok(Vector::owned(ColumnData::from_values(out, None)));
+        return Ok(Vector::owned(ColumnData::from_values(out, None)?));
     }
     // Arithmetic. Result typing follows the scalar kernel: date on the left
     // of +/- stays a date, int⊕int stays int for +,-,*, everything else is
@@ -876,7 +860,7 @@ pub(crate) fn binary_vec(
     for i in 0..n {
         out.push(apply_binary(op, l.value(i), r.value(i))?);
     }
-    Ok(Vector::owned(ColumnData::from_values(out, None)))
+    Ok(Vector::owned(ColumnData::from_values(out, None)?))
 }
 
 fn is_int_vector(v: &Vector) -> bool {
@@ -1461,24 +1445,21 @@ impl AggSlots {
             return;
         };
         match self {
-            AggSlots::Count(n) => match (valid_mask(col), row_slot) {
-                (Some(nulls), Some(rs)) => {
-                    for (i, &s) in rs.iter().enumerate() {
-                        n[s as usize] += !nulls.is_null(i) as i64;
+            AggSlots::Count(n) => {
+                let nulls = col.nulls();
+                match row_slot {
+                    Some(rs) => {
+                        for (i, &s) in rs.iter().enumerate() {
+                            n[s as usize] += !nulls.is_null(i) as i64;
+                        }
+                    }
+                    None => {
+                        for (l, idx) in groups.iter().enumerate() {
+                            n[slot(l)] += kernels::count_valid(nulls, idx) as i64;
+                        }
                     }
                 }
-                (Some(nulls), None) => {
-                    for (l, idx) in groups.iter().enumerate() {
-                        n[slot(l)] += kernels::count_valid(nulls, idx) as i64;
-                    }
-                }
-                (None, _) => {
-                    for (l, idx) in groups.iter().enumerate() {
-                        n[slot(l)] +=
-                            idx.iter().filter(|&&i| !col.is_null(i as usize)).count() as i64;
-                    }
-                }
-            },
+            }
             AggSlots::Sum {
                 total, n, all_int, ..
             } => {
@@ -1520,11 +1501,7 @@ impl AggSlots {
                                     total[s] += f;
                                 }
                                 n[s] += 1;
-                                all_int[s] &= match col {
-                                    ColumnData::Int64 { .. } => true,
-                                    ColumnData::Mixed(vals) => matches!(vals[i], Value::Int(_)),
-                                    _ => false,
-                                };
+                                all_int[s] &= matches!(col, ColumnData::Int64 { .. });
                             }
                         }
                     }
@@ -1550,19 +1527,6 @@ impl AggSlots {
                 }
             }
         }
-    }
-}
-
-/// A typed column's null mask; `None` for `Mixed`.
-fn valid_mask(col: &ColumnData) -> Option<&NullMask> {
-    match col {
-        ColumnData::Int64 { nulls, .. }
-        | ColumnData::Float64 { nulls, .. }
-        | ColumnData::Date64 { nulls, .. }
-        | ColumnData::Bool { nulls, .. }
-        | ColumnData::Utf8 { nulls, .. }
-        | ColumnData::Dict { nulls, .. } => Some(nulls),
-        ColumnData::Mixed(_) => None,
     }
 }
 

@@ -65,10 +65,10 @@ fn append_request(table: &str, rows: Table) -> String {
 }
 
 /// The `live{…}` counters are process-global (one `EvalCache` behind every
-/// `Pi2Service` in the process), and both tests below register the same
+/// `Pi2Service` in the process), and the tests below register the same
 /// catalogue, so they also share memo keys. Each test holds this lock for
 /// its whole body and asserts counter *deltas* from its own starting
-/// scrape: whatever the other test did, before or not at all, cancels out.
+/// scrape: whatever another test did, before or not at all, cancels out.
 static LIVE_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn live_state() -> std::sync::MutexGuard<'static, ()> {
@@ -183,6 +183,74 @@ fn append_over_http_bumps_epoch_and_serves_ivm() {
         2,
         "rejected appends must not bump"
     );
+    server.shutdown();
+}
+
+/// A column has one type over the wire too: an append whose declared
+/// column type disagrees with the live table is an `append` error (422),
+/// and a cell whose type disagrees with its declared column fails
+/// decoding as a `protocol` error (400). Neither bumps the epoch, and the
+/// live table keeps typed storage that reads back as before.
+#[test]
+fn mistyped_appends_are_rejected_and_the_table_stays_typed() {
+    let _serial = live_state();
+    let (service, generation) = live_service();
+    let server = pi2::serve(Arc::clone(&service), ServerConfig::default()).unwrap();
+    let mut http = Http1Client::connect(server.local_addr()).unwrap();
+    let start = http.get("/metrics").unwrap().body;
+    let session = Session::open(&generation).unwrap();
+    let before = session.execute().unwrap();
+
+    // `b` declared `str` where the live table's `b` is `int`.
+    let str_b = Table::from_rows(
+        vec![("a", DataType::Int), ("b", DataType::Str)],
+        vec![vec![Value::Int(1), Value::Str("x".into())]],
+    )
+    .unwrap();
+    let resp = http.post("/v1", &append_request("T", str_b)).unwrap();
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    assert!(resp.body.contains("\"code\":\"append\""), "{}", resp.body);
+    assert!(
+        resp.body.contains("type mismatch: expected int, found str"),
+        "{}",
+        resp.body
+    );
+
+    // `b` declared `int`, but one cell is a string, one a fraction.
+    for cell in ["\"x\"", "2.5"] {
+        let body = format!(
+            "{{\"v\":2,\"type\":\"append\",\"workload\":\"live\",\"table\":\"T\",\
+             \"rows\":{{\"rows\":1,\"columns\":[\
+             {{\"name\":\"a\",\"type\":\"int\",\"values\":[1]}},\
+             {{\"name\":\"b\",\"type\":\"int\",\"values\":[{cell}]}}]}}}}"
+        );
+        let resp = http.post("/v1", &body).unwrap();
+        assert_eq!(resp.status, 400, "{cell}: {}", resp.body);
+        assert!(resp.body.contains("\"code\":\"protocol\""), "{}", resp.body);
+        assert!(
+            resp.body.contains("column 'b': type mismatch"),
+            "{}",
+            resp.body
+        );
+    }
+
+    let metrics = http.get("/metrics").unwrap().body;
+    assert_eq!(
+        counter(&metrics, "epochBumps"),
+        counter(&start, "epochBumps"),
+        "rejected appends must not bump"
+    );
+    let live = generation.live.snapshot();
+    let t = &live.table("T").expect("T registered").table;
+    assert_eq!(t.num_rows(), 24);
+    for i in 0..t.num_columns() {
+        assert_eq!(t.col(i).dtype(), DataType::Int, "column {i} stays typed");
+    }
+    let after = session.execute().unwrap();
+    assert_eq!(before, after, "reads see the table as before");
+    for (i, c) in after[0].schema.columns.iter().enumerate() {
+        assert_eq!(after[0].col(i).dtype(), c.dtype, "{}", c.name);
+    }
     server.shutdown();
 }
 
